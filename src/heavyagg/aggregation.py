@@ -49,7 +49,8 @@ class AggregateSample:
     replicate ``r``.  ``source_counts[j]`` is the source count at the j-th y
     cut; consecutive differences are the per-block lane counts.  ``meta``
     records how the integrated paths were evaluated (family, mean level,
-    chunking), enough to audit a run without rerunning it.
+    chunking) and lists in ``zero_source_y`` the y cuts that hold no source,
+    enough to audit a run without rerunning it.
     """
 
     lam: float
@@ -145,6 +146,7 @@ def aggregate(src, lam: float, gamma: float, H: float, x_grid, y_grid, n_rep: in
         "mean_level": mean_level,
         "window_cuts": cuts.tolist(),
         "block_chunks": chunk_plan,
+        "zero_source_y": yg[counts == 0].tolist(),
     }
     return AggregateSample(
         lam=float(lam),
@@ -185,4 +187,5 @@ def rect_increment(sample: AggregateSample, x0: float, x1: float, y0: float, y1:
             return np.zeros(sample.values.shape[0])
         return sample.values[:, ix, iy]
 
-    return value(ix1, iy1) - value(ix0, iy1) - value(ix1, iy0) + value(ix0, iy0)
+    # differencing in y first, then in x, cancels exactly when either side is empty
+    return (value(ix1, iy1) - value(ix1, iy0)) - (value(ix0, iy1) - value(ix0, iy0))

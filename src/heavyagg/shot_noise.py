@@ -486,12 +486,15 @@ def regime_of(src: ShotNoiseSource, gamma: float) -> RegimeSpec:
         raise ValueError(f"no scaling table for pulse family {kind!r}")
 
     constants = {"c_X": c_x, "H1": h1, "c_plus": c_plus, "c_minus": c_minus}
-    if gamma > gamma0:
+    # gamma0 comes out of float arithmetic (1.4 - 1.0 == 0.3999999999999999),
+    # so a gamma that equals it up to rounding is the critical exponent
+    critical = math.isclose(gamma, gamma0, rel_tol=1e-12, abs_tol=1e-12)
+    if gamma > gamma0 and not critical:
         c_w = math.sqrt(c_x / ((2.0 * h1 - 1.0) * h1))
         constants["C_W"] = c_w
         return RegimeSpec(gamma0, gamma, h1 + gamma / 2.0, alpha, "FBS", constants,
                           logchf=_gaussian_limit_logchf(c_w, h1))
-    if gamma < gamma0:
+    if gamma < gamma0 and not critical:
         params = stable_params_from_tails(alpha, c_plus, c_minus)
         constants["stable"] = params
         return RegimeSpec(gamma0, gamma, (1.0 + gamma) / alpha, alpha, "StableSheet", constants,

@@ -5,7 +5,8 @@ integrals, state paths, centered cycle masses), the covariance decomposition
 Cov = R + h with its renewal-function solver, and the scaling table.  Grid
 numerics are checked against closed forms (exponential and uniform cycle
 laws, the on-off and renewal-reward worked examples); the samplers are
-checked against the grids by Monte Carlo with 4-sigma bands.
+checked against the grids by Monte Carlo with 4-sigma bands, and the block
+path sampler against a reference wave sampler by two-sample KS tests.
 """
 
 import math
@@ -482,6 +483,14 @@ def test_exp_damped_regimes():
     assert slow.constants["stable"].beta == -1.0  # long cycles drag the mass *below* its mean
 
 
+def test_critical_exponent_survives_float_rounding():
+    # gamma0 = 1.4 - 1.0 == 0.3999999999999999, yet gamma = 0.4 is critical
+    model = onoff_model(alpha=1.4)
+    assert rg.regime_of(model, 0.4).limit_kind == "Intermediate"
+    assert rg.regime_of(model, 0.4 + 1e-9).limit_kind == "FBS"
+    assert rg.regime_of(model, 0.4 - 1e-9).limit_kind == "StableSheet"
+
+
 def test_regime_validation():
     model = onoff_model()
     with pytest.raises(ValueError):
@@ -513,23 +522,75 @@ def test_regime_validation():
 # -- multi-window path sampler ----------------------------------------------------------
 
 
-def test_path_single_cut_is_bitwise_the_integrated_sampler():
-    models = [
-        onoff_model(),
-        rg.RegenModel(pulses.Workload(ht.RegVaryingDist(6.0, 1.0), ht.ExponentialDist(1.0))),
-        rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(2.5, 1.0), uniform_reward())),
-        exp_damped_model(),
-    ]
-    for model in models:
-        for stationary in (True, False):
-            one = rg.integrated_sample(
-                model, 5.0, rng_for("path-one"), n_rep=600, stationary=stationary
-            )
-            path = rg.integrated_path(
-                model, [5.0], rng_for("path-one"), 600, stationary=stationary
-            )
-            assert path.shape == (600, 1)
-            assert np.array_equal(one, path[:, 0])
+def _wave_path(model, cuts, rng, n_lanes, stationary):
+    """Reference sampler: the per-cycle wave loop that the block sampler replaced.
+
+    Window by window, every lane still short of the window's end draws its
+    next cycle per pass.
+    """
+    kind = model.kind
+    out = np.zeros((n_lanes, len(cuts)))
+    if stationary:
+        loc, z, aux = rg._draw_aged(model.pulse, rng, n_lanes)
+    else:
+        z, aux = rg._draw_cycles(model.pulse, rng, n_lanes)
+        loc = np.zeros(n_lanes)
+    for j, w in enumerate(np.diff(cuts, prepend=0.0)):
+        rem = np.full(n_lanes, w)
+        hi = np.minimum(loc + rem, z)
+        out[:, j] += rg._window_mass(kind, aux, loc, hi)
+        rem -= z - loc
+        loc = hi
+        active = np.flatnonzero(rem > 0.0)
+        while active.size:
+            z_new, aux_new = rg._draw_cycles(model.pulse, rng, active.size)
+            hi = np.minimum(rem[active], z_new)
+            out[active, j] += rg._window_mass(kind, aux_new, 0.0, hi)
+            z[active], aux[active], loc[active] = z_new, aux_new, hi
+            rem[active] -= z_new
+            active = active[rem[active] > 0.0]
+    return out
+
+
+PATH_MODELS = {
+    "on-off": onoff_model,
+    "workload": lambda: rg.RegenModel(pulses.Workload(ht.RegVaryingDist(6.0, 1.0), ht.ExponentialDist(1.0))),
+    "renewal-reward": lambda: rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(2.5, 1.0), uniform_reward())),
+    "exp-damped": exp_damped_model,
+}
+# the last cut spans several mean cycles, so blocks hold many cycles, some
+# lanes overrun their block and long cycles straddle more than one cut
+PATH_CUTS = [0.5, 4.0, 20.0]
+
+
+def _assert_block_matches_waves(family, stationary, tag, calls, lanes):
+    model = PATH_MODELS[family]()
+    block = np.concatenate([
+        rg.integrated_path(model, PATH_CUTS, rng_for(tag, c), lanes, stationary) for c in range(calls)
+    ])
+    wave = _wave_path(model, PATH_CUTS, rng_for(tag + "/wave"), calls * lanes, stationary)
+    assert block.shape == wave.shape
+    for j in range(len(PATH_CUTS)):
+        # on-off and workload windows have atoms at 0 and at the window width;
+        # differences of cumulative masses smear them by rounding
+        res = sp_stats.ks_2samp(np.round(block[:, j], 9), np.round(wave[:, j], 9))
+        assert res.pvalue > 1e-3, (family, stationary, j, res)
+
+
+@pytest.mark.parametrize("stationary", [True, False])
+@pytest.mark.parametrize("family", sorted(PATH_MODELS))
+def test_path_block_sampler_matches_wave_sampler_in_law(family, stationary):
+    # 1000 lanes per call keep the default cell budget from capping blocks at one cycle
+    _assert_block_matches_waves(family, stationary, f"path-law/{family}/{stationary}", 12, 1000)
+
+
+@pytest.mark.parametrize("stationary", [True, False])
+@pytest.mark.parametrize("family", sorted(PATH_MODELS))
+def test_path_forced_multi_pass_matches_wave_sampler_in_law(family, stationary, monkeypatch):
+    # a budget of a few cells leaves one or two cycles per lane and pass, so
+    # nearly every lane overruns its block and carries its state forward
+    monkeypatch.setattr(rg, "BLOCK_CELL_BUDGET", 3)
+    _assert_block_matches_waves(family, stationary, f"path-passes/{family}/{stationary}", 1, 6000)
 
 
 def test_path_windows_tile_the_covariance():
@@ -571,7 +632,7 @@ def test_path_row_sums_match_integrated_law():
 def test_path_validation():
     model = onoff_model()
     rng = rng_for("path-bad")
-    for cuts in ([], [0.0, 1.0], [2.0, 1.0], [-1.0], [1.0, 1.0]):
+    for cuts in ([], [0.0, 1.0], [2.0, 1.0], [-1.0], [1.0, 1.0], [np.nan], [1.0, np.inf]):
         with pytest.raises(ValueError, match="cuts"):
             rg.integrated_path(model, cuts, rng, 4)
     with pytest.raises(ValueError, match="n_lanes"):

@@ -222,6 +222,14 @@ def test_exp_damped_tail_constant_matches_exact_tail():
     assert float(x ** (rho + kappa) * tail) == pytest.approx(spec.constants["c_plus"], rel=1e-9)
 
 
+def test_critical_exponent_survives_float_rounding():
+    # gamma0 = 1.4 - 1.0 == 0.3999999999999999, yet gamma = 0.4 is critical
+    src = rect_unit_source(alpha=1.4)
+    assert sn.regime_of(src, 0.4).limit_kind == "Intermediate"
+    assert sn.regime_of(src, 0.4 + 1e-9).limit_kind == "FBS"
+    assert sn.regime_of(src, 0.4 - 1e-9).limit_kind == "StableSheet"
+
+
 def test_regime_h_continuous_at_gamma0():
     sources = [
         rect_unit_source(),
