@@ -22,6 +22,7 @@ Regenerative blocks simulate ``m`` lanes per replicate and sum them.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +34,10 @@ __all__ = ["AggregateSample", "aggregate", "rect_increment"]
 
 # per-chunk working-set budget in array cells (pulses or lanes times windows);
 # chunk sizes derive from expected workloads only, never from drawn values,
-# so a given argument tuple always consumes the generator identically
+# so a given argument tuple always consumes the generator identically.  The
+# shot-noise kernel touches O(pulses + cells touched), so for shot noise the
+# pulses * nx estimate is an upper bound; it is kept because sizing chunks by
+# pulses alone would batch many more replicates per call and raise peak memory
 CHUNK_CELL_BUDGET = 4_000_000
 # refuse calls whose output matrix alone would dwarf desk-scale memory
 MAX_OUTPUT_CELLS = 1 << 26
@@ -48,9 +52,10 @@ class AggregateSample:
     ``values[r, i, j]`` is the field at ``(x_grid[i], y_grid[j])`` for
     replicate ``r``.  ``source_counts[j]`` is the source count at the j-th y
     cut; consecutive differences are the per-block lane counts.  ``meta``
-    records how the integrated paths were evaluated (family, mean level,
-    chunking) and lists in ``zero_source_y`` the y cuts that hold no source,
-    enough to audit a run without rerunning it.
+    records how the integrated paths were evaluated (family, mean level, the
+    chunk plan ``block_chunks`` and, per entry of it, the wall seconds spent in
+    the path sampler in ``block_path_s``) and lists in ``zero_source_y`` the y
+    cuts that hold no source, enough to audit a run without rerunning it.
     """
 
     lam: float
@@ -67,8 +72,8 @@ def _strict_grid(name: str, grid) -> np.ndarray:
     arr = np.asarray(grid, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array")
-    if arr[0] <= 0 or np.any(np.diff(arr) <= 0):
-        raise ValueError(f"{name} must be strictly increasing and positive")
+    if not np.all(np.isfinite(arr)) or arr[0] <= 0 or np.any(np.diff(arr) <= 0):
+        raise ValueError(f"{name} must be finite, strictly increasing and positive")
     return arr
 
 
@@ -119,6 +124,7 @@ def aggregate(src, lam: float, gamma: float, H: float, x_grid, y_grid, n_rep: in
 
     raw = np.zeros((n_rep, nx, ny))
     chunk_plan: list[tuple[int, int]] = []
+    path_s: list[float] = []
     for j, m in enumerate(blocks):
         if m == 0:
             continue
@@ -127,16 +133,22 @@ def aggregate(src, lam: float, gamma: float, H: float, x_grid, y_grid, n_rep: in
         chunk_plan.append((int(m), chunk))
         if shot:
             block_src = replace(src, rate=src.rate * float(m))
-            for lo in range(0, n_rep, chunk):
-                hi = min(lo + chunk, n_rep)
-                inc = integrated_path_batch(block_src, cuts, rng, hi - lo)
-                raw[lo:hi, :, j] = np.cumsum(inc, axis=1)
+
+            def draw(n):
+                return integrated_path_batch(block_src, cuts, rng, n)
         else:
-            for lo in range(0, n_rep, chunk):
-                hi = min(lo + chunk, n_rep)
-                lanes = integrated_path(src, cuts, rng, (hi - lo) * int(m))
-                inc = lanes.reshape(hi - lo, int(m), nx).sum(axis=1)
-                raw[lo:hi, :, j] = np.cumsum(inc, axis=1)
+
+            def draw(n):
+                return integrated_path(src, cuts, rng, n * int(m)).reshape(n, int(m), nx).sum(axis=1)
+
+        spent = 0.0
+        for lo in range(0, n_rep, chunk):
+            hi = min(lo + chunk, n_rep)
+            t0 = time.perf_counter()
+            inc = draw(hi - lo)
+            spent += time.perf_counter() - t0
+            raw[lo:hi, :, j] = np.cumsum(inc, axis=1)
+        path_s.append(spent)
 
     A = np.cumsum(raw, axis=2)
     mean = cuts[:, None] * counts[None, :] * mean_level
@@ -146,6 +158,7 @@ def aggregate(src, lam: float, gamma: float, H: float, x_grid, y_grid, n_rep: in
         "mean_level": mean_level,
         "window_cuts": cuts.tolist(),
         "block_chunks": chunk_plan,
+        "block_path_s": path_s,
         "zero_source_y": yg[counts == 0].tolist(),
     }
     return AggregateSample(

@@ -2,10 +2,10 @@
 
 The input process is X(t) = sum_j W_j(t - T_j) over a stationary Poisson
 arrival stream.  The module draws exact-in-law samples of the windowed
-integral int_0^T X(t) dt: arrivals inside the window are a Poisson(rate * T)
-batch with uniform positions, and pulses already alive at the window start are
-a Poisson(rate * E[D]) batch whose (age, duration) pairs come from the exact
-length-biased device.  No truncation horizon is involved anywhere.
+integrals int X(t) dt over consecutive windows: arrivals inside each window are
+a Poisson(rate * width) batch with uniform positions, and pulses already alive
+at the first window's start are a Poisson(rate * E[D]) batch whose
+(age, duration) pairs come from the exact length-biased device.  No truncation horizon is involved anywhere.
 
 It also carries the per-family scaling table: the critical growth exponent
 gamma0, the normalization exponent H(gamma), and the limit law with its closed
@@ -117,11 +117,6 @@ def _mean_pulse_mass(model) -> float:
 # -- batched exact sampling ----------------------------------------------------------
 
 
-def _split_mixture(model, rng, k):
-    """Component index per draw for mixture models."""
-    return rng.choice(len(model.components), size=k, p=model.weights)
-
-
 def _fresh_params(model, rng, k):
     kind = model.kind
     if kind == "rect-indep":
@@ -150,8 +145,8 @@ def _aged_params(model, rng, k):
     return np.atleast_1d(age), out
 
 
-def _window_values(model, params, a, b, rng):
-    """Vectorized int_a^b w dt for realized parameter arrays (pulse-local times)."""
+def _window_values(model, params, a, b):
+    """Vectorized int_a^b w dt for realized deterministic pulses (pulse-local times)."""
     kind = model.kind
     r = params["r"]
     if kind == "rect-indep":
@@ -164,13 +159,6 @@ def _window_values(model, params, a, b, rng):
         lo = np.clip(a, 0.0, r)
         hi = np.clip(b, 0.0, r)
         return np.exp(-rate * lo) * (-np.expm1(-rate * (hi - lo))) / rate
-    if kind == "brownian":
-        lo = np.clip(a, 0.0, r)
-        hi = np.clip(b, 0.0, r)
-        h = np.maximum(hi - lo, 0.0)
-        b_lo = np.sqrt(lo) * rng.standard_normal(lo.shape)
-        j = np.sqrt(h**3 / 3.0) * rng.standard_normal(h.shape)
-        return b_lo * h + j
     raise ValueError(f"unknown family {kind!r}")
 
 
@@ -178,61 +166,9 @@ def integrated_sample_batch(src: ShotNoiseSource, T: float, rng: np.random.Gener
     """n_rep independent stationary samples of int_origin^(origin+T) X(t) dt."""
     if T <= 0:
         raise ValueError("window length must be positive")
-    horizon = origin + T
-    out = np.zeros(n_rep)
-    mean_d = src.mean_duration
-    if not math.isfinite(mean_d):
-        raise ValueError("mean pulse duration must be finite")
-
-    model = src.pulse
-    leaves = [model] if model.kind != "mixture" else list(model.components)
-    weights = [1.0] if model.kind != "mixture" else list(model.weights)
-
-    # pulses arriving inside (0, horizon]
-    n_new = rng.poisson(src.rate * horizon, n_rep)
-    rep_new = np.repeat(np.arange(n_rep), n_new)
-    k_new = rep_new.size
-    if k_new:
-        u = rng.uniform(0.0, horizon, k_new)
-        a = np.maximum(origin - u, 0.0)
-        b = horizon - u
-        comp = _split_mixture(model, rng, k_new) if model.kind == "mixture" else np.zeros(k_new, dtype=int)
-        vals = np.zeros(k_new)
-        for ci, leaf in enumerate(leaves):
-            mask = comp == ci
-            if mask.any():
-                params = _fresh_params(leaf, rng, int(mask.sum()))
-                vals[mask] = _window_values(leaf, params, a[mask], b[mask], rng)
-        out += np.bincount(rep_new, weights=vals, minlength=n_rep)
-
-    # pulses alive at time zero (count Poisson(rate * E D), exact age law)
-    if model.kind == "mixture":
-        # a mixture's alive-pulse component is size-biased by the component mean duration
-        means = np.array([pl.duration_mean(c) for c in leaves])
-        probs = np.array(weights) * means
-        probs /= probs.sum()
-        n_old = rng.poisson(src.rate * float(np.dot(weights, means)), n_rep)
-        rep_old = np.repeat(np.arange(n_rep), n_old)
-        k_old = rep_old.size
-        if k_old:
-            comp = rng.choice(len(leaves), size=k_old, p=probs)
-            vals = np.zeros(k_old)
-            for ci, leaf in enumerate(leaves):
-                mask = comp == ci
-                if mask.any():
-                    age, params = _aged_params(leaf, rng, int(mask.sum()))
-                    vals[mask] = _window_values(leaf, params, age + origin, age + horizon, rng)
-            out += np.bincount(rep_old, weights=vals, minlength=n_rep)
-        return out
-
-    n_old = rng.poisson(src.rate * mean_d, n_rep)
-    rep_old = np.repeat(np.arange(n_rep), n_old)
-    k_old = rep_old.size
-    if k_old:
-        age, params = _aged_params(model, rng, k_old)
-        vals = _window_values(model, params, age + origin, age + horizon, rng)
-        out += np.bincount(rep_old, weights=vals, minlength=n_rep)
-    return out
+    if origin == 0.0:
+        return integrated_path_batch(src, [T], rng, n_rep)[:, 0]
+    return integrated_path_batch(src, [origin, origin + T], rng, n_rep)[:, 1]
 
 
 def integrated_sample(src: ShotNoiseSource, T: float, rng: np.random.Generator, origin: float = 0.0) -> float:
@@ -240,22 +176,21 @@ def integrated_sample(src: ShotNoiseSource, T: float, rng: np.random.Generator, 
     return float(integrated_sample_batch(src, T, rng, 1, origin=origin)[0])
 
 
-def _leaf_path_values(model, params, u, lows, cuts, rng):
-    """Window increments (k, n_windows) of realized pulses anchored at times u.
+def _duration(model, params):
+    """Realized support length of deterministic pulses; the pulse is zero after it."""
+    return params["r"] ** model.p if model.kind == "rect-coupled" else params["r"]
 
-    Window j covers global time (lows[j], cuts[j]].  Deterministic families
-    reuse the single-window algebra per column.  Brownian pulses carry state
-    across windows: the path value at each window boundary is drawn jointly
-    with the window integral, so one pulse's columns come from one consistent
-    Brownian path (anchoring at u < 0 reproduces the stationary age law).
+
+def _brownian_path_values(params, u, cuts, rng):
+    """Window increments (k, n_windows) of Brownian pulses anchored at times u.
+
+    Window j ends at global time cuts[j].  Brownian pulses carry state across
+    windows: the path value at each window boundary is drawn jointly with the
+    window integral, so one pulse's columns come from one consistent Brownian
+    path (anchoring at u < 0 reproduces the stationary age law).
     """
-    k = u.size
-    if model.kind != "brownian" or cuts.size == 1:
-        vals = np.empty((k, cuts.size))
-        for j in range(cuts.size):
-            vals[:, j] = _window_values(model, params, lows[j] - u, cuts[j] - u, rng)
-        return vals
     r = params["r"]
+    k = u.size
     vals = np.zeros((k, cuts.size))
     lo = np.clip(-u, 0.0, r)
     beta = np.sqrt(lo) * rng.standard_normal(k)
@@ -272,78 +207,120 @@ def _leaf_path_values(model, params, u, lows, cuts, rng):
     return vals
 
 
+def _add_cells(out, model, params, a, b, cell, lows, cuts, rng):
+    """Add realized pulses' window increments into the flat (rep, window) array out.
+
+    Pulse i of one leaf family first touches the window whose flat index
+    (rep * n_windows + window) is cell[i], and (a[i], b[i]] is that window in
+    the pulse's local time.  Window j covers global time (lows[j], cuts[j]].
+    A deterministic pulse is evaluated on its first window and, only when it
+    outlives that window, on each later window up to the one holding its end,
+    so it costs O(1 + windows touched).  Brownian pulses fill every window of
+    their row.
+    """
+    nx = cuts.size
+    if model.kind == "brownian":
+        first = cell % nx
+        vals = _brownian_path_values(params, lows[first] - a, cuts, rng)
+        out += np.bincount(((cell - first)[:, None] + np.arange(nx)).ravel(), vals.ravel(), out.size)
+        return
+    out += np.bincount(cell, _window_values(model, params, a, b), out.size)
+    if nx == 1:
+        return
+    dur = _duration(model, params)
+    more = np.flatnonzero(dur > b)
+    first = cell[more] % nx
+    u = lows[first] - a[more]
+    # the window holding the pulse end is the count of cuts strictly before it
+    n_more = np.minimum(np.searchsorted(cuts, u + dur[more]), nx - 1) - first
+    owner = np.repeat(np.arange(more.size), n_more)
+    # continuation cells of one pulse are windows first + 1, ..., first + n_more
+    step = 1 + np.arange(owner.size) - np.repeat(np.cumsum(n_more) - n_more, n_more)
+    window = first[owner] + step
+    idx = more[owner]
+    u = u[owner]
+    tail = _window_values(model, {key: v[idx] for key, v in params.items()}, lows[window] - u, cuts[window] - u)
+    out += np.bincount(cell[idx] + step, tail, out.size)
+
+
+def _leaf_groups(model, probs, rng, k):
+    """Yield (leaf, index, count) for k pulses split over the model's leaf families.
+
+    A mixture draws each pulse's component with probabilities ``probs``; a
+    plain family takes all k pulses through a slice, without drawing.
+    """
+    if model.kind != "mixture":
+        if k:
+            yield model, slice(None), k
+        return
+    comp = rng.choice(len(model.components), size=k, p=probs)
+    for ci, leaf in enumerate(model.components):
+        idx = np.flatnonzero(comp == ci)
+        if idx.size:
+            yield leaf, idx, idx.size
+
+
 def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, n_rep: int):
     """Stationary increments int_{c_{j-1}}^{c_j} X dt over shared pulses.
 
-    ``cuts`` are strictly increasing positive times c_1 < ... < c_n (the first
-    window opens at 0).  Returns shape (n_rep, n_windows); each row's windows
-    are evaluated on one set of pulses, so cumulative sums over a row form a
-    consistent sample path of the integrated process.  With a single cut this
-    consumes the generator exactly like ``integrated_sample_batch``.
+    ``cuts`` are finite, strictly increasing positive times c_1 < ... < c_n
+    (the first window opens at 0).  Returns shape (n_rep, n_windows); each
+    row's windows are evaluated on one set of pulses, so cumulative sums over a
+    row form a consistent sample path of the integrated process.
+
+    Arrivals are drawn window by window: Poisson(rate * width) uniform points
+    in each (rep, window) cell.  That is the Poisson process on (0, c_n]
+    restricted to disjoint windows, and it tells each new pulse's first
+    window without a search.  Pulses alive at time zero are a
+    Poisson(rate * E D) batch with exact stationary (age, duration) pairs,
+    first touching window 0.  Deterministic pulses are evaluated only on the
+    windows they touch, and bincounts over flat (rep, window) indices sum
+    the cells, so the cost is O(pulses + cells touched), not
+    O(pulses * n_windows).  Brownian pulses carry their path across every
+    window.
     """
     cuts = np.asarray(cuts, dtype=float)
-    if cuts.ndim != 1 or cuts.size == 0 or cuts[0] <= 0 or np.any(np.diff(cuts) <= 0):
-        raise ValueError("cuts must be positive and strictly increasing")
+    if (
+        cuts.ndim != 1
+        or cuts.size == 0
+        or not np.all(np.isfinite(cuts))
+        or cuts[0] <= 0
+        or np.any(np.diff(cuts) <= 0)
+    ):
+        raise ValueError("cuts must be finite, positive and strictly increasing")
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
-    horizon = float(cuts[-1])
-    lows = np.concatenate(([0.0], cuts[:-1]))
-    out = np.zeros((n_rep, cuts.size))
     mean_d = src.mean_duration
     if not math.isfinite(mean_d):
         raise ValueError("mean pulse duration must be finite")
-
+    nx = cuts.size
+    lows = np.concatenate(([0.0], cuts[:-1]))
+    widths = cuts - lows
     model = src.pulse
-    leaves = [model] if model.kind != "mixture" else list(model.components)
-    weights = [1.0] if model.kind != "mixture" else list(model.weights)
+    out = np.zeros(n_rep * nx)
 
-    def scatter(rep_ids, vals):
-        # one bincount per window over the full pulse array keeps the
-        # floating-point summation order identical to the single-window path
-        for j in range(cuts.size):
-            out[:, j] += np.bincount(rep_ids, weights=vals[:, j], minlength=n_rep)
+    # pulses arriving inside each window, at offset s from its start; a new
+    # pulse's first cell is its (rep, window) cell
+    n_new = rng.poisson(src.rate * widths, (n_rep, nx)).ravel()
+    cell = np.repeat(np.arange(n_rep * nx), n_new)
+    width = np.repeat(np.tile(widths, n_rep), n_new)
+    s = width * rng.uniform(size=cell.size)
+    probs = model.weights if model.kind == "mixture" else None
+    for leaf, idx, k in _leaf_groups(model, probs, rng, cell.size):
+        params = _fresh_params(leaf, rng, k)
+        _add_cells(out, leaf, params, -s[idx], width[idx] - s[idx], cell[idx], lows, cuts, rng)
 
-    # pulses arriving inside (0, horizon]
-    n_new = rng.poisson(src.rate * horizon, n_rep)
-    rep_new = np.repeat(np.arange(n_rep), n_new)
-    k_new = rep_new.size
-    if k_new:
-        u = rng.uniform(0.0, horizon, k_new)
-        comp = _split_mixture(model, rng, k_new) if model.kind == "mixture" else np.zeros(k_new, dtype=int)
-        vals = np.zeros((k_new, cuts.size))
-        for ci, leaf in enumerate(leaves):
-            mask = comp == ci
-            if mask.any():
-                params = _fresh_params(leaf, rng, int(mask.sum()))
-                vals[mask] = _leaf_path_values(leaf, params, u[mask], lows, cuts, rng)
-        scatter(rep_new, vals)
-
-    # pulses alive at time zero, anchored at the negated stationary age
-    if model.kind == "mixture":
-        means = np.array([pl.duration_mean(c) for c in leaves])
-        probs = np.array(weights) * means
-        probs /= probs.sum()
-        n_old = rng.poisson(src.rate * float(np.dot(weights, means)), n_rep)
-        rep_old = np.repeat(np.arange(n_rep), n_old)
-        k_old = rep_old.size
-        if k_old:
-            comp = rng.choice(len(leaves), size=k_old, p=probs)
-            vals = np.zeros((k_old, cuts.size))
-            for ci, leaf in enumerate(leaves):
-                mask = comp == ci
-                if mask.any():
-                    age, params = _aged_params(leaf, rng, int(mask.sum()))
-                    vals[mask] = _leaf_path_values(leaf, params, -age, lows, cuts, rng)
-            scatter(rep_old, vals)
-        return out
-
+    # pulses alive at time zero, anchored at the negated stationary age; a
+    # mixture's alive-pulse component is size-biased by its mean duration
     n_old = rng.poisson(src.rate * mean_d, n_rep)
-    rep_old = np.repeat(np.arange(n_rep), n_old)
-    k_old = rep_old.size
-    if k_old:
-        age, params = _aged_params(model, rng, k_old)
-        scatter(rep_old, _leaf_path_values(model, params, -age, lows, cuts, rng))
-    return out
+    cell = np.repeat(np.arange(0, n_rep * nx, nx), n_old)
+    if model.kind == "mixture":
+        probs = np.array(model.weights) * [pl.duration_mean(c) for c in model.components]
+        probs /= probs.sum()
+    for leaf, idx, k in _leaf_groups(model, probs, rng, cell.size):
+        age, params = _aged_params(leaf, rng, k)
+        _add_cells(out, leaf, params, age, age + cuts[0], cell[idx], lows, cuts, rng)
+    return out.reshape(n_rep, nx)
 
 
 # -- covariance ------------------------------------------------------------------------

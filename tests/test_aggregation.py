@@ -64,6 +64,8 @@ def test_shape_and_source_counts(make):
     assert np.array_equal(s.source_counts, want)
     assert s.meta["zero_source_y"] == []
     assert s.meta["window_cuts"] == pytest.approx([s.lam * x for x in X_GRID])
+    assert len(s.meta["block_path_s"]) == len(s.meta["block_chunks"])
+    assert all(t >= 0.0 for t in s.meta["block_path_s"])
 
 
 def test_onoff_window_increments_within_rate_bounds():
@@ -111,7 +113,9 @@ def test_memory_guards():
         ag.aggregate(rect_source(), 1e6, 1.0, 1.0, (1.0,), (1.0,), 1, rng_for("agg/guard"))
 
 
-@pytest.mark.parametrize("grid", [[], [[1.0]], [0.0, 1.0], [-1.0], [1.0, 0.5], [1.0, 1.0]])
+@pytest.mark.parametrize(
+    "grid", [[], [[1.0]], [0.0, 1.0], [-1.0], [1.0, 0.5], [1.0, 1.0], [1.0, math.nan], [math.nan], [1.0, math.inf]]
+)
 def test_bad_grids_raise(grid):
     rng = rng_for("agg/bad")
     with pytest.raises(ValueError, match="x_grid"):

@@ -468,12 +468,96 @@ def path_test_sources():
     ]
 
 
-def test_path_single_cut_is_bitwise_the_single_window_sampler():
-    for src in path_test_sources():
-        one = sn.integrated_sample_batch(src, 3.0, rng_for("path-one"), 400)
-        path = sn.integrated_path_batch(src, [3.0], rng_for("path-one"), 400)
-        assert path.shape == (400, 1)
-        assert np.array_equal(one, path[:, 0])
+PATH_SOURCE_IDS = ["rect-indep", "rect-coupled", "exp-damped", "brownian", "mixture"]
+# one window; uneven cuts; and windows far narrower than the unit minimum
+# duration, so most pulses spill over into continuation cells
+PATH_GRIDS = {
+    "one": np.array([3.0]),
+    "four": np.array([0.7, 1.9, 2.5, 4.0]),
+    "narrow": 0.1 * np.arange(1, 41),
+}
+
+
+def _loop_path(src, cuts, rng, n_rep):
+    """Reference sampler: the per-window loop kernel that the touched-cell kernel replaced.
+
+    Arrivals are uniform on (0, c_n], every pulse is evaluated on every window
+    and each window is summed by its own bincount.
+    """
+    cuts = np.asarray(cuts, dtype=float)
+    lows = np.concatenate(([0.0], cuts[:-1]))
+    model = src.pulse
+    leaves = list(model.components) if model.kind == "mixture" else [model]
+    weights = np.array(model.weights if model.kind == "mixture" else [1.0])
+    aged = weights * [pl.duration_mean(c) for c in leaves]
+    out = np.zeros((n_rep, cuts.size))
+
+    def add(leaf, rep, u, params):
+        if leaf.kind == "brownian":
+            vals = sn._brownian_path_values(params, u, cuts, rng)
+        else:
+            vals = np.column_stack([sn._window_values(leaf, params, lo - u, hi - u) for lo, hi in zip(lows, cuts)])
+        for j in range(cuts.size):
+            out[:, j] += np.bincount(rep, weights=vals[:, j], minlength=n_rep)
+
+    rep = np.repeat(np.arange(n_rep), rng.poisson(src.rate * cuts[-1], n_rep))
+    u = rng.uniform(0.0, cuts[-1], rep.size)
+    comp = rng.choice(len(leaves), size=rep.size, p=weights)
+    for ci, leaf in enumerate(leaves):
+        m = comp == ci
+        add(leaf, rep[m], u[m], sn._fresh_params(leaf, rng, int(m.sum())))
+    rep = np.repeat(np.arange(n_rep), rng.poisson(src.rate * src.mean_duration, n_rep))
+    comp = rng.choice(len(leaves), size=rep.size, p=aged / aged.sum())
+    for ci, leaf in enumerate(leaves):
+        m = comp == ci
+        age, params = sn._aged_params(leaf, rng, int(m.sum()))
+        add(leaf, rep[m], -age, params)
+    return out
+
+
+@pytest.mark.parametrize("grid", sorted(PATH_GRIDS))
+@pytest.mark.parametrize("which", range(len(PATH_SOURCE_IDS)), ids=PATH_SOURCE_IDS)
+def test_path_kernel_matches_loop_kernel_in_law(which, grid):
+    src = path_test_sources()[which]
+    cuts = PATH_GRIDS[grid]
+    n = 20_000
+    tag = f"path-kernel/{PATH_SOURCE_IDS[which]}/{grid}"
+    new = sn.integrated_path_batch(src, cuts, rng_for(tag), n)
+    ref = _loop_path(src, cuts, rng_for(tag + "/loop"), n)
+    assert new.shape == ref.shape == (n, cuts.size)
+    # the narrow grid is checked at its ends, its middle and in total
+    cols = range(cuts.size) if cuts.size <= 4 else (0, cuts.size // 2, cuts.size - 1)
+    pairs = [(new[:, j], ref[:, j]) for j in cols]
+    if cuts.size > 4:
+        pairs.append((new.sum(axis=1), ref.sum(axis=1)))
+    for a, b in pairs:
+        # rectangles leave atoms at 0 and at window widths that rounding smears
+        res = stats.ks_2samp(np.round(a, 9), np.round(b, 9))
+        assert res.pvalue > 1e-3, (PATH_SOURCE_IDS[which], grid, res)
+
+
+@pytest.mark.parametrize("grid", ["four", "narrow"])
+def test_path_cells_match_dense_window_matrix(grid):
+    # the touched-cell evaluation against every pulse on every window, on the
+    # same realized fresh and aged pulses of each deterministic family
+    cuts = PATH_GRIDS[grid]
+    lows = np.concatenate(([0.0], cuts[:-1]))
+    rng = rng_for(f"path-cells/{grid}")
+    leaves = [s.pulse for s in path_test_sources()[:3]]
+    for leaf in leaves:
+        k = 3_000
+        params = sn._fresh_params(leaf, rng, k)
+        age, aged = sn._aged_params(leaf, rng, k)
+        params = {key: np.concatenate((params[key], aged[key])) for key in params}
+        # arrivals spread over the grid, then pulses alive at time zero
+        u = np.concatenate((rng.uniform(0.0, cuts[-1], k), -age))
+        first = np.searchsorted(cuts, np.maximum(u, 0.0))
+        out = np.zeros(2 * k * cuts.size)
+        cell = np.arange(2 * k) * cuts.size + first
+        sn._add_cells(out, leaf, params, lows[first] - u, cuts[first] - u, cell, lows, cuts, rng)
+        got = out.reshape(2 * k, cuts.size)
+        dense = np.column_stack([sn._window_values(leaf, params, lo - u, hi - u) for lo, hi in zip(lows, cuts)])
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
 
 def test_path_window_means_and_light_tail_variance():
@@ -522,7 +606,7 @@ def test_path_brownian_total_matches_single_window_in_law():
 def test_path_validation():
     src = rect_unit_source()
     rng = rng_for("path-bad")
-    for cuts in ([], [0.0, 1.0], [2.0, 1.0], [-1.0], [1.0, 1.0]):
+    for cuts in ([], [0.0, 1.0], [2.0, 1.0], [-1.0], [1.0, 1.0], [1.0, np.nan], [np.nan], [1.0, np.inf]):
         with pytest.raises(ValueError, match="cuts"):
             sn.integrated_path_batch(src, cuts, rng, 4)
     with pytest.raises(ValueError, match="n_rep"):
