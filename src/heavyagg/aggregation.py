@@ -104,7 +104,12 @@ def aggregate(src, lam: float, gamma: float, H: float, x_grid, y_grid, n_rep: in
     xg = _strict_grid("x_grid", x_grid)
     yg = _strict_grid("y_grid", y_grid)
 
-    counts = np.floor(yg * float(lam) ** gamma).astype(np.int64)
+    with np.errstate(over="ignore"):
+        counts = np.floor(yg * np.float64(lam) ** gamma)
+    # the int64 cast wraps silently; NaN fails this comparison too
+    if not np.all(counts < 2.0**63):
+        raise ValueError("source counts y_grid * lam**gamma overflow 64-bit integers")
+    counts = counts.astype(np.int64)
     blocks = np.diff(counts, prepend=0)
     cuts = lam * xg
     nx, ny = xg.size, yg.size

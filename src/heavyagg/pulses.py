@@ -3,23 +3,23 @@
 Seven families are supported.  Four of them feed the shot-noise input
 (rectangular with independent amplitude, rectangular with duration-coupled
 height, exponentially damped, Brownian); three describe one regenerative cycle
-(ON/OFF indicator, workload triangle, constant reward over a cycle).  The unit
-of work is a realized pulse together with exact window integrals
+(ON/OFF indicator, workload triangle, constant reward over a cycle), and the
+regenerative input also runs exp-damped pulses as cycles.
 
-    integrate_window(pulse, a, b) = int_a^b w(t) dt,
-
-closed form everywhere except the Brownian family, which carries a lazily
-extended exact path: per subinterval of length h the pair (increment of B,
-integral of B) is jointly Gaussian with Var = (h, h^3/3) and Cov = h^2/2, and
-breakpoints are inserted by exact Gaussian conditioning, so no discretization
-error enters anywhere.
+``KERNELS`` holds one vectorised kernel per family, shared by both input
+classes: it draws fresh pulses and stationary pulses alive at time zero, and
+gives the exact window mass int_lo^hi w(t) dt and the point value w(s) in
+pulse-local time.  A realized deterministic pulse is an array pair (d, m):
+its duration and its one mark.  Brownian pulses draw durations only; the
+shot-noise sampler draws their path together with its window values.  The
+first and second pulse moments (mean mass, correlation kernel) feed the mean
+levels and the covariance oracles.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -42,16 +42,12 @@ __all__ = [
     "MixturePulse",
     "RewardLaw",
     "vanishing_reward",
-    "RealizedPulse",
-    "BrownianPath",
-    "draw_pulse",
-    "sample_aged_pulse",
-    "integrate_window",
-    "total_mass",
-    "mean_W",
-    "corr_kernel",
+    "PulseKernel",
+    "KERNELS",
     "duration_dist",
     "duration_mean",
+    "mean_mass",
+    "corr_kernel",
 ]
 
 
@@ -230,127 +226,7 @@ class MixturePulse:
             raise ValueError("weights must be a probability vector")
 
 
-CYCLE_KINDS = ("on-off", "workload", "renewal-reward")
-
-
-# -- exact lazy Brownian path -------------------------------------------------------
-
-
-class BrownianPath:
-    """Exact Brownian motion queried through (value, running integral) pairs.
-
-    Breakpoints are created on demand: extension beyond the last breakpoint
-    draws the joint (increment, integral) Gaussian pair; insertion between two
-    existing breakpoints conditions that pair on the recorded endpoint data.
-    Repeated queries at a stored time return the stored values, so window
-    integrals are mutually consistent no matter the query order.
-    """
-
-    def __init__(self, rng: np.random.Generator, t0: float = 0.0, b0: float = 0.0):
-        self.rng = rng
-        self.ts = [t0]
-        self.bs = [b0]
-        self.Is = [0.0]  # integral of B over [t0, t_i]
-
-    def value_and_integral(self, t: float) -> tuple[float, float]:
-        if t < self.ts[0] - 1e-15:
-            raise ValueError(f"path starts at {self.ts[0]}, cannot query {t}")
-        i = bisect.bisect_left(self.ts, t)
-        if i < len(self.ts) and abs(self.ts[i] - t) < 1e-15:
-            return self.bs[i], self.Is[i]
-        if i == len(self.ts):
-            self._extend(t)
-            return self.bs[-1], self.Is[-1]
-        self._insert(i, t)
-        return self.bs[i], self.Is[i]
-
-    def integral(self, a: float, b: float) -> float:
-        """Integral of B over [a, b] (a <= b, both at or after the path origin)."""
-        _, ia = self.value_and_integral(a)
-        _, ib = self.value_and_integral(b)
-        return ib - ia
-
-    def _extend(self, t: float) -> None:
-        h = t - self.ts[-1]
-        db = math.sqrt(h) * self.rng.standard_normal()
-        j = 0.5 * h * db + math.sqrt(h**3 / 12.0) * self.rng.standard_normal()
-        b_prev = self.bs[-1]
-        self.ts.append(t)
-        self.bs.append(b_prev + db)
-        self.Is.append(self.Is[-1] + b_prev * h + j)
-
-    def _insert(self, i: int, t: float) -> None:
-        tl, tr = self.ts[i - 1], self.ts[i]
-        h1, h2 = t - tl, tr - t
-        db_full = self.bs[i] - self.bs[i - 1]
-        j_full = self.Is[i] - self.Is[i - 1] - self.bs[i - 1] * (tr - tl)
-        # X = (dB1, J1, dB2, J2) independent blocks; condition on
-        # (dB1 + dB2, J1 + J2 + h2*dB1) = (db_full, j_full)
-        def block(h):
-            return np.array([[h, h * h / 2.0], [h * h / 2.0, h**3 / 3.0]])
-
-        cov = np.zeros((4, 4))
-        cov[:2, :2] = block(h1)
-        cov[2:, 2:] = block(h2)
-        obs = np.array([[1.0, 0.0, 1.0, 0.0], [h2, 1.0, 0.0, 1.0]])
-        s = obs @ cov @ obs.T
-        gain = cov @ obs.T @ np.linalg.inv(s)
-        mean = gain @ np.array([db_full, j_full])
-        cond = cov - gain @ obs @ cov
-        top = cond[:2, :2]
-        # symmetrize and guard the factorization against roundoff
-        top = 0.5 * (top + top.T) + 1e-30 * np.eye(2)
-        chol = np.linalg.cholesky(top)
-        db1, j1 = mean[:2] + chol @ self.rng.standard_normal(2)
-        self.ts.insert(i, t)
-        self.bs.insert(i, self.bs[i - 1] + db1)
-        self.Is.insert(i, self.Is[i - 1] + self.bs[i - 1] * h1 + j1)
-
-
-# -- realized pulses ----------------------------------------------------------------
-
-
-@dataclass
-class RealizedPulse:
-    """One realized pulse: family tag, duration, and the drawn parameters.
-
-    ``amp`` holds the family's scalar mark: the amplitude A (rect-indep), the
-    height R^(1-p) (rect-coupled), the damping rate A (exp-damped), or the
-    reward W (renewal-reward).  Cycle families store the ON length separately;
-    Brownian pulses carry their lazily extended path.
-    """
-
-    family: str
-    duration: float
-    amp: float = 0.0
-    z_on: float = 0.0
-    path: BrownianPath | None = None
-
-
-def draw_pulse(model, rng: np.random.Generator) -> RealizedPulse:
-    """Draw a fresh pulse (age zero) from the model."""
-    kind = model.kind
-    if kind == "rect-indep":
-        return RealizedPulse(kind, float(model.R.sample(rng)), amp=float(model.A.sample(rng)))
-    if kind == "rect-coupled":
-        r = float(model.R.sample(rng))
-        return RealizedPulse(kind, r**model.p, amp=r ** (1.0 - model.p))
-    if kind == "exp-damped":
-        return RealizedPulse(kind, float(model.R.sample(rng)), amp=float(model.A.sample(rng)))
-    if kind == "brownian":
-        return RealizedPulse(kind, float(model.R.sample(rng)), path=BrownianPath(rng))
-    if kind == "on-off" or kind == "workload":
-        z_on = float(model.Zon.sample(rng))
-        z_off = float(model.Zoff.sample(rng))
-        return RealizedPulse(kind, z_on + z_off, z_on=z_on)
-    if kind == "renewal-reward":
-        z = float(model.Z.sample(rng))
-        w = float(np.asarray(model.reward.sample_given_z(np.array([z]), rng))[0])
-        return RealizedPulse(kind, z, amp=w)
-    if kind == "mixture":
-        idx = rng.choice(len(model.components), p=model.weights)
-        return draw_pulse(model.components[idx], rng)
-    raise ValueError(f"unknown pulse family {kind!r}")
+# -- durations --------------------------------------------------------------------
 
 
 def duration_dist(model):
@@ -385,128 +261,185 @@ def duration_mean(model) -> float:
     return d.mean()
 
 
-def sample_aged_pulse(model, rng: np.random.Generator) -> tuple[float, RealizedPulse]:
-    """Stationary (age, pulse) draw for a pulse alive at time zero.
+# -- the kernel table ---------------------------------------------------------------
+#
+# A realized pulse is a pair of arrays (d, m): the duration (the cycle length
+# for cycle families) and the one mark, which is the amplitude (rect-indep),
+# the height R^(1-p) (rect-coupled), the damping rate (exp-damped), the busy-leg
+# length (on-off, workload) or the reward (renewal-reward).  Brownian pulses
+# have no mark (m is None).  Each sampler keeps its family's draw order.
 
-    Jointly exact: the duration is drawn length biased and the age uniform on
-    (0, duration), which realizes the density P(D > s) / E[D] for the age with
-    the correct conditional duration.  Brownian paths start at the age with the
-    exact N(0, age) marginal for B(age); the path before the age is never used.
+
+def _floats(x):
+    return np.asarray(x, dtype=float)
+
+
+def _fresh_duration_mark(model, rng, n):
+    """Duration R, then the mark A (rect-indep, exp-damped)."""
+    return _floats(model.R.sample(rng, n)), _floats(model.A.sample(rng, n))
+
+
+def _aged_duration_mark(model, rng, n):
+    age, _, r = sample_length_biased_pair(model.R, rng, n)
+    return age, r, _floats(model.A.sample(rng, n))
+
+
+def _fresh_coupled(model, rng, n):
+    r = _floats(model.R.sample(rng, n))
+    return r**model.p, r ** (1.0 - model.p)
+
+
+def _aged_coupled(model, rng, n):
+    law = duration_dist(model)
+    if law is None:
+        raise ValueError("stationary sampling of rect-coupled needs a pareto-exact duration")
+    age, _, d = sample_length_biased_pair(law, rng, n)
+    return age, d, d ** ((1.0 - model.p) / model.p)
+
+
+def _fresh_brownian(model, rng, n):
+    return _floats(model.R.sample(rng, n)), None
+
+
+def _aged_brownian(model, rng, n):
+    age, _, r = sample_length_biased_pair(model.R, rng, n)
+    return age, r, None
+
+
+def _fresh_two_leg(model, rng, n):
+    """Busy leg, then idle leg (on-off, workload); the mark is the busy length."""
+    z_on = _floats(model.Zon.sample(rng, n))
+    return z_on + _floats(model.Zoff.sample(rng, n)), z_on
+
+
+def _aged_two_leg(model, rng, n):
+    """The covering cycle is length biased with a uniform age.
+
+    The biased total splits into mean-weighted branches (bias the busy leg
+    and keep the idle leg fresh, or vice versa), so each leg reuses its exact
+    length-biased device; the age stays uniform over the whole cycle either way.
     """
-    kind = model.kind
-    if kind == "rect-indep":
-        age, _, r = sample_length_biased_pair(model.R, rng)
-        return age, RealizedPulse(kind, r, amp=float(model.A.sample(rng)))
-    if kind == "rect-coupled":
-        d = duration_dist(model)
-        if d is None:
-            raise ValueError("rect-coupled aged sampling needs a pareto-exact R")
-        age, _, dur = sample_length_biased_pair(d, rng)
-        return age, RealizedPulse(kind, dur, amp=dur ** ((1.0 - model.p) / model.p))
-    if kind == "exp-damped":
-        age, _, r = sample_length_biased_pair(model.R, rng)
-        return age, RealizedPulse(kind, r, amp=float(model.A.sample(rng)))
-    if kind == "brownian":
-        age, _, r = sample_length_biased_pair(model.R, rng)
-        b_age = math.sqrt(age) * rng.standard_normal() if age > 0 else 0.0
-        return age, RealizedPulse(kind, r, path=BrownianPath(rng, t0=age, b0=b_age))
-    if kind in ("on-off", "workload"):
-        mu_on, mu_off = model.Zon.mean(), model.Zoff.mean()
-        if rng.random() < mu_on / (mu_on + mu_off):
-            z_on = float(model.Zon.sample_length_biased(rng))
-            z_off = float(model.Zoff.sample(rng))
-        else:
-            z_on = float(model.Zon.sample(rng))
-            z_off = float(model.Zoff.sample_length_biased(rng))
-        z = z_on + z_off
-        return rng.random() * z, RealizedPulse(kind, z, z_on=z_on)
-    if kind == "renewal-reward":
-        age, _, z = sample_length_biased_pair(model.Z, rng)
-        w = float(np.asarray(model.reward.sample_given_z(np.array([z]), rng))[0])
-        return age, RealizedPulse(kind, z, amp=w)
-    raise ValueError(f"aged sampling not available for family {kind!r}")
+    mu_on, mu_off = model.Zon.mean(), model.Zoff.mean()
+    pick = rng.random(n) * (mu_on + mu_off) < mu_on
+    z_on = np.where(
+        pick, _floats(model.Zon.sample_length_biased(rng, n)), _floats(model.Zon.sample(rng, n))
+    )
+    z_off = np.where(
+        pick, _floats(model.Zoff.sample(rng, n)), _floats(model.Zoff.sample_length_biased(rng, n))
+    )
+    z = z_on + z_off
+    return rng.random(n) * z, z, z_on
 
 
-# -- window integrals ----------------------------------------------------------------
+def _fresh_reward(model, rng, n):
+    z = _floats(model.Z.sample(rng, n))
+    return z, _floats(model.reward.sample_given_z(z, rng))
 
 
-def integrate_window(pulse: RealizedPulse, a: float, b: float) -> float:
-    """Exact int_a^b w(t) dt in pulse-local time, 0 <= a <= b."""
-    if a < 0 or b < a:
-        raise ValueError("need 0 <= a <= b")
-    d = pulse.duration
-    fam = pulse.family
-    if fam in ("rect-indep", "rect-coupled"):
-        return pulse.amp * (min(b, d) - min(a, d)) if d > 0 else 0.0
-    if fam == "exp-damped":
-        lo, hi = min(a, d), min(b, d)
-        rate = pulse.amp
-        return math.exp(-rate * lo) * (-math.expm1(-rate * (hi - lo))) / rate
-    if fam == "brownian":
-        lo, hi = min(a, d), min(b, d)
-        if hi <= lo:
-            return 0.0
-        return pulse.path.integral(lo, hi)
-    if fam == "on-off":
-        z = pulse.z_on
-        return min(b, z) - min(a, z)
-    if fam == "workload":
-        z = pulse.z_on
-        lo, hi = min(a, z), min(b, z)
-        return 0.5 * ((z - lo) ** 2 - (z - hi) ** 2)
-    if fam == "renewal-reward":
-        return pulse.amp * (min(b, d) - min(a, d))
-    raise ValueError(f"unknown pulse family {fam!r}")
+def _aged_reward(model, rng, n):
+    age, _, z = sample_length_biased_pair(model.Z, rng, n)
+    return age, z, _floats(model.reward.sample_given_z(z, rng))
 
 
-def total_mass(pulse: RealizedPulse) -> float:
-    """The total integral of the realized pulse over its whole support."""
-    fam = pulse.family
-    if fam in ("rect-indep", "rect-coupled", "renewal-reward"):
-        return pulse.amp * pulse.duration
-    if fam == "exp-damped":
-        return -math.expm1(-pulse.amp * pulse.duration) / pulse.amp
-    if fam == "brownian":
-        return pulse.path.integral(pulse.path.ts[0], pulse.duration) if pulse.duration > pulse.path.ts[0] else 0.0
-    if fam == "on-off":
-        return pulse.z_on
-    if fam == "workload":
-        return 0.5 * pulse.z_on**2
-    raise ValueError(f"unknown pulse family {fam!r}")
+def _flat_mass(m, lo, hi):
+    """A level m held over the whole support (rectangles, renewal rewards)."""
+    return m * (hi - lo)
+
+
+def _flat_value(m, s):
+    return m * np.ones_like(s, dtype=float)
+
+
+def _exp_mass(m, lo, hi):
+    return np.exp(-m * lo) * (-np.expm1(-m * (hi - lo))) / m
+
+
+def _exp_value(m, s):
+    return np.exp(-m * s)
+
+
+def _on_mass(m, lo, hi):
+    return np.minimum(hi, m) - np.minimum(lo, m)
+
+
+def _on_value(m, s):
+    return np.less(s, m).astype(float)
+
+
+def _workload_mass(m, lo, hi):
+    return 0.5 * (np.clip(m - lo, 0.0, None) ** 2 - np.clip(m - hi, 0.0, None) ** 2)
+
+
+def _workload_value(m, s):
+    return np.clip(m - s, 0.0, None)
+
+
+class PulseKernel(NamedTuple):
+    """Vectorised samplers and window functionals of one pulse family.
+
+    ``fresh(model, rng, n)`` draws n pulses of age zero as (d, m);
+    ``aged(model, rng, n)`` draws n stationary pulses alive at time zero as
+    (age, d, m), the duration length biased and the age uniform on (0, d);
+    ``mass(m, lo, hi)`` is int_lo^hi w(t) dt for pulse-local times
+    0 <= lo <= hi <= d (callers clip to the support); ``value(m, s)`` is w(s)
+    for 0 <= s < d.  Brownian pulses have no mass or value entry.
+    """
+
+    fresh: object
+    aged: object
+    mass: object
+    value: object
+
+
+KERNELS = {
+    "rect-indep": PulseKernel(_fresh_duration_mark, _aged_duration_mark, _flat_mass, _flat_value),
+    "rect-coupled": PulseKernel(_fresh_coupled, _aged_coupled, _flat_mass, _flat_value),
+    "exp-damped": PulseKernel(_fresh_duration_mark, _aged_duration_mark, _exp_mass, _exp_value),
+    "brownian": PulseKernel(_fresh_brownian, _aged_brownian, None, None),
+    "on-off": PulseKernel(_fresh_two_leg, _aged_two_leg, _on_mass, _on_value),
+    "workload": PulseKernel(_fresh_two_leg, _aged_two_leg, _workload_mass, _workload_value),
+    "renewal-reward": PulseKernel(_fresh_reward, _aged_reward, _flat_mass, _flat_value),
+}
 
 
 # -- first and second pulse moments ---------------------------------------------------
 
 
-def mean_W(model, t: float) -> float:
-    """E[W(t)] for shot-noise families; E[W(t) 1(t < Z)] for cycle families (t > 0)."""
-    if t <= 0:
-        return 0.0
+def mean_mass(model) -> float:
+    """E of the total pulse mass int_0^D w(t) dt (one full cycle for cycle families).
+
+    Closed form except for exp-damped pulses, where it is the time integral of
+    the mean pulse E[exp(-A t)] P(R > t), split where the survival kinks, and
+    for coupled renewal rewards, which integrate E[W | Z = z] z over the cycle law.
+    """
     kind = model.kind
     if kind == "rect-indep":
-        return model.A.mean() * float(model.R.survival(t))
+        return model.A.mean() * model.R.mean()
     if kind == "rect-coupled":
-        return model.R.partial_moment(1.0 - model.p, t ** (1.0 / model.p))
+        return model.R.mean()
     if kind == "exp-damped":
-        return float(model.A.laplace(t)) * float(model.R.survival(t))
+        def integrand(t):
+            return float(model.A.laplace(t)) * float(model.R.survival(t))
+
+        head, _ = integrate.quad(integrand, 0.0, model.R.x_min, limit=200)
+        tail, _ = integrate.quad(integrand, model.R.x_min, np.inf, limit=200)
+        return head + tail
     if kind == "brownian":
         return 0.0
     if kind == "on-off":
-        return float(model.Zon.survival(t))
+        return model.Zon.mean()
     if kind == "workload":
-        return float(model.Zon.integrated_survival(t))
+        return 0.5 * model.Zon.moment(2.0)
     if kind == "renewal-reward":
         if model.reward.kind == "independent":
-            return model.reward.dist.mean() * float(model.Z.survival(t))
+            return model.reward.dist.mean() * model.Z.mean()
+        lo = model.Z.x_min if getattr(model.Z, "kind", "") == "pareto-exact" else 0.0
         val, _ = integrate.quad(
-            lambda z: float(model.reward.cond_mean(np.array([z]))[0]) * float(model.Z.pdf(z)),
-            t,
-            np.inf,
-            limit=200,
+            lambda z: float(model.reward.cond_mean(z)) * z * float(model.Z.pdf(z)), lo, np.inf, limit=200
         )
         return val
     if kind == "mixture":
-        return float(sum(w * mean_W(c, t) for w, c in zip(model.weights, model.components)))
+        return float(sum(w * mean_mass(c) for w, c in zip(model.weights, model.components)))
     raise ValueError(f"unknown pulse family {kind!r}")
 
 

@@ -1,11 +1,11 @@
-"""Regenerative sources: cycle samplers, covariance decomposition, scaling table.
+"""Regenerative sources: cycle samplers, covariance decomposition, scaling constants.
 
 A regenerative source restarts from scratch at renewal epochs: within each
 cycle of length Z the process follows a reward kernel W(t) (an indicator, a
 draining workload, a constant mark, an exponential decay) and the next cycle
 begins when the current one ends.  The stationary version starts inside a
-length-biased cycle at a uniform age.  All cycle shapes come from the pulse
-families in the pulses module.
+length-biased cycle at a uniform age.  Cycles are drawn and integrated by the
+per-family kernels of the pulses module, the same ones shot noise uses.
 
 Three groups of tools live here:
 
@@ -17,9 +17,10 @@ Three groups of tools live here:
   R keeps the within-pulse part (exact per family) and h carries the
   cycle-recurrence part through the renewal function of the cycle-length
   law and the two boundary kernels of the pulse;
-* the scaling table ``regime_of``: for a source-count growth exponent gamma
-  it returns the limit law of the centered aggregate field with closed-form
-  constants, mirroring the shot-noise table.
+* ``regime_of``: the family constants of the scaling table (cycle tail,
+  covariance and jump tail constants, the critical-regime Telecom route),
+  which the regimes module turns into the limit law for a source-count
+  growth exponent gamma.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ import numpy as np
 from scipy import integrate, signal
 
 from . import pulses
-from .heavy_tail import RegVaryingDist, sample_length_biased_pair, stable_params_from_tails
+from .heavy_tail import RegVaryingDist
+from .heavy_tail import sample_length_biased_pair  # noqa: F401  (bench/layers.py traces this attribute)
 from .limit_fields import telecom_logchf
-from .shot_noise import RegimeSpec, _gaussian_limit_logchf, _stable_limit_logchf
+from .regimes import RegimeSpec, build_regime
 
 __all__ = [
     "RegenModel",
@@ -42,7 +44,6 @@ __all__ = [
     "sample_busy_period",
     "cycle_sample",
     "tilde_mass_sample",
-    "mass_mean",
     "integrated_sample",
     "integrated_path",
     "state_sample",
@@ -186,115 +187,7 @@ class RegenModel:
     @property
     def mean_rate(self) -> float:
         """E[X(t)] of the stationary source: mean cycle mass over mean cycle length."""
-        return mass_mean(self) / self.mu
-
-
-def mass_mean(model: RegenModel) -> float:
-    """E of the integrated pulse over one full cycle.
-
-    on-off: E[Z_on]; workload: E[Z_on^2] / 2; renewal-reward: E[W Z];
-    exp-damped: E[(1 - exp(-A R)) / A], evaluated as the time integral of
-    the mean pulse (a single quadrature with a closed integrand).
-    """
-    p = model.pulse
-    if p.kind == "on-off":
-        return p.Zon.mean()
-    if p.kind == "workload":
-        return 0.5 * p.Zon.moment(2.0)
-    if p.kind == "renewal-reward":
-        if p.reward.kind == "independent":
-            return p.reward.dist.mean() * p.Z.mean()
-        lo = p.Z.x_min if getattr(p.Z, "kind", "") == "pareto-exact" else 0.0
-        val, _ = integrate.quad(
-            lambda zz: float(p.reward.cond_mean(zz)) * zz * float(p.Z.pdf(zz)),
-            lo, np.inf, limit=200,
-        )
-        return val
-    xm = p.R.x_min
-
-    def integrand(tt):
-        return float(p.A.laplace(tt)) * float(p.R.survival(tt))
-
-    head, _ = integrate.quad(integrand, 0.0, xm, limit=200)
-    tail, _ = integrate.quad(integrand, xm, np.inf, limit=200)
-    return head + tail
-
-
-# -- vectorized cycle kernels -------------------------------------------------------
-#
-# Each family is summarized per lane by (cycle length z, one auxiliary array):
-# the busy-leg length for on-off and workload, the mark for renewal-reward, the
-# damping rate for exp-damped.
-
-
-def _draw_cycles(pulse, rng: np.random.Generator, n: int):
-    """One fresh cycle per lane: (lengths, auxiliary array)."""
-    if pulse.kind in ("on-off", "workload"):
-        z_on = np.asarray(pulse.Zon.sample(rng, n), dtype=float)
-        z_off = np.asarray(pulse.Zoff.sample(rng, n), dtype=float)
-        return z_on + z_off, z_on
-    if pulse.kind == "renewal-reward":
-        z = np.asarray(pulse.Z.sample(rng, n), dtype=float)
-        w = np.asarray(pulse.reward.sample_given_z(z, rng), dtype=float)
-        return z, w
-    r = np.asarray(pulse.R.sample(rng, n), dtype=float)
-    a = np.asarray(pulse.A.sample(rng, n), dtype=float)
-    return r, a
-
-
-def _draw_aged(pulse, rng: np.random.Generator, n: int):
-    """Stationary time-zero cycle per lane: (age, lengths, auxiliary array).
-
-    The covering cycle is length-biased with a uniform age.  For the two-leg
-    families the biased total splits into mean-weighted branches (bias the
-    busy leg and keep the idle leg fresh, or vice versa), so each leg reuses
-    its exact length-biased device; the age stays uniform over the whole
-    cycle either way.
-    """
-    if pulse.kind in ("on-off", "workload"):
-        mu_on, mu_off = pulse.Zon.mean(), pulse.Zoff.mean()
-        pick = rng.random(n) * (mu_on + mu_off) < mu_on
-        z_on = np.where(
-            pick,
-            np.asarray(pulse.Zon.sample_length_biased(rng, n), dtype=float),
-            np.asarray(pulse.Zon.sample(rng, n), dtype=float),
-        )
-        z_off = np.where(
-            pick,
-            np.asarray(pulse.Zoff.sample(rng, n), dtype=float),
-            np.asarray(pulse.Zoff.sample_length_biased(rng, n), dtype=float),
-        )
-        z = z_on + z_off
-        return rng.random(n) * z, z, z_on
-    if pulse.kind == "renewal-reward":
-        age, _, z = sample_length_biased_pair(pulse.Z, rng, n)
-        w = np.asarray(pulse.reward.sample_given_z(np.asarray(z, dtype=float), rng), dtype=float)
-        return np.asarray(age, dtype=float), np.asarray(z, dtype=float), w
-    age, _, r = sample_length_biased_pair(pulse.R, rng, n)
-    a = np.asarray(pulse.A.sample(rng, n), dtype=float)
-    return np.asarray(age, dtype=float), np.asarray(r, dtype=float), a
-
-
-def _window_mass(kind: str, aux, lo, hi):
-    """Integral of one pulse over cycle-local (lo, hi], hi already capped at the cycle end."""
-    if kind == "on-off":
-        return np.minimum(hi, aux) - np.minimum(lo, aux)
-    if kind == "workload":
-        return 0.5 * (np.clip(aux - lo, 0.0, None) ** 2 - np.clip(aux - hi, 0.0, None) ** 2)
-    if kind == "renewal-reward":
-        return aux * (hi - lo)
-    return np.exp(-aux * lo) * (-np.expm1(-aux * (hi - lo))) / aux
-
-
-def _pulse_value(kind: str, aux, s):
-    """Pulse value at cycle-local time s (the caller guarantees s is inside the cycle)."""
-    if kind == "on-off":
-        return (s < aux).astype(float)
-    if kind == "workload":
-        return np.clip(aux - s, 0.0, None)
-    if kind == "renewal-reward":
-        return aux * np.ones_like(np.asarray(s, dtype=float))
-    return np.exp(-aux * s)
+        return pulses.mean_mass(self.pulse) / self.mu
 
 
 # -- cycle-level samplers -----------------------------------------------------------
@@ -304,8 +197,9 @@ def cycle_sample(model: RegenModel, rng: np.random.Generator, size=None):
     """(cycle length, integrated cycle mass) from fresh cycles."""
     scalar = size is None
     n = 1 if scalar else int(size)
-    z, aux = _draw_cycles(model.pulse, rng, n)
-    mass = _window_mass(model.kind, aux, 0.0, z)
+    kern = pulses.KERNELS[model.kind]
+    z, aux = kern.fresh(model.pulse, rng, n)
+    mass = kern.mass(aux, 0.0, z)
     if scalar:
         return float(z[0]), float(mass[0])
     return z, mass
@@ -319,8 +213,9 @@ def tilde_mass_sample(model: RegenModel, rng: np.random.Generator, size=None):
     """
     scalar = size is None
     n = 1 if scalar else int(size)
-    z, aux = _draw_cycles(model.pulse, rng, n)
-    out = _window_mass(model.kind, aux, 0.0, z) - model.mean_rate * z
+    kern = pulses.KERNELS[model.kind]
+    z, aux = kern.fresh(model.pulse, rng, n)
+    out = kern.mass(aux, 0.0, z) - model.mean_rate * z
     return float(out[0]) if scalar else out
 
 
@@ -386,15 +281,15 @@ def integrated_path(
         raise ValueError("cuts must be finite, positive and strictly increasing")
     if n_lanes < 1:
         raise ValueError("n_lanes must be at least 1")
-    kind = model.kind
+    kern = pulses.KERNELS[model.kind]
     horizon = cuts[-1]
     # lane state: the integrated path at every cut, the end of the last placed
     # cycle and the integrated path at that end
     if stationary:
-        age, z, aux = _draw_aged(model.pulse, rng, n_lanes)
-        path = _window_mass(kind, aux[:, None], age[:, None], np.minimum(age[:, None] + cuts, z[:, None]))
+        age, z, aux = kern.aged(model.pulse, rng, n_lanes)
+        path = kern.mass(aux[:, None], age[:, None], np.minimum(age[:, None] + cuts, z[:, None]))
         end = z - age
-        mass = _window_mass(kind, aux, age, z)
+        mass = kern.mass(aux, age, z)
     else:
         path = np.zeros((n_lanes, cuts.size))
         end = np.zeros(n_lanes)
@@ -405,11 +300,11 @@ def integrated_path(
     while active.size:
         need = (horizon - end[active].min()) / model.mu
         k = max(1, min(math.ceil(BLOCK_MARGIN * need), BLOCK_CELL_BUDGET // active.size))
-        z, aux = _draw_cycles(model.pulse, rng, k * active.size)
+        z, aux = kern.fresh(model.pulse, rng, k * active.size)
         # row i holds the i-th new cycle of every active lane
         z, aux = z.reshape(k, active.size), aux.reshape(k, active.size)
         ends = _running_sum(end[active], z)
-        masses = _running_sum(mass[active], _window_mass(kind, aux, 0.0, z))
+        masses = _running_sum(mass[active], kern.mass(aux, 0.0, z))
         # only lanes whose block reaches their first unfilled cut have cuts to fill
         hit = np.flatnonzero(ends[-1] >= next_cut[filled[active]])
         lanes = active[hit]
@@ -424,7 +319,7 @@ def integrated_path(
         col = hit[c]
         start = np.where(i > 0, ends[i - 1, col], end[lanes[c]])
         before = np.where(i > 0, masses[i - 1, col], mass[lanes[c]])
-        path[lanes[c], j] = before + _window_mass(kind, aux[i, col], 0.0, np.minimum(cuts[j] - start, z[i, col]))
+        path[lanes[c], j] = before + kern.mass(aux[i, col], 0.0, np.minimum(cuts[j] - start, z[i, col]))
         filled[lanes] = hi[-1]
         end[active] = ends[-1]
         mass[active] = masses[-1]
@@ -447,20 +342,20 @@ def state_sample(model: RegenModel, times, rng: np.random.Generator, n_rep=None)
         raise ValueError("times must be nondecreasing and nonnegative")
     scalar = n_rep is None
     n = 1 if scalar else int(n_rep)
-    kind = model.kind
-    age, z, aux = _draw_aged(model.pulse, rng, n)
+    kern = pulses.KERNELS[model.kind]
+    age, z, aux = kern.aged(model.pulse, rng, n)
     start = -age  # global time at which the covering cycle began
     end = z - age
     vals = np.zeros((n, tq.size))
     for k, t in enumerate(tq):
         lag = np.flatnonzero(end <= t)
         while lag.size:
-            z_new, aux_new = _draw_cycles(model.pulse, rng, lag.size)
+            z_new, aux_new = kern.fresh(model.pulse, rng, lag.size)
             start[lag] = end[lag]
             end[lag] = end[lag] + z_new
             aux[lag] = aux_new
             lag = lag[end[lag] <= t]
-        vals[:, k] = _pulse_value(kind, aux, t - start)
+        vals[:, k] = kern.value(aux, t - start)
     return vals[0] if scalar else vals
 
 
@@ -722,7 +617,7 @@ def cov_decomposition(model: RegenModel, t_max: float, dt: float) -> CovDecompos
     R = _within_pulse_grid(model, tc)
 
     mu = model.mu
-    mu_w = mass_mean(model)
+    mu_w = pulses.mean_mass(p)
     m = mu_w * mu_w
     alpha, c_z = _cycle_tail(model)
     caveats = []
@@ -776,8 +671,6 @@ def regime_of(model: RegenModel, gamma: float) -> RegimeSpec:
     only when one side of the cycle is strictly lighter than the other;
     otherwise this raises with the reason.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     p = model.pulse
     kind = p.kind
     if kind == "workload":
@@ -786,7 +679,7 @@ def regime_of(model: RegenModel, gamma: float) -> RegimeSpec:
             "scaling table does not cover them"
         )
     mu = model.mu
-    mu_w = mass_mean(model)
+    mu_w = pulses.mean_mass(p)
     if kind == "on-off":
         mu_on, mu_off = p.Zon.mean(), p.Zoff.mean()
         on_rv = isinstance(p.Zon, RegVaryingDist)
@@ -848,25 +741,14 @@ def regime_of(model: RegenModel, gamma: float) -> RegimeSpec:
     else:
         raise ValueError(f"no scaling table for pulse family {kind!r}")
 
-    gamma0 = alpha - 1.0
     h1 = (3.0 - alpha) / 2.0
     constants = {"c_X": c_x, "H1": h1, "c_plus": c_plus, "c_minus": c_minus}
-    # gamma0 comes out of float arithmetic (1.4 - 1.0 == 0.3999999999999999),
-    # so a gamma that equals it up to rounding is the critical exponent
-    critical = math.isclose(gamma, gamma0, rel_tol=1e-12, abs_tol=1e-12)
-    if gamma > gamma0 and not critical:
-        c_w = math.sqrt(c_x / ((2.0 * h1 - 1.0) * h1))
-        constants["C_W"] = c_w
-        return RegimeSpec(gamma0, gamma, h1 + gamma / 2.0, alpha, "FBS", constants,
-                          logchf=_gaussian_limit_logchf(c_w, h1))
-    if gamma < gamma0 and not critical:
-        params = stable_params_from_tails(alpha, c_plus / mu, c_minus / mu)
-        constants["stable"] = params
-        return RegimeSpec(gamma0, gamma, (1.0 + gamma) / alpha, alpha, "StableSheet", constants,
-                          logchf=_stable_limit_logchf(params))
-    if crit is None:
-        raise ValueError(crit_reason)
-    mass_scale, c_drive = crit
-    constants.update({"c_Z": c_drive, "mu": mu, "prefactor": -mass_scale / mu})
-    return RegimeSpec(gamma0, gamma, h1 + gamma0 / 2.0, alpha, "Intermediate", constants,
-                      logchf=_telecom_limit_logchf(mass_scale, alpha, c_drive, mu))
+
+    def intermediate():
+        if crit is None:
+            raise ValueError(crit_reason)
+        mass_scale, c_drive = crit
+        return ({"c_Z": c_drive, "mu": mu, "prefactor": -mass_scale / mu},
+                _telecom_limit_logchf(mass_scale, alpha, c_drive, mu))
+
+    return build_regime(gamma, alpha - 1.0, alpha, constants, (c_plus / mu, c_minus / mu), intermediate)

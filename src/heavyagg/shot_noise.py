@@ -5,11 +5,13 @@ arrival stream.  The module draws exact-in-law samples of the windowed
 integrals int X(t) dt over consecutive windows: arrivals inside each window are
 a Poisson(rate * width) batch with uniform positions, and pulses already alive
 at the first window's start are a Poisson(rate * E[D]) batch whose
-(age, duration) pairs come from the exact length-biased device.  No truncation horizon is involved anywhere.
+(age, duration) pairs come from the exact length-biased device.  No
+truncation horizon is involved anywhere.  Pulses are drawn and integrated by
+the per-family kernels of the pulses module.
 
-It also carries the per-family scaling table: the critical growth exponent
-gamma0, the normalization exponent H(gamma), and the limit law with its closed
-form constants for each of the three regimes, plus quadrature oracles for the
+It also carries the family constants of the scaling table (the critical
+growth exponent gamma0, the exponents and tail constants that the regimes
+module turns into the three limit laws), plus quadrature oracles for the
 covariance function and for the characteristic function of the intermediate
 (critical-regime) limit field.
 """
@@ -17,23 +19,19 @@ covariance function and for the characteristic function of the intermediate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
 from . import numerics as nm
 from . import pulses as pl
-from .heavy_tail import (
-    DegenerateDist,
-    StableParams,
-    sample_length_biased_pair,
-    stable_params_from_tails,
-)
+from .heavy_tail import DegenerateDist
+from .heavy_tail import sample_length_biased_pair  # noqa: F401  (bench/layers.py traces this attribute)
+from .regimes import RegimeSpec, build_regime
 
 __all__ = [
     "ShotNoiseSource",
-    "RegimeSpec",
     "integrated_sample",
     "integrated_sample_batch",
     "integrated_path_batch",
@@ -93,73 +91,10 @@ class ShotNoiseSource:
 
     def mean_level(self) -> float:
         """E X(t) = rate * int_0^inf E W(u) du, by closed form or quadrature."""
-        return self.rate * _mean_pulse_mass(self.pulse)
-
-
-def _mean_pulse_mass(model) -> float:
-    kind = model.kind
-    if kind == "rect-indep":
-        return model.A.mean() * model.R.mean()
-    if kind == "rect-coupled":
-        return model.R.mean()
-    if kind == "exp-damped":
-        val, err = integrate.quad(
-            lambda t: float(model.A.laplace(t)) * float(model.R.survival(t)), 0, np.inf, limit=400
-        )
-        return val
-    if kind == "brownian":
-        return 0.0
-    if kind == "mixture":
-        return float(sum(w * _mean_pulse_mass(c) for w, c in zip(model.weights, model.components)))
-    raise ValueError(f"unknown family {kind!r}")
+        return self.rate * pl.mean_mass(self.pulse)
 
 
 # -- batched exact sampling ----------------------------------------------------------
-
-
-def _fresh_params(model, rng, k):
-    kind = model.kind
-    if kind == "rect-indep":
-        return {"r": np.atleast_1d(model.R.sample(rng, k)), "amp": np.atleast_1d(model.A.sample(rng, k))}
-    if kind == "rect-coupled":
-        return {"r": np.atleast_1d(model.R.sample(rng, k))}
-    if kind == "exp-damped":
-        return {"r": np.atleast_1d(model.R.sample(rng, k)), "amp": np.atleast_1d(model.A.sample(rng, k))}
-    if kind == "brownian":
-        return {"r": np.atleast_1d(model.R.sample(rng, k))}
-    raise ValueError(f"unknown family {kind!r}")
-
-
-def _aged_params(model, rng, k):
-    kind = model.kind
-    if kind == "rect-coupled":
-        d = pl.duration_dist(model)
-        if d is None:
-            raise ValueError("stationary sampling of rect-coupled needs a pareto-exact duration")
-        age, _, dur = sample_length_biased_pair(d, rng, k)
-        return np.atleast_1d(age), {"r": np.atleast_1d(dur) ** (1.0 / model.p)}
-    age, _, r = sample_length_biased_pair(model.R, rng, k)
-    out = {"r": np.atleast_1d(r)}
-    if kind in ("rect-indep", "exp-damped"):
-        out["amp"] = np.atleast_1d(model.A.sample(rng, k))
-    return np.atleast_1d(age), out
-
-
-def _window_values(model, params, a, b):
-    """Vectorized int_a^b w dt for realized deterministic pulses (pulse-local times)."""
-    kind = model.kind
-    r = params["r"]
-    if kind == "rect-indep":
-        return params["amp"] * (np.clip(b, 0.0, r) - np.clip(a, 0.0, r))
-    if kind == "rect-coupled":
-        d = r**model.p
-        return r ** (1.0 - model.p) * (np.clip(b, 0.0, d) - np.clip(a, 0.0, d))
-    if kind == "exp-damped":
-        rate = params["amp"]
-        lo = np.clip(a, 0.0, r)
-        hi = np.clip(b, 0.0, r)
-        return np.exp(-rate * lo) * (-np.expm1(-rate * (hi - lo))) / rate
-    raise ValueError(f"unknown family {kind!r}")
 
 
 def integrated_sample_batch(src: ShotNoiseSource, T: float, rng: np.random.Generator, n_rep: int, origin: float = 0.0):
@@ -176,20 +111,14 @@ def integrated_sample(src: ShotNoiseSource, T: float, rng: np.random.Generator, 
     return float(integrated_sample_batch(src, T, rng, 1, origin=origin)[0])
 
 
-def _duration(model, params):
-    """Realized support length of deterministic pulses; the pulse is zero after it."""
-    return params["r"] ** model.p if model.kind == "rect-coupled" else params["r"]
-
-
-def _brownian_path_values(params, u, cuts, rng):
-    """Window increments (k, n_windows) of Brownian pulses anchored at times u.
+def _brownian_path_values(r, u, cuts, rng):
+    """Window increments (k, n_windows) of Brownian pulses of durations r anchored at times u.
 
     Window j ends at global time cuts[j].  Brownian pulses carry state across
     windows: the path value at each window boundary is drawn jointly with the
     window integral, so one pulse's columns come from one consistent Brownian
     path (anchoring at u < 0 reproduces the stationary age law).
     """
-    r = params["r"]
     k = u.size
     vals = np.zeros((k, cuts.size))
     lo = np.clip(-u, 0.0, r)
@@ -207,39 +136,39 @@ def _brownian_path_values(params, u, cuts, rng):
     return vals
 
 
-def _add_cells(out, model, params, a, b, cell, lows, cuts, rng):
+def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
     """Add realized pulses' window increments into the flat (rep, window) array out.
 
-    Pulse i of one leaf family first touches the window whose flat index
-    (rep * n_windows + window) is cell[i], and (a[i], b[i]] is that window in
-    the pulse's local time.  Window j covers global time (lows[j], cuts[j]].
-    A deterministic pulse is evaluated on its first window and, only when it
-    outlives that window, on each later window up to the one holding its end,
-    so it costs O(1 + windows touched).  Brownian pulses fill every window of
-    their row.
+    Pulse i of one leaf family has duration d[i] and mark m[i]; it first
+    touches the window whose flat index (rep * n_windows + window) is
+    cell[i], and (a[i], b[i]] is that window in the pulse's local time.
+    Window j covers global time (lows[j], cuts[j]].  A deterministic pulse
+    is evaluated on its first window and, only when it outlives that window,
+    on each later window up to the one holding its end, so it costs
+    O(1 + windows touched).  Brownian pulses fill every window of their row.
     """
     nx = cuts.size
     if model.kind == "brownian":
         first = cell % nx
-        vals = _brownian_path_values(params, lows[first] - a, cuts, rng)
+        vals = _brownian_path_values(d, lows[first] - a, cuts, rng)
         out += np.bincount(((cell - first)[:, None] + np.arange(nx)).ravel(), vals.ravel(), out.size)
         return
-    out += np.bincount(cell, _window_values(model, params, a, b), out.size)
+    mass = pl.KERNELS[model.kind].mass
+    out += np.bincount(cell, mass(m, np.clip(a, 0.0, d), np.clip(b, 0.0, d)), out.size)
     if nx == 1:
         return
-    dur = _duration(model, params)
-    more = np.flatnonzero(dur > b)
+    more = np.flatnonzero(d > b)
     first = cell[more] % nx
     u = lows[first] - a[more]
     # the window holding the pulse end is the count of cuts strictly before it
-    n_more = np.minimum(np.searchsorted(cuts, u + dur[more]), nx - 1) - first
+    n_more = np.minimum(np.searchsorted(cuts, u + d[more]), nx - 1) - first
     owner = np.repeat(np.arange(more.size), n_more)
     # continuation cells of one pulse are windows first + 1, ..., first + n_more
     step = 1 + np.arange(owner.size) - np.repeat(np.cumsum(n_more) - n_more, n_more)
     window = first[owner] + step
     idx = more[owner]
-    u = u[owner]
-    tail = _window_values(model, {key: v[idx] for key, v in params.items()}, lows[window] - u, cuts[window] - u)
+    u, d = u[owner], d[idx]
+    tail = mass(m[idx], np.clip(lows[window] - u, 0.0, d), np.clip(cuts[window] - u, 0.0, d))
     out += np.bincount(cell[idx] + step, tail, out.size)
 
 
@@ -307,8 +236,8 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     s = width * rng.uniform(size=cell.size)
     probs = model.weights if model.kind == "mixture" else None
     for leaf, idx, k in _leaf_groups(model, probs, rng, cell.size):
-        params = _fresh_params(leaf, rng, k)
-        _add_cells(out, leaf, params, -s[idx], width[idx] - s[idx], cell[idx], lows, cuts, rng)
+        d, m = pl.KERNELS[leaf.kind].fresh(leaf, rng, k)
+        _add_cells(out, leaf, d, m, -s[idx], width[idx] - s[idx], cell[idx], lows, cuts, rng)
 
     # pulses alive at time zero, anchored at the negated stationary age; a
     # mixture's alive-pulse component is size-biased by its mean duration
@@ -318,8 +247,8 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
         probs = np.array(model.weights) * [pl.duration_mean(c) for c in model.components]
         probs /= probs.sum()
     for leaf, idx, k in _leaf_groups(model, probs, rng, cell.size):
-        age, params = _aged_params(leaf, rng, k)
-        _add_cells(out, leaf, params, age, age + cuts[0], cell[idx], lows, cuts, rng)
+        age, d, m = pl.KERNELS[leaf.kind].aged(leaf, rng, k)
+        _add_cells(out, leaf, d, m, age, age + cuts[0], cell[idx], lows, cuts, rng)
     return out.reshape(n_rep, nx)
 
 
@@ -354,48 +283,8 @@ def integral_variance(src: ShotNoiseSource, T: float) -> float:
 # -- scaling regimes --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegimeSpec:
-    """Predicted scaling limit for one (source, gamma) pair.
-
-    ``limit_kind`` is "FBS" (gamma above critical), "StableSheet" (below), or
-    "Intermediate" (at the critical point).  ``constants`` holds the family's
-    closed-form ingredients; ``logchf`` maps (theta, x, y) to the limit field's
-    log characteristic function at the point (x, y).
-    """
-
-    gamma0: float
-    gamma: float
-    H: float
-    alpha: float
-    limit_kind: str
-    constants: dict
-    logchf: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def H1(self) -> float:
-        return self.H - self.gamma / 2.0 if self.limit_kind == "FBS" else self.constants.get("H1", float("nan"))
-
-
-def _gaussian_limit_logchf(c_w: float, h1: float):
-    def logchf(theta, x=1.0, y=1.0):
-        theta = np.asarray(theta, dtype=float)
-        return -0.5 * theta**2 * c_w**2 * x ** (2.0 * h1) * y + 0j
-
-    return logchf
-
-
-def _stable_limit_logchf(params: StableParams):
-    def logchf(theta, x=1.0, y=1.0):
-        return (x * y) * params.logchf(theta)
-
-    return logchf
-
-
 def regime_of(src: ShotNoiseSource, gamma: float) -> RegimeSpec:
     """The family's scaling table entry at source-count growth exponent gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     model = src.pulse
     kind = model.kind
     if kind == "rect-indep":
@@ -463,22 +352,14 @@ def regime_of(src: ShotNoiseSource, gamma: float) -> RegimeSpec:
         raise ValueError(f"no scaling table for pulse family {kind!r}")
 
     constants = {"c_X": c_x, "H1": h1, "c_plus": c_plus, "c_minus": c_minus}
-    # gamma0 comes out of float arithmetic (1.4 - 1.0 == 0.3999999999999999),
-    # so a gamma that equals it up to rounding is the critical exponent
-    critical = math.isclose(gamma, gamma0, rel_tol=1e-12, abs_tol=1e-12)
-    if gamma > gamma0 and not critical:
-        c_w = math.sqrt(c_x / ((2.0 * h1 - 1.0) * h1))
-        constants["C_W"] = c_w
-        return RegimeSpec(gamma0, gamma, h1 + gamma / 2.0, alpha, "FBS", constants,
-                          logchf=_gaussian_limit_logchf(c_w, h1))
-    if gamma < gamma0 and not critical:
-        params = stable_params_from_tails(alpha, c_plus, c_minus)
-        constants["stable"] = params
-        return RegimeSpec(gamma0, gamma, (1.0 + gamma) / alpha, alpha, "StableSheet", constants,
-                          logchf=_stable_limit_logchf(params))
-    constants["nu_scale"] = model.R.tail_constant()
-    return RegimeSpec(gamma0, gamma, h1 + gamma0 / 2.0, alpha, "Intermediate", constants,
-                      logchf=lambda theta, x=1.0, y=1.0: intermediate_logchf(model, theta, x, y))
+
+    def intermediate():
+        # intermediate_logchf is looked up at each evaluation, so a patched
+        # module attribute (bench/layers.py traces it) sees every call
+        return ({"nu_scale": model.R.tail_constant()},
+                lambda theta, x=1.0, y=1.0: intermediate_logchf(model, theta, x, y))
+
+    return build_regime(gamma, gamma0, alpha, constants, (c_plus, c_minus), intermediate)
 
 
 # -- intermediate-limit characteristic functions -----------------------------------------

@@ -15,11 +15,6 @@ import hashlib
 
 import numpy as np
 
-# Fixed batch width used by the experiment drivers.  Replicate j lives in
-# batch j // BATCH_SIZE and always consumes the same draws from that batch's
-# stream regardless of how batches are distributed over workers.
-BATCH_SIZE = 256
-
 
 def key_words(seed: int, tag: str, index: int = 0) -> np.ndarray:
     """Hash (seed, tag, index) into the two 64-bit key words Philox accepts."""
@@ -49,8 +44,3 @@ def stream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
         Generator backed by Philox with a key derived from the arguments.
     """
     return np.random.Generator(np.random.Philox(key=key_words(seed, tag, index)))
-
-
-def batch_of(replicate: int) -> tuple[int, int]:
-    """Map a replicate index to (batch index, offset inside the batch)."""
-    return replicate // BATCH_SIZE, replicate % BATCH_SIZE

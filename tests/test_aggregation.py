@@ -124,6 +124,15 @@ def test_bad_grids_raise(grid):
         ag.aggregate(onoff_model(), 10.0, 0.5, 1.0, (1.0,), grid, 2, rng)
 
 
+@pytest.mark.parametrize("make", [onoff_model, rect_source])
+def test_source_count_overflow_raises(make):
+    # 1e20 sources do not fit int64, and 1e200**2 overflows the float power
+    rng = rng_for("agg/overflow")
+    for lam, gamma in [(1e20, 1.0), (1e200, 2.0)]:
+        with pytest.raises(ValueError, match="y_grid"):
+            ag.aggregate(make(), lam, gamma, 1.0, (1.0,), (1.0,), 2, rng)
+
+
 def test_bad_arguments_raise():
     rng = rng_for("agg/args")
     with pytest.raises(TypeError):

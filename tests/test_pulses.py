@@ -1,8 +1,10 @@
-"""Tests for pulse families: window integrals, total masses, moment kernels.
+"""Tests for pulse families: the shared kernel table, mean masses, moment kernels.
 
-The Brownian path machinery is checked for exact-law marginals (variance of
-the integral, path consistency under out-of-order queries) and the moment
-kernels against brute-force quadrature/Monte Carlo.
+The kernel table is checked against window closed forms, additivity, total
+masses and the quadrature of its own point values; its samplers against the
+aged-pulse and length-biased laws; Brownian pulses through the shot-noise
+path recursion, for exact-law marginals; and the moment kernels against
+brute-force quadrature and Monte Carlo over kernel draws.
 """
 
 import math
@@ -13,7 +15,10 @@ from scipy import integrate, stats
 
 from heavyagg import heavy_tail as ht
 from heavyagg import pulses
+from heavyagg import shot_noise
 from heavyagg import streams
+
+K = pulses.KERNELS
 
 
 def rng_for(tag, index=0):
@@ -24,127 +29,145 @@ def pareto(alpha=1.5, x_min=1.0):
     return ht.RegVaryingDist(alpha, x_min)
 
 
-# -- window integral closed forms ---------------------------------------------------
+def window(kind, d, m, a, b):
+    """Mass over pulse-local (a, b], clipped to the support as the path samplers do."""
+    d = np.asarray(d, dtype=float)
+    return K[kind].mass(m, np.clip(a, 0.0, d), np.clip(b, 0.0, d))
+
+
+def state(kind, d, m, s):
+    """W(s): the kernel's point value inside the support and zero after it."""
+    inside = s < d
+    return np.where(inside, K[kind].value(m, np.where(inside, s, 0.0)), 0.0)
+
+
+# one model per deterministic family
+DETERMINISTIC = {
+    "rect-indep": pulses.RectIndep(ht.UniformDist(0.5, 2.0), pareto()),
+    "rect-coupled": pulses.RectCoupled(pareto(), 0.6),
+    "exp-damped": pulses.ExpDamped(ht.LowTailPowerDist(0.4), pareto()),
+    "on-off": pulses.OnOff(pareto(), ht.ExponentialDist(1.0)),
+    "workload": pulses.Workload(pareto(2.5), ht.ExponentialDist(1.0)),
+    "renewal-reward": pulses.RenewalReward(
+        pareto(), pulses.RewardLaw("independent", dist=ht.UniformDist(0.0, 1.0))
+    ),
+}
+
+
+# -- window closed forms ------------------------------------------------------------
 
 
 def test_rect_window_overlap():
-    p = pulses.RealizedPulse("rect-indep", 3.0, amp=2.0)
-    assert pulses.integrate_window(p, 1.0, 5.0) == pytest.approx(4.0)
-    assert pulses.integrate_window(p, 0.0, 1.0) == pytest.approx(2.0)
-    assert pulses.integrate_window(p, 3.0, 9.0) == 0.0
+    got = window("rect-indep", 3.0, 2.0, np.array([1.0, 0.0, 3.0]), np.array([5.0, 1.0, 9.0]))
+    np.testing.assert_allclose(got, [4.0, 2.0, 0.0], rtol=1e-12)
+    assert got[2] == 0.0
 
 
 def test_zero_duration_pulse():
-    p = pulses.RealizedPulse("rect-indep", 0.0, amp=5.0)
-    assert pulses.integrate_window(p, 0.0, 10.0) == 0.0
+    assert window("rect-indep", 0.0, 5.0, 0.0, 10.0) == 0.0
 
 
 def test_exp_damped_window():
-    p = pulses.RealizedPulse("exp-damped", 2.0, amp=1.0)
-    assert pulses.integrate_window(p, 0.0, 2.0) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
+    assert window("exp-damped", 2.0, 1.0, 0.0, 2.0) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
     # window past the support adds nothing
-    assert pulses.integrate_window(p, 0.0, 50.0) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
+    assert window("exp-damped", 2.0, 1.0, 0.0, 50.0) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
 
 
 def test_exp_damped_tiny_rate_limit():
-    p = pulses.RealizedPulse("exp-damped", 4.0, amp=1e-13)
-    assert pulses.integrate_window(p, 0.0, 4.0) == pytest.approx(4.0, rel=1e-9)
-
-
-def test_window_validation():
-    p = pulses.RealizedPulse("rect-indep", 1.0, amp=1.0)
-    with pytest.raises(ValueError):
-        pulses.integrate_window(p, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        pulses.integrate_window(p, -1.0, 1.0)
+    assert window("exp-damped", 4.0, 1e-13, 0.0, 4.0) == pytest.approx(4.0, rel=1e-9)
 
 
 def test_window_additivity_closed_forms():
     rng = rng_for("pl/additivity")
-    models = [
-        pulses.RectIndep(ht.UniformDist(0.5, 2.0), pareto()),
-        pulses.RectCoupled(pareto(), 0.6),
-        pulses.ExpDamped(ht.LowTailPowerDist(0.4), pareto()),
-        pulses.OnOff(pareto(), ht.ExponentialDist(1.0)),
-        pulses.Workload(pareto(2.5), ht.ExponentialDist(1.0)),
-        pulses.RenewalReward(pareto(), pulses.RewardLaw("independent", dist=ht.UniformDist(0.0, 1.0))),
-    ]
-    for model in models:
-        p = pulses.draw_pulse(model, rng)
+    for kind, model in DETERMINISTIC.items():
+        d, m = K[kind].fresh(model, rng, 200)
         for a, b, c in [(0.0, 0.7, 1.9), (0.2, 1.0, 3.0)]:
-            whole = pulses.integrate_window(p, a, c)
-            split = pulses.integrate_window(p, a, b) + pulses.integrate_window(p, b, c)
-            assert whole == pytest.approx(split, abs=1e-12), model.kind
+            whole = window(kind, d, m, a, c)
+            split = window(kind, d, m, a, b) + window(kind, d, m, b, c)
+            np.testing.assert_allclose(whole, split, rtol=0, atol=1e-12, err_msg=kind)
+
+
+# closed-form total mass int_0^d w of each deterministic family
+TOTAL_MASS = {
+    "rect-indep": lambda d, m: m * d,
+    "rect-coupled": lambda d, m: m * d,
+    "exp-damped": lambda d, m: -np.expm1(-m * d) / m,
+    "on-off": lambda d, m: m,
+    "workload": lambda d, m: 0.5 * m**2,
+    "renewal-reward": lambda d, m: m * d,
+}
 
 
 def test_total_mass_equals_full_window():
     rng = rng_for("pl/mass")
-    models = [
-        pulses.RectIndep(ht.DegenerateDist(1.0), pareto()),
-        pulses.RectCoupled(pareto(), 0.5),
-        pulses.ExpDamped(ht.LowTailPowerDist(0.4), pareto()),
-        pulses.OnOff(pareto(), ht.ExponentialDist(1.0)),
-        pulses.Workload(pareto(2.5), ht.ExponentialDist(1.0)),
-    ]
-    for model in models:
-        p = pulses.draw_pulse(model, rng)
-        assert pulses.total_mass(p) == pytest.approx(
-            pulses.integrate_window(p, 0.0, p.duration), rel=1e-12
-        ), model.kind
+    for kind, model in DETERMINISTIC.items():
+        d, m = K[kind].fresh(model, rng, 200)
+        want = TOTAL_MASS[kind](d, m)
+        np.testing.assert_allclose(window(kind, d, m, 0.0, d), want, rtol=1e-12, err_msg=kind)
+        np.testing.assert_allclose(window(kind, d, m, 0.0, 10.0 * d), want, rtol=1e-12, err_msg=kind)
+
+
+@pytest.mark.parametrize("kind", sorted(DETERMINISTIC))
+def test_window_mass_is_quadrature_of_point_value(kind):
+    rng = rng_for(f"pl/quad/{kind}")
+    d, m = K[kind].fresh(DETERMINISTIC[kind], rng, 6)
+    for di, mi in zip(d, m):
+        # on-off and workload pulses kink (or jump) at the busy-leg end m
+        for lo, hi in [(0.0, di), (0.3 * di, 0.8 * di), (0.1 * di, 0.1 * di)]:
+            kinks = [mi] if kind in ("on-off", "workload") and lo < mi < hi else None
+            want, _ = integrate.quad(lambda s: float(K[kind].value(mi, s)), lo, hi, points=kinks, limit=200)
+            assert float(K[kind].mass(mi, lo, hi)) == pytest.approx(want, rel=1e-9, abs=1e-12), kind
 
 
 def test_rect_coupled_mass_is_r():
-    p = pulses.RealizedPulse("rect-coupled", 16.0**0.5, amp=16.0**0.5)
-    assert pulses.total_mass(p) == pytest.approx(16.0)
+    model = pulses.RectCoupled(pareto(), 0.5)
+    r = model.R.sample(rng_for("pl/coupled-r"), 1000)
+    d, m = K["rect-coupled"].fresh(model, rng_for("pl/coupled-r"), 1000)
+    np.testing.assert_allclose(window("rect-coupled", d, m, 0.0, d), r, rtol=1e-12)
 
 
 def test_exp_damped_mass_long_duration_limit():
-    p = pulses.RealizedPulse("exp-damped", 1e9, amp=1.0)
-    assert pulses.total_mass(p) == pytest.approx(1.0, rel=1e-9)
+    assert window("exp-damped", 1e9, 1.0, 0.0, 1e9) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_rect_coupled_p1_collapses_to_indicator():
     model = pulses.RectCoupled(pareto(), 1.0)
-    p = pulses.draw_pulse(model, rng_for("pl/p1"))
-    assert p.amp == pytest.approx(1.0)
-    assert p.duration >= 1.0
+    rng = rng_for("pl/p1")
+    d, m = K["rect-coupled"].fresh(model, rng, 1000)
+    age, d_aged, m_aged = K["rect-coupled"].aged(model, rng, 1000)
+    np.testing.assert_allclose(np.concatenate((m, m_aged)), 1.0, rtol=1e-12)
+    assert np.all(np.concatenate((d, d_aged)) >= 1.0)
 
 
-# -- Brownian paths -------------------------------------------------------------------
+def test_mean_mass_matches_sampled_masses():
+    # light duration tails, so the sample mean of the masses has a variance
+    rng = rng_for("pl/mean-mass")
+    models = {
+        "rect-indep": pulses.RectIndep(ht.UniformDist(0.5, 2.0), pareto(3.5)),
+        "rect-coupled": pulses.RectCoupled(pareto(3.5), 0.6),
+        "exp-damped": pulses.ExpDamped(ht.LowTailPowerDist(0.4), pareto(3.5)),
+        "on-off": pulses.OnOff(pareto(3.5), ht.ExponentialDist(1.0)),
+        "workload": pulses.Workload(pareto(5.0), ht.ExponentialDist(1.0)),
+        "renewal-reward": pulses.RenewalReward(pareto(3.5), pulses.vanishing_reward(0.5)),
+    }
+    n = 100_000
+    for kind, model in models.items():
+        d, m = K[kind].fresh(model, rng, n)
+        mass = window(kind, d, m, 0.0, d)
+        se = mass.std(ddof=1) / math.sqrt(n)
+        assert abs(mass.mean() - pulses.mean_mass(model)) <= 4.0 * se, kind
 
 
-def test_brownian_path_consistency_out_of_order():
-    rng = rng_for("pl/bm-consistency")
-    path = pulses.BrownianPath(rng)
-    v2 = path.integral(0.0, 2.0)
-    v1 = path.integral(0.0, 1.0)
-    v12 = path.integral(1.0, 2.0)
-    assert v1 + v12 == pytest.approx(v2, abs=1e-12)
-    # repeated queries return stored values
-    assert path.integral(0.0, 1.0) == v1
+# -- Brownian pulses ------------------------------------------------------------------
 
 
 def test_brownian_integral_marginal_law():
+    # integral of B over [0, t] is N(0, t^3/3); the windows share one path
     n = 40_000
     rng = rng_for("pl/bm-marginal")
-    vals = np.empty(n)
-    for i in range(n):
-        path = pulses.BrownianPath(rng)
-        vals[i] = path.integral(0.0, 2.0)
-    # integral of B over [0, t] is N(0, t^3/3)
-    assert stats.kstest(vals / math.sqrt(8.0 / 3.0), "norm").pvalue > 0.01
-
-
-def test_brownian_insertion_preserves_law():
-    """Midpoint value inserted after the endpoint is still N(0, t) marginally."""
-    n = 30_000
-    rng = rng_for("pl/bm-insert")
-    mids = np.empty(n)
-    for i in range(n):
-        path = pulses.BrownianPath(rng)
-        path.value_and_integral(2.0)
-        mids[i] = path.value_and_integral(0.7)[0]
-    assert stats.kstest(mids / math.sqrt(0.7), "norm").pvalue > 0.01
+    vals = shot_noise._brownian_path_values(np.full(n, np.inf), np.zeros(n), np.array([0.5, 1.2, 2.0]), rng)
+    assert stats.kstest(vals[:, 0] / math.sqrt(0.5**3 / 3.0), "norm").pvalue > 0.01
+    assert stats.kstest(vals.sum(axis=1) / math.sqrt(8.0 / 3.0), "norm").pvalue > 0.01
 
 
 def test_brownian_mass_in_law():
@@ -152,20 +175,23 @@ def test_brownian_mass_in_law():
     n = 30_000
     rng = rng_for("pl/bm-mass")
     model = pulses.BrownianPulse(pareto(3.5))
-    zs = np.empty(n)
-    for i in range(n):
-        p = pulses.draw_pulse(model, rng)
-        zs[i] = pulses.total_mass(p) / math.sqrt(p.duration**3 / 3.0)
-    assert stats.kstest(zs, "norm").pvalue > 0.01
+    d, m = K["brownian"].fresh(model, rng, n)
+    assert m is None
+    cuts = np.array([1.0, 2.0, 4.0, 2.0 * d.max()])
+    total = shot_noise._brownian_path_values(d, np.zeros(n), cuts, rng).sum(axis=1)
+    assert stats.kstest(total / np.sqrt(d**3 / 3.0), "norm").pvalue > 0.01
 
 
 # -- moment kernels -------------------------------------------------------------------
 
 
 def test_mean_w_rect_indep():
+    # E W(t) = E A * P(R > t): 1 * 0.125 at t = 4 and 1 at t = 0.5 (R >= 1)
     model = pulses.RectIndep(ht.UniformDist(0.0, 2.0), pareto())
-    assert pulses.mean_W(model, 4.0) == pytest.approx(1.0 * 0.125)
-    assert pulses.mean_W(model, 0.5) == pytest.approx(1.0)
+    d, m = K["rect-indep"].fresh(model, rng_for("pl/mean-w"), 200_000)
+    for t, want in [(4.0, 0.125), (0.5, 1.0)]:
+        w = state("rect-indep", d, m, t)
+        assert abs(w.mean() - want) <= 4.0 * w.std(ddof=1) / math.sqrt(w.size), t
 
 
 def test_corr_kernel_against_monte_carlo():
@@ -180,20 +206,15 @@ def test_corr_kernel_against_monte_carlo():
         (pulses.Workload(pareto(5.0), ht.ExponentialDist(1.0)), 0.6, 0.8),
     ]
     for model, u, t in cases:
-        vals = np.empty(40_000 if model.kind == "brownian" else n)
-        for i in range(vals.size):
-            p = pulses.draw_pulse(model, rng)
-            if model.kind == "brownian":
-                # W(t) is the path value itself; no window differencing needed
-                if u + t <= p.duration:
-                    vals[i] = p.path.value_and_integral(u)[0] * p.path.value_and_integral(u + t)[0]
-                else:
-                    vals[i] = 0.0
-            else:
-                eps = 1e-9
-                wa = pulses.integrate_window(p, u - eps, u + eps) / (2 * eps)
-                wb = pulses.integrate_window(p, u + t - eps, u + t + eps) / (2 * eps)
-                vals[i] = wa * wb
+        kind = model.kind
+        d, m = K[kind].fresh(model, rng, 40_000 if kind == "brownian" else n)
+        if kind == "brownian":
+            # B(u) and B(u + t) of a path independent of the duration
+            b_u = math.sqrt(u) * rng.standard_normal(d.size)
+            b_ut = b_u + math.sqrt(t) * rng.standard_normal(d.size)
+            vals = np.where(u + t <= d, b_u * b_ut, 0.0)
+        else:
+            vals = state(kind, d, m, u) * state(kind, d, m, u + t)
         want = pulses.corr_kernel(model, u, t)
         se = np.std(vals) / math.sqrt(vals.size)
         assert abs(np.mean(vals) - want) < 4 * se + 1e-4, model.kind
@@ -228,8 +249,7 @@ def test_workload_kernel_requires_finite_second_moment():
 
 def test_aged_pulse_age_law():
     model = pulses.RectIndep(ht.DegenerateDist(1.0), pareto())
-    rng = rng_for("pl/age")
-    ages = np.array([pulses.sample_aged_pulse(model, rng)[0] for _ in range(50_000)])
+    ages = K["rect-indep"].aged(model, rng_for("pl/age"), 50_000)[0]
     cdf = lambda t: 1.0 - ht.residual_survival(pareto(), t)
     assert stats.kstest(ages, cdf).pvalue > 0.01
 
@@ -238,26 +258,23 @@ def test_aged_pulse_duration_exceeds_age():
     models = [
         pulses.RectIndep(ht.DegenerateDist(1.0), pareto()),
         pulses.RectCoupled(pareto(), 0.5),
+        pulses.ExpDamped(ht.LowTailPowerDist(0.4), pareto()),
         pulses.BrownianPulse(pareto(2.5)),
         pulses.OnOff(pareto(), ht.ExponentialDist(1.0)),
+        pulses.Workload(pareto(2.5), ht.ExponentialDist(1.0)),
         pulses.RenewalReward(pareto(), pulses.vanishing_reward(0.5)),
     ]
     rng = rng_for("pl/age-dur")
     for model in models:
-        for _ in range(200):
-            age, p = pulses.sample_aged_pulse(model, rng)
-            assert 0.0 <= age <= p.duration, model.kind
+        age, d, _ = K[model.kind].aged(model, rng, 2_000)
+        assert np.all((0.0 <= age) & (age <= d)), model.kind
 
 
 def test_on_off_cycle_mixture_marginals():
     """Length-biased sum cycle: E[Z] under the biased law is E[Z^2]/E[Z]."""
     model = pulses.OnOff(pareto(4.0, 1.0), ht.ExponentialDist(0.5))
-    rng = rng_for("pl/cycle-lb")
     n = 120_000
-    zs = np.empty(n)
-    for i in range(n):
-        _, p = pulses.sample_aged_pulse(model, rng)
-        zs[i] = p.duration
+    _, zs, _ = K["on-off"].aged(model, rng_for("pl/cycle-lb"), n)
     z_on, z_off = pareto(4.0, 1.0), ht.ExponentialDist(0.5)
     ez = z_on.mean() + z_off.mean()
     ez2 = z_on.moment(2.0) + 2 * z_on.mean() * z_off.mean() + z_off.moment(2.0)
@@ -302,7 +319,7 @@ def test_mixture_pulse_moments():
     m2 = pulses.ExpDamped(ht.LowTailPowerDist(0.4), pareto())
     mix = pulses.MixturePulse((m1, m2), (0.3, 0.7))
     t, u = 1.5, 0.8
-    assert pulses.mean_W(mix, t) == pytest.approx(0.3 * pulses.mean_W(m1, t) + 0.7 * pulses.mean_W(m2, t))
+    assert pulses.mean_mass(mix) == pytest.approx(0.3 * pulses.mean_mass(m1) + 0.7 * pulses.mean_mass(m2))
     assert pulses.corr_kernel(mix, u, t) == pytest.approx(
         0.3 * pulses.corr_kernel(m1, u, t) + 0.7 * pulses.corr_kernel(m2, u, t)
     )

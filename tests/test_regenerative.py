@@ -118,7 +118,7 @@ def test_mean_rate_closed_forms():
 
 def test_exp_damped_mass_mean_matches_double_integral():
     # independent quadrature of E[(1 - exp(-A R)) / A] over both densities
-    assert rg.mass_mean(exp_damped_model()) == pytest.approx(1.6974256954995037, rel=1e-10)
+    assert pulses.mean_mass(exp_damped_model().pulse) == pytest.approx(1.6974256954995037, rel=1e-10)
 
 
 # -- cycle-level samplers -------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_coupled_reward_mass_mean_matches_mc():
     model = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), reward))
     _, mass = rg.cycle_sample(model, rng_for("rg/mass-coupled"), size=120000)
     sem = mass.std(ddof=1) / math.sqrt(mass.size)
-    assert mass.mean() == pytest.approx(rg.mass_mean(model), abs=4 * sem)
+    assert mass.mean() == pytest.approx(pulses.mean_mass(model.pulse), abs=4 * sem)
 
 
 def test_tilde_mass_is_centered():
@@ -333,7 +333,7 @@ def test_decomposition_grid_bookkeeping():
     assert np.all(np.diff(dec.U) >= -1e-12)
     assert abs(dec.z[0]) < 1e-12
     # both boundary kernels integrate to the mean cycle mass (here E Z_on)
-    mass = rg.mass_mean(model)
+    mass = pulses.mean_mass(model.pulse)
     assert np.trapezoid(dec.G0, dec.t) == pytest.approx(mass, rel=0.01)
     assert np.trapezoid(dec.G1, dec.t) == pytest.approx(mass, rel=0.01)
     assert dec.cov.shape == dec.t.shape
@@ -439,7 +439,7 @@ def test_renewal_reward_regimes():
     )
     model = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), uncentered))
     spec2 = rg.regime_of(model, 0.5)
-    assert spec2.constants["prefactor"] == pytest.approx(-rg.mass_mean(model) / model.mu)
+    assert spec2.constants["prefactor"] == pytest.approx(-pulses.mean_mass(model.pulse) / model.mu)
 
     indep = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), uniform_reward()))
     with pytest.raises(ValueError, match="vanish"):
@@ -470,7 +470,7 @@ def test_exp_damped_regimes():
     spec = rg.regime_of(model, 0.5)
     assert spec.gamma0 == pytest.approx(0.5)
     assert spec.limit_kind == "Intermediate"
-    mass = rg.mass_mean(model)
+    mass = pulses.mean_mass(model.pulse)
     assert spec.constants["prefactor"] == pytest.approx(-mass / 3.0)
     for theta in (0.5, 2.0):
         direct = 2.0 * telecom_logchf(theta * mass, 1.5, 1.5, 1.0, 3.0)
@@ -528,24 +528,24 @@ def _wave_path(model, cuts, rng, n_lanes, stationary):
     Window by window, every lane still short of the window's end draws its
     next cycle per pass.
     """
-    kind = model.kind
+    kern = pulses.KERNELS[model.kind]
     out = np.zeros((n_lanes, len(cuts)))
     if stationary:
-        loc, z, aux = rg._draw_aged(model.pulse, rng, n_lanes)
+        loc, z, aux = kern.aged(model.pulse, rng, n_lanes)
     else:
-        z, aux = rg._draw_cycles(model.pulse, rng, n_lanes)
+        z, aux = kern.fresh(model.pulse, rng, n_lanes)
         loc = np.zeros(n_lanes)
     for j, w in enumerate(np.diff(cuts, prepend=0.0)):
         rem = np.full(n_lanes, w)
         hi = np.minimum(loc + rem, z)
-        out[:, j] += rg._window_mass(kind, aux, loc, hi)
+        out[:, j] += kern.mass(aux, loc, hi)
         rem -= z - loc
         loc = hi
         active = np.flatnonzero(rem > 0.0)
         while active.size:
-            z_new, aux_new = rg._draw_cycles(model.pulse, rng, active.size)
+            z_new, aux_new = kern.fresh(model.pulse, rng, active.size)
             hi = np.minimum(rem[active], z_new)
-            out[active, j] += rg._window_mass(kind, aux_new, 0.0, hi)
+            out[active, j] += kern.mass(aux_new, 0.0, hi)
             z[active], aux[active], loc[active] = z_new, aux_new, hi
             rem[active] -= z_new
             active = active[rem[active] > 0.0]

@@ -478,6 +478,11 @@ PATH_GRIDS = {
 }
 
 
+def _window_mass(leaf, d, m, a, b):
+    """Dense reference: the kernel mass over pulse-local (a, b] clipped to the support."""
+    return pl.KERNELS[leaf.kind].mass(m, np.clip(a, 0.0, d), np.clip(b, 0.0, d))
+
+
 def _loop_path(src, cuts, rng, n_rep):
     """Reference sampler: the per-window loop kernel that the touched-cell kernel replaced.
 
@@ -492,11 +497,11 @@ def _loop_path(src, cuts, rng, n_rep):
     aged = weights * [pl.duration_mean(c) for c in leaves]
     out = np.zeros((n_rep, cuts.size))
 
-    def add(leaf, rep, u, params):
+    def add(leaf, rep, u, d, m):
         if leaf.kind == "brownian":
-            vals = sn._brownian_path_values(params, u, cuts, rng)
+            vals = sn._brownian_path_values(d, u, cuts, rng)
         else:
-            vals = np.column_stack([sn._window_values(leaf, params, lo - u, hi - u) for lo, hi in zip(lows, cuts)])
+            vals = np.column_stack([_window_mass(leaf, d, m, lo - u, hi - u) for lo, hi in zip(lows, cuts)])
         for j in range(cuts.size):
             out[:, j] += np.bincount(rep, weights=vals[:, j], minlength=n_rep)
 
@@ -504,14 +509,14 @@ def _loop_path(src, cuts, rng, n_rep):
     u = rng.uniform(0.0, cuts[-1], rep.size)
     comp = rng.choice(len(leaves), size=rep.size, p=weights)
     for ci, leaf in enumerate(leaves):
-        m = comp == ci
-        add(leaf, rep[m], u[m], sn._fresh_params(leaf, rng, int(m.sum())))
+        pick = comp == ci
+        add(leaf, rep[pick], u[pick], *pl.KERNELS[leaf.kind].fresh(leaf, rng, int(pick.sum())))
     rep = np.repeat(np.arange(n_rep), rng.poisson(src.rate * src.mean_duration, n_rep))
     comp = rng.choice(len(leaves), size=rep.size, p=aged / aged.sum())
     for ci, leaf in enumerate(leaves):
-        m = comp == ci
-        age, params = sn._aged_params(leaf, rng, int(m.sum()))
-        add(leaf, rep[m], -age, params)
+        pick = comp == ci
+        age, d, m = pl.KERNELS[leaf.kind].aged(leaf, rng, int(pick.sum()))
+        add(leaf, rep[pick], -age, d, m)
     return out
 
 
@@ -546,17 +551,17 @@ def test_path_cells_match_dense_window_matrix(grid):
     leaves = [s.pulse for s in path_test_sources()[:3]]
     for leaf in leaves:
         k = 3_000
-        params = sn._fresh_params(leaf, rng, k)
-        age, aged = sn._aged_params(leaf, rng, k)
-        params = {key: np.concatenate((params[key], aged[key])) for key in params}
+        d, m = pl.KERNELS[leaf.kind].fresh(leaf, rng, k)
+        age, d_aged, m_aged = pl.KERNELS[leaf.kind].aged(leaf, rng, k)
+        d, m = np.concatenate((d, d_aged)), np.concatenate((m, m_aged))
         # arrivals spread over the grid, then pulses alive at time zero
         u = np.concatenate((rng.uniform(0.0, cuts[-1], k), -age))
         first = np.searchsorted(cuts, np.maximum(u, 0.0))
         out = np.zeros(2 * k * cuts.size)
         cell = np.arange(2 * k) * cuts.size + first
-        sn._add_cells(out, leaf, params, lows[first] - u, cuts[first] - u, cell, lows, cuts, rng)
+        sn._add_cells(out, leaf, d, m, lows[first] - u, cuts[first] - u, cell, lows, cuts, rng)
         got = out.reshape(2 * k, cuts.size)
-        dense = np.column_stack([sn._window_values(leaf, params, lo - u, hi - u) for lo, hi in zip(lows, cuts)])
+        dense = np.column_stack([_window_mass(leaf, d, m, lo - u, hi - u) for lo, hi in zip(lows, cuts)])
         np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
 
