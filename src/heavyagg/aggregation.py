@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import numerics as nm
 from .regenerative import RegenModel, integrated_path
 from .shot_noise import ShotNoiseSource, integrated_path_batch
 
@@ -68,15 +69,6 @@ class AggregateSample:
     meta: dict
 
 
-def _strict_grid(name: str, grid) -> np.ndarray:
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d array")
-    if not np.all(np.isfinite(arr)) or arr[0] <= 0 or np.any(np.diff(arr) <= 0):
-        raise ValueError(f"{name} must be finite, strictly increasing and positive")
-    return arr
-
-
 def _mean_level_of(src) -> float:
     if isinstance(src, ShotNoiseSource):
         return float(src.mean_level())
@@ -101,8 +93,8 @@ def aggregate(src, lam: float, gamma: float, H: float, x_grid, y_grid, n_rep: in
         raise ValueError("H must be finite")
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
-    xg = _strict_grid("x_grid", x_grid)
-    yg = _strict_grid("y_grid", y_grid)
+    xg = nm.strict_grid("x_grid", x_grid)
+    yg = nm.strict_grid("y_grid", y_grid)
 
     with np.errstate(over="ignore"):
         counts = np.floor(yg * np.float64(lam) ** gamma)

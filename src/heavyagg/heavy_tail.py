@@ -37,7 +37,6 @@ __all__ = [
     "sample_stable",
     "hill_estimate",
     "sample_length_biased_pair",
-    "residual_survival",
 ]
 
 _KINDS = ("pareto-exact", "pareto-shifted", "user-mixture")
@@ -544,8 +543,3 @@ def sample_length_biased_pair(dist, rng: np.random.Generator, size=None):
     if size is None:
         return float(age), float(residual), float(total)
     return age, residual, total
-
-
-def residual_survival(dist, t):
-    """Survival function of the stationary excess (residual life) law of ``dist``."""
-    return dist.integrated_survival(t) / dist.mean()

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import integrate
 
 from . import numerics as nm
-from .heavy_tail import StableParams, sample_stable
+from .heavy_tail import StableParams, sample_stable, stable_params_from_tails
 
 __all__ = [
     "FbsSpec",
@@ -112,14 +112,8 @@ def sample_fbs_grid(spec: FbsSpec, x_grid, y_grid, rng: np.random.Generator, n_r
     independent Brownian increments between consecutive grid levels, so the
     product-covariance structure holds exactly on the grid.
     """
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    y = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    if x.size == 0 or y.size == 0:
-        raise ValueError("grids must be nonempty")
-    if np.any(x <= 0) or np.any(np.diff(x) <= 0):
-        raise ValueError("x_grid must be positive and strictly increasing")
-    if np.any(y <= 0) or np.any(np.diff(y) <= 0):
-        raise ValueError("y_grid must be positive and strictly increasing")
+    x = nm.strict_grid("x_grid", x_grid)
+    y = nm.strict_grid("y_grid", y_grid)
     reps = 1 if n_rep is None else int(n_rep)
     chol = _fbm_cholesky(spec.h1, x)
     dy = np.diff(y, prepend=0.0)
@@ -140,12 +134,8 @@ def sample_stable_sheet(params: StableParams, x_grid, y_grid, rng: np.random.Gen
     an implicit 0 line on each axis) are independent stable draws with scale
     multiplied by (cell area)^(1/alpha); the field is their cumulative 2-D sum.
     """
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    y = np.atleast_1d(np.asarray(y_grid, dtype=float))
-    if np.any(x <= 0) or np.any(np.diff(x) <= 0):
-        raise ValueError("x_grid must be positive and strictly increasing")
-    if np.any(y <= 0) or np.any(np.diff(y) <= 0):
-        raise ValueError("y_grid must be positive and strictly increasing")
+    x = nm.strict_grid("x_grid", x_grid)
+    y = nm.strict_grid("y_grid", y_grid)
     reps = 1 if n_rep is None else int(n_rep)
     dx = np.diff(x, prepend=0.0)
     dy = np.diff(y, prepend=0.0)
@@ -248,13 +238,17 @@ def _telecom_compensator(spec: TelecomSpec, x: np.ndarray, y_max: float) -> np.n
     return y_max * (main - a * c * corr)
 
 
+# Poisson points times x values per vectorised pass of sample_telecom; whole
+# replicates are batched up to this size
+TELECOM_CHUNK_POINTS = 4_000_000
+
+
 def sample_telecom(
     spec: TelecomSpec,
     x_grid,
     y_max: float,
     rng: np.random.Generator,
     n_rep: int | None = None,
-    chunk_points: int = 4_000_000,
 ):
     """Field values at (x, y_max) for every x in x_grid; shape (n_rep, n_x).
 
@@ -267,9 +261,7 @@ def sample_telecom(
     subtracted in closed form, so the output is exact apart from the
     documented eps- and padding-truncations.
     """
-    x = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if np.any(x <= 0) or np.any(np.diff(x) <= 0):
-        raise ValueError("x_grid must be positive and strictly increasing")
+    x = nm.strict_grid("x_grid", x_grid)
     if not y_max > 0:
         raise ValueError("y_max must be positive")
     reps = 1 if n_rep is None else int(n_rep)
@@ -300,7 +292,7 @@ def sample_telecom(
     while start < reps:
         stop = start
         total = 0
-        while stop < reps and (stop == start or (total + counts[stop]) * x.size <= chunk_points):
+        while stop < reps and (stop == start or (total + counts[stop]) * x.size <= TELECOM_CHUNK_POINTS):
             total += int(counts[stop])
             stop += 1
         n_pts = int(np.sum(counts[start:stop]))
@@ -496,12 +488,6 @@ class SsReport:
     flags: tuple
 
 
-def _stable_scale_oracle(alpha: float, c: float, x: float, theta: float) -> complex:
-    scale = c * alpha * math.gamma(2.0 - alpha) / (alpha * (alpha - 1.0))
-    ang = math.pi * alpha / 2.0
-    return scale * x * abs(theta) ** alpha * complex(math.cos(ang), -math.copysign(1.0, theta) * math.sin(ang))
-
-
 def asymptotic_ss_check(
     spec: TelecomSpec,
     direction: str,
@@ -525,11 +511,13 @@ def asymptotic_ss_check(
     a, c = spec.alpha, spec.c
     h1 = spec.hurst()
     var_limit = telecom_variance(a, c, 1.0, 1.0)
+    # one-sided stable law with the duration tail constant as its right tail
+    stable = stable_params_from_tails(a, c, 0.0)
 
     def oracle_logchf(theta: float) -> complex:
         if direction == "small":
             return complex(-0.5 * theta * theta * var_limit * x ** (2.0 * h1), 0.0)
-        return _stable_scale_oracle(a, c, x, theta)
+        return x * complex(stable.logchf(theta))
 
     exponent = -h1 if direction == "small" else -1.0 / a
     exact_dist = []

@@ -5,13 +5,27 @@ integrals against heavy-tailed Levy measures, where the integration weight
 amplifies the region of tiny z by many orders of magnitude.  Naive forms like
 ``cos(z) - 1`` round to zero there and bias the integral; these helpers stay
 accurate down to z = 0.
+
+``strict_grid`` is the one validator of time and coordinate grids.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["cos_minus_one", "sin_minus_z", "one_minus_cos_minus_half_sq", "psi"]
+import numpy as np
+
+__all__ = ["cos_minus_one", "sin_minus_z", "one_minus_cos_minus_half_sq", "psi", "strict_grid"]
+
+
+def strict_grid(name: str, grid) -> np.ndarray:
+    """``grid`` as a float array; raises unless it is a finite, positive,
+    strictly increasing, nonempty 1-d array (the message names ``name``)."""
+    arr = np.asarray(grid, dtype=float)
+    if (arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)) or arr[0] <= 0
+            or np.any(np.diff(arr) <= 0)):
+        raise ValueError(f"{name} must be a finite, positive, strictly increasing, nonempty 1-d array")
+    return arr
 
 
 def cos_minus_one(z: float) -> float:

@@ -87,25 +87,26 @@ class RewardLaw:
         u = rng.random(z.shape)
         return np.asarray(self.g(z, u), dtype=float)
 
+    def _u_average(self, z, power: int):
+        """E[g(z, U)^power] over U uniform on (0, 1), by 24-node Gauss-Legendre in u."""
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        u = 0.5 * (nodes + 1.0)
+        vals = np.array([np.asarray(self.g(z, np.full(z.shape, ui))) ** power for ui in u])
+        return 0.5 * np.tensordot(weights, vals, axes=1)
+
     def cond_mean(self, z):
         """E[W | Z = z], vectorized (Gauss-Legendre in u for coupled laws)."""
         z = np.asarray(z, dtype=float)
         if self.kind == "independent":
             return np.full(z.shape, self.dist.mean())
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        u = 0.5 * (nodes + 1.0)
-        vals = np.array([self.g(z, np.full(z.shape, ui)) for ui in u])
-        return 0.5 * np.tensordot(weights, vals, axes=1)
+        return self._u_average(z, 1)
 
     def cond_moment2(self, z):
         """E[W^2 | Z = z], vectorized."""
         z = np.asarray(z, dtype=float)
         if self.kind == "independent":
             return np.full(z.shape, self.dist.moment(2.0))
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        u = 0.5 * (nodes + 1.0)
-        vals = np.array([np.asarray(self.g(z, np.full(z.shape, ui))) ** 2 for ui in u])
-        return 0.5 * np.tensordot(weights, vals, axes=1)
+        return self._u_average(z, 2)
 
     def limit_expect(self, func) -> float:
         """E[func(W_infinity)] under the large-cycle limit law of the reward."""

@@ -9,10 +9,11 @@ per-family kernels of the pulses module, the same ones shot noise uses.
 
 Three groups of tools live here:
 
-* exact-in-law samplers: the windowed integral of the stationary source,
-  point evaluations of the state along a path, full-cycle masses and their
-  centered versions, and M/G/1 busy periods (cycle-length laws that are only
-  reachable by simulation);
+* exact-in-law samplers: the windowed integrals of the stationary source
+  (``integrated_path``) and its state along a path (``state_sample``), both
+  read off one block walk over the cycles of every lane; full-cycle masses
+  and their centered versions; and M/G/1 busy periods (cycle-length laws
+  that are only reachable by simulation);
 * a covariance decomposition Cov(t) = R(t) + h(t) on a uniform grid, where
   R keeps the within-pulse part (exact per family) and h carries the
   cycle-recurrence part through the renewal function of the cycle-length
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, signal
 
+from . import numerics as nm
 from . import pulses
 from .heavy_tail import RegVaryingDist
 from .heavy_tail import sample_length_biased_pair  # noqa: F401  (bench/layers.py traces this attribute)
@@ -44,7 +46,6 @@ __all__ = [
     "sample_busy_period",
     "cycle_sample",
     "tilde_mass_sample",
-    "integrated_sample",
     "integrated_path",
     "state_sample",
     "renewal_function",
@@ -219,26 +220,6 @@ def tilde_mass_sample(model: RegenModel, rng: np.random.Generator, size=None):
     return float(out[0]) if scalar else out
 
 
-def integrated_sample(
-    model: RegenModel,
-    T: float,
-    rng: np.random.Generator,
-    n_rep=None,
-    stationary: bool = True,
-):
-    """Exact draw(s) of the integral of the source over (0, T].
-
-    This is ``integrated_path`` with the single cut T.  ``stationary`` starts
-    inside a length-biased cycle at a uniform age; switching it off starts at
-    a renewal epoch.
-    """
-    if not T > 0:
-        raise ValueError("window length T must be positive")
-    scalar = n_rep is None
-    out = integrated_path(model, [T], rng, 1 if scalar else int(n_rep), stationary)[:, 0]
-    return float(out[0]) if scalar else out
-
-
 def _running_sum(start, steps):
     """start + cumulative sums of ``steps`` down axis 0.
 
@@ -249,6 +230,72 @@ def _running_sum(start, steps):
     np.add(start, steps[0], out=out[0])
     for row in range(1, steps.shape[0]):
         np.add(out[row - 1], steps[row], out=out[row])
+    return out
+
+
+def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator, n_lanes: int,
+                 stationary: bool, read) -> np.ndarray:
+    """Read every lane's covering cycle at every time; shape (n_lanes, times.size).
+
+    ``times`` are nondecreasing and nonnegative.  The cycle covering time t
+    is the one with start <= t < end, so a time equal to a cycle end belongs
+    to the next cycle.  ``read(m, z, lo, s, before)`` gets, per (lane, time),
+    the mark m and length z of the covering cycle, the cycle-local time lo
+    at which the lane entered it (the age for the stationary start, else 0),
+    the cycle-local time s of the point, and the integrated path at entry;
+    it returns the values to store.
+
+    Cycles are drawn in blocks.  Each pass gives every lane that has not yet
+    passed the last time K fresh cycles, with K sized from the expected
+    number still needed and capped at ``BLOCK_CELL_BUDGET`` // lanes (but at
+    least one).  Cumulative sums place the cycle ends and the integrated
+    path at them.  Cycles ending past the last time are discarded, which
+    leaves the law exact because fresh cycles are iid and independent of the
+    path so far.
+    """
+    kern = pulses.KERNELS[model.kind]
+    horizon = times[-1]
+    out = np.zeros((n_lanes, times.size))
+    # lane state: the end of the last placed cycle and the integrated path there
+    if stationary:
+        age, z, aux = kern.aged(model.pulse, rng, n_lanes)
+        end = z - age
+        mass = kern.mass(aux, age, z)
+        lane, j = np.nonzero(times < end[:, None])
+        out[lane, j] = read(aux[lane], z[lane], age[lane], times[j] + age[lane], 0.0)
+    else:
+        end = np.zeros(n_lanes)
+        mass = np.zeros(n_lanes)
+    next_time = np.append(times, np.inf)  # next_time[filled]: a lane's first unread time
+    filled = np.searchsorted(times, end)
+    active = np.flatnonzero(end <= horizon)
+    while active.size:
+        need = (horizon - end[active].min()) / model.mu
+        k = max(1, min(math.ceil(BLOCK_MARGIN * need), BLOCK_CELL_BUDGET // active.size))
+        z, aux = kern.fresh(model.pulse, rng, k * active.size)
+        # row i holds the i-th new cycle of every active lane
+        z, aux = z.reshape(k, active.size), aux.reshape(k, active.size)
+        ends = _running_sum(end[active], z)
+        masses = _running_sum(mass[active], kern.mass(aux, 0.0, z))
+        # only lanes whose block passes their first unread time have times to read
+        hit = np.flatnonzero(ends[-1] > next_time[filled[active]])
+        lanes = active[hit]
+        # cycle i of hit lane c covers the times with indices in [lo[i, c], hi[i, c])
+        hi = np.searchsorted(times, ends[:, hit])
+        lo = np.vstack((filled[lanes], hi[:-1]))
+        i, c = np.nonzero(hi > lo)
+        reps = hi[i, c] - lo[i, c]
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        i, c = np.repeat(i, reps), np.repeat(c, reps)
+        j = lo[i, c] + np.arange(first.size) - first
+        col = hit[c]
+        start = np.where(i > 0, ends[i - 1, col], end[lanes[c]])
+        before = np.where(i > 0, masses[i - 1, col], mass[lanes[c]])
+        out[lanes[c], j] = read(aux[i, col], z[i, col], 0.0, times[j] - start, before)
+        filled[lanes] = hi[-1]
+        end[active] = ends[-1]
+        mass[active] = masses[-1]
+        active = active[ends[-1] <= horizon]
     return out
 
 
@@ -265,65 +312,21 @@ def integrated_path(
     (cuts[j-1], cuts[j]] with the first window opening at 0.  Returns shape
     (n_lanes, len(cuts)).  All windows of a lane are slices of the same cycle
     sequence, so cumulative row sums form a consistent integrated path.
+    ``stationary`` starts inside a length-biased cycle at a uniform age;
+    switching it off starts at a renewal epoch.
 
-    Cycles are drawn in blocks.  Each pass gives every lane that has not yet
-    reached the last cut K fresh cycles, with K sized from the expected number
-    still needed and capped at ``BLOCK_CELL_BUDGET`` // lanes (but at least
-    one).  Cumulative sums place the cycle ends and the
-    full-cycle masses; the path at a cut is the mass of the cycles ending
-    before it plus the partial mass of the cycle that straddles it.  Cycles
-    ending past the last cut are discarded, which leaves the law exact because
-    fresh cycles are iid and independent of the path so far.
+    The path at a cut is the mass of the cycles ending before it plus the
+    partial mass of the cycle that covers it, read off the block cycle walk.
     """
-    cuts = np.asarray(cuts, dtype=float)
-    if (cuts.ndim != 1 or cuts.size == 0 or not np.all(np.isfinite(cuts)) or cuts[0] <= 0
-            or np.any(np.diff(cuts) <= 0)):
-        raise ValueError("cuts must be finite, positive and strictly increasing")
+    cuts = nm.strict_grid("cuts", cuts)
     if n_lanes < 1:
         raise ValueError("n_lanes must be at least 1")
-    kern = pulses.KERNELS[model.kind]
-    horizon = cuts[-1]
-    # lane state: the integrated path at every cut, the end of the last placed
-    # cycle and the integrated path at that end
-    if stationary:
-        age, z, aux = kern.aged(model.pulse, rng, n_lanes)
-        path = kern.mass(aux[:, None], age[:, None], np.minimum(age[:, None] + cuts, z[:, None]))
-        end = z - age
-        mass = kern.mass(aux, age, z)
-    else:
-        path = np.zeros((n_lanes, cuts.size))
-        end = np.zeros(n_lanes)
-        mass = np.zeros(n_lanes)
-    next_cut = np.append(cuts, np.inf)  # next_cut[filled]: a lane's first unfilled cut
-    filled = np.searchsorted(cuts, end, side="right")
-    active = np.flatnonzero(end < horizon)
-    while active.size:
-        need = (horizon - end[active].min()) / model.mu
-        k = max(1, min(math.ceil(BLOCK_MARGIN * need), BLOCK_CELL_BUDGET // active.size))
-        z, aux = kern.fresh(model.pulse, rng, k * active.size)
-        # row i holds the i-th new cycle of every active lane
-        z, aux = z.reshape(k, active.size), aux.reshape(k, active.size)
-        ends = _running_sum(end[active], z)
-        masses = _running_sum(mass[active], kern.mass(aux, 0.0, z))
-        # only lanes whose block reaches their first unfilled cut have cuts to fill
-        hit = np.flatnonzero(ends[-1] >= next_cut[filled[active]])
-        lanes = active[hit]
-        # cycle i of hit lane c straddles the cuts with indices in [lo[i, c], hi[i, c])
-        hi = np.searchsorted(cuts, ends[:, hit], side="right")
-        lo = np.vstack((filled[lanes], hi[:-1]))
-        i, c = np.nonzero(hi > lo)
-        reps = hi[i, c] - lo[i, c]
-        first = np.repeat(np.cumsum(reps) - reps, reps)
-        i, c = np.repeat(i, reps), np.repeat(c, reps)
-        j = lo[i, c] + np.arange(first.size) - first
-        col = hit[c]
-        start = np.where(i > 0, ends[i - 1, col], end[lanes[c]])
-        before = np.where(i > 0, masses[i - 1, col], mass[lanes[c]])
-        path[lanes[c], j] = before + kern.mass(aux[i, col], 0.0, np.minimum(cuts[j] - start, z[i, col]))
-        filled[lanes] = hi[-1]
-        end[active] = ends[-1]
-        mass[active] = masses[-1]
-        active = active[ends[-1] < horizon]
+    mass = pulses.KERNELS[model.kind].mass
+
+    def partial(m, z, lo, s, before):
+        return before + mass(m, lo, np.minimum(s, z))
+
+    path = _walk_cycles(model, cuts, rng, n_lanes, stationary, partial)
     return np.diff(path, axis=1, prepend=0.0)
 
 
@@ -333,30 +336,23 @@ def state_sample(model: RegenModel, times, rng: np.random.Generator, n_rep=None)
     ``times`` must be nondecreasing and nonnegative.  Returns shape
     (n_rep, len(times)), or (len(times),) for the default single replicate.
     Within a lane the values come from one consistent path, so lagged
-    products estimate the covariance function.
+    products estimate the covariance function.  The cycles are those of the
+    block cycle walk behind ``integrated_path``.
     """
     tq = np.asarray(times, dtype=float)
     if tq.ndim != 1 or tq.size == 0:
         raise ValueError("times must be a nonempty 1-d array")
-    if tq[0] < 0 or np.any(np.diff(tq) < 0):
-        raise ValueError("times must be nondecreasing and nonnegative")
-    scalar = n_rep is None
-    n = 1 if scalar else int(n_rep)
-    kern = pulses.KERNELS[model.kind]
-    age, z, aux = kern.aged(model.pulse, rng, n)
-    start = -age  # global time at which the covering cycle began
-    end = z - age
-    vals = np.zeros((n, tq.size))
-    for k, t in enumerate(tq):
-        lag = np.flatnonzero(end <= t)
-        while lag.size:
-            z_new, aux_new = kern.fresh(model.pulse, rng, lag.size)
-            start[lag] = end[lag]
-            end[lag] = end[lag] + z_new
-            aux[lag] = aux_new
-            lag = lag[end[lag] <= t]
-        vals[:, k] = kern.value(aux, t - start)
-    return vals[0] if scalar else vals
+    if not (np.all(np.isfinite(tq)) and tq[0] >= 0 and np.all(np.diff(tq) >= 0)):
+        raise ValueError("times must be finite, nondecreasing and nonnegative")
+    if n_rep is not None and n_rep < 1:
+        raise ValueError("n_rep must be at least 1")
+    value = pulses.KERNELS[model.kind].value
+
+    def point(m, z, lo, s, before):
+        return value(m, s)
+
+    vals = _walk_cycles(model, tq, rng, 1 if n_rep is None else int(n_rep), True, point)
+    return vals[0] if n_rep is None else vals
 
 
 # -- renewal function and covariance decomposition ----------------------------------

@@ -1,13 +1,17 @@
 """Poisson shot noise: stationary superposition of pulses at unit-rate arrivals.
 
 The input process is X(t) = sum_j W_j(t - T_j) over a stationary Poisson
-arrival stream.  The module draws exact-in-law samples of the windowed
-integrals int X(t) dt over consecutive windows: arrivals inside each window are
-a Poisson(rate * width) batch with uniform positions, and pulses already alive
-at the first window's start are a Poisson(rate * E[D]) batch whose
-(age, duration) pairs come from the exact length-biased device.  No
-truncation horizon is involved anywhere.  Pulses are drawn and integrated by
-the per-family kernels of the pulses module.
+arrival stream.  Its one path sampler, ``integrated_path_batch``, draws
+exact-in-law samples of the windowed integrals int X(t) dt over consecutive
+windows: arrivals inside each window are a Poisson(rate * width) batch with
+uniform positions, and pulses already alive at the first window's start are
+a Poisson(rate * E[D]) batch whose (age, duration) pairs come from the exact
+length-biased device.  No truncation horizon is involved anywhere.  Every
+pulse is evaluated only on the windows it touches; deterministic pulses
+through the per-family kernels of the pulses module, Brownian pulses through
+a Gaussian recursion that carries the path value from window to window.  A
+single window (0, T] is the one-cut path ``integrated_path_batch(src, [T],
+...)[:, 0]``.
 
 It also carries the family constants of the scaling table (the critical
 growth exponent gamma0, the exponents and tail constants that the regimes
@@ -32,8 +36,6 @@ from .regimes import RegimeSpec, build_regime
 
 __all__ = [
     "ShotNoiseSource",
-    "integrated_sample",
-    "integrated_sample_batch",
     "integrated_path_batch",
     "covariance_oracle",
     "integral_variance",
@@ -97,67 +99,45 @@ class ShotNoiseSource:
 # -- batched exact sampling ----------------------------------------------------------
 
 
-def integrated_sample_batch(src: ShotNoiseSource, T: float, rng: np.random.Generator, n_rep: int, origin: float = 0.0):
-    """n_rep independent stationary samples of int_origin^(origin+T) X(t) dt."""
-    if T <= 0:
-        raise ValueError("window length must be positive")
-    if origin == 0.0:
-        return integrated_path_batch(src, [T], rng, n_rep)[:, 0]
-    return integrated_path_batch(src, [origin, origin + T], rng, n_rep)[:, 1]
+def _brownian_cells(lo, hi, lo_more, hi_more, pulse, step, rng):
+    """Window integrals of Brownian pulses on their first and continuation cells.
 
-
-def integrated_sample(src: ShotNoiseSource, T: float, rng: np.random.Generator, origin: float = 0.0) -> float:
-    """One stationary sample of int_0^T X(t) dt (uncentered)."""
-    return float(integrated_sample_batch(src, T, rng, 1, origin=origin)[0])
-
-
-def _brownian_path_values(r, u, cuts, rng):
-    """Window increments (k, n_windows) of Brownian pulses of durations r anchored at times u.
-
-    Window j ends at global time cuts[j].  Brownian pulses carry state across
-    windows: the path value at each window boundary is drawn jointly with the
-    window integral, so one pulse's columns come from one consistent Brownian
-    path (anchoring at u < 0 reproduces the stationary age law).
+    Pulse i spans the pulse-local stretch (lo[i], hi[i]] of its first cell;
+    continuation cell c spans (lo_more[c], hi_more[c]] of pulse number pulse[c]
+    and is that pulse's step[c]-th cell after the first.  Given the path value
+    beta at the start of a stretch of length h, the integral over the stretch
+    and the value at its end are jointly Gaussian: beta * h + h^1.5 (z1 / 2 +
+    z2 / sqrt(12)) and beta + sqrt(h) z1.  One pair of normals per cell; the
+    value at a pulse's first start is N(0, lo), nonzero only for aged pulses,
+    and a segmented cumulative sum of the sqrt(h) z1 steps carries it over
+    the continuation cells.  Outside its support a pulse is zero, so cells it
+    does not touch need no draws.
     """
-    k = u.size
-    vals = np.zeros((k, cuts.size))
-    lo = np.clip(-u, 0.0, r)
-    beta = np.sqrt(lo) * rng.standard_normal(k)
-    for j in range(cuts.size):
-        hi = np.clip(cuts[j] - u, 0.0, r)
-        h = np.maximum(hi - lo, 0.0)
-        z1 = rng.standard_normal(k)
-        z2 = rng.standard_normal(k)
-        # conditional on the boundary value beta: the integral over the next
-        # stretch and the new boundary value are jointly Gaussian
-        vals[:, j] = beta * h + h**1.5 * (0.5 * z1 + z2 / math.sqrt(12.0))
-        beta = beta + np.sqrt(h) * z1
-        lo = hi
-    return vals
+    h = np.concatenate((hi - lo, hi_more - lo_more))
+    z1, z2 = rng.standard_normal((2, h.size))
+    rise = np.sqrt(h) * z1
+    beta = np.sqrt(lo) * rng.standard_normal(lo.size)
+    # value at the start of a continuation cell: the end of the first cell
+    # plus the rises of the pulse's earlier continuation cells
+    more_rise = rise[lo.size:]
+    before = np.cumsum(more_rise) - more_rise
+    seg_first = np.arange(step.size) - (step - 1)
+    beta = np.concatenate((beta, (beta + rise[:lo.size])[pulse] + before - before[seg_first]))
+    vals = beta * h + h**1.5 * (0.5 * z1 + z2 / math.sqrt(12.0))
+    return vals[:lo.size], vals[lo.size:]
 
 
-def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
-    """Add realized pulses' window increments into the flat (rep, window) array out.
+def _continuation_cells(d, a, b, cell, lows, cuts):
+    """The windows pulses touch after their first one, as flat cells.
 
-    Pulse i of one leaf family has duration d[i] and mark m[i]; it first
-    touches the window whose flat index (rep * n_windows + window) is
-    cell[i], and (a[i], b[i]] is that window in the pulse's local time.
-    Window j covers global time (lows[j], cuts[j]].  A deterministic pulse
-    is evaluated on its first window and, only when it outlives that window,
-    on each later window up to the one holding its end, so it costs
-    O(1 + windows touched).  Brownian pulses fill every window of their row.
+    Arguments as for ``_add_cells``.  Returns (pulse, step, lo, hi) with one
+    entry per continuation cell: the pulse's index, the cell's offset from
+    the pulse's first cell and the cell's window (lo, hi] in pulse-local time,
+    clipped to the support.  The cells of one pulse are consecutive and in
+    time order.
     """
     nx = cuts.size
-    if model.kind == "brownian":
-        first = cell % nx
-        vals = _brownian_path_values(d, lows[first] - a, cuts, rng)
-        out += np.bincount(((cell - first)[:, None] + np.arange(nx)).ravel(), vals.ravel(), out.size)
-        return
-    mass = pl.KERNELS[model.kind].mass
-    out += np.bincount(cell, mass(m, np.clip(a, 0.0, d), np.clip(b, 0.0, d)), out.size)
-    if nx == 1:
-        return
-    more = np.flatnonzero(d > b)
+    more = np.flatnonzero(d > b) if nx > 1 else np.empty(0, dtype=np.intp)
     first = cell[more] % nx
     u = lows[first] - a[more]
     # the window holding the pulse end is the count of cuts strictly before it
@@ -166,10 +146,31 @@ def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
     # continuation cells of one pulse are windows first + 1, ..., first + n_more
     step = 1 + np.arange(owner.size) - np.repeat(np.cumsum(n_more) - n_more, n_more)
     window = first[owner] + step
-    idx = more[owner]
-    u, d = u[owner], d[idx]
-    tail = mass(m[idx], np.clip(lows[window] - u, 0.0, d), np.clip(cuts[window] - u, 0.0, d))
-    out += np.bincount(cell[idx] + step, tail, out.size)
+    pulse = more[owner]
+    u, d = u[owner], d[pulse]
+    return pulse, step, np.clip(lows[window] - u, 0.0, d), np.clip(cuts[window] - u, 0.0, d)
+
+
+def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
+    """Add realized pulses' window increments into the flat (rep, window) array out.
+
+    Pulse i of one leaf family has duration d[i] and mark m[i]; it first
+    touches the window whose flat index (rep * n_windows + window) is
+    cell[i], and (a[i], b[i]] is that window in the pulse's local time.
+    Window j covers global time (lows[j], cuts[j]].  A pulse is evaluated on
+    its first window and, only when it outlives that window, on each later
+    window up to the one holding its end, so it costs O(1 + windows touched).
+    Only the per-cell evaluation depends on the family.
+    """
+    pulse, step, lo_more, hi_more = _continuation_cells(d, a, b, cell, lows, cuts)
+    lo, hi = np.clip(a, 0.0, d), np.clip(b, 0.0, d)
+    if model.kind == "brownian":
+        head, tail = _brownian_cells(lo, hi, lo_more, hi_more, pulse, step, rng)
+    else:
+        mass = pl.KERNELS[model.kind].mass
+        head, tail = mass(m, lo, hi), mass(m[pulse], lo_more, hi_more)
+    out += np.bincount(cell, head, out.size)
+    out += np.bincount(cell[pulse] + step, tail, out.size)
 
 
 def _leaf_groups(model, probs, rng, k):
@@ -202,21 +203,13 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     restricted to disjoint windows, and it tells each new pulse's first
     window without a search.  Pulses alive at time zero are a
     Poisson(rate * E D) batch with exact stationary (age, duration) pairs,
-    first touching window 0.  Deterministic pulses are evaluated only on the
+    first touching window 0.  Pulses are evaluated only on the
     windows they touch, and bincounts over flat (rep, window) indices sum
     the cells, so the cost is O(pulses + cells touched), not
-    O(pulses * n_windows).  Brownian pulses carry their path across every
-    window.
+    O(pulses * n_windows).  Brownian pulses go through the same cells and
+    carry their path value from one touched window to the next.
     """
-    cuts = np.asarray(cuts, dtype=float)
-    if (
-        cuts.ndim != 1
-        or cuts.size == 0
-        or not np.all(np.isfinite(cuts))
-        or cuts[0] <= 0
-        or np.any(np.diff(cuts) <= 0)
-    ):
-        raise ValueError("cuts must be finite, positive and strictly increasing")
+    cuts = nm.strict_grid("cuts", cuts)
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
     mean_d = src.mean_duration

@@ -1,11 +1,15 @@
-"""Module layout: no module of the package reaches into a sibling's private names.
+"""Module layout: private names stay private and public names resolve.
 
 Every module under ``src/heavyagg`` is parsed; importing an underscore-prefixed
 name from a sibling (``from .x import _name``) or reading one through a
-sibling module (``x._name``) fails the test.  Dunder names are public.
+sibling module (``x._name``) fails the test.  Dunder names are public.  Every
+``__all__`` entry must exist, and the benchmark's span tracer must still find
+every entry point it wraps.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heavyagg"
@@ -56,3 +60,23 @@ def test_checker_sees_both_forms(tmp_path):
         "from .shot_noise import _helper\nfrom . import pulses as pl\npl._kernel(1)\npl.__name__\n"
     )
     assert private_uses(src) == ["mod.py:1 imports _helper", "mod.py:3 reads pl._kernel"]
+
+
+def test_every_public_name_exists():
+    modules = [p.stem for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    missing = []
+    for name in modules:
+        module = importlib.import_module(f"heavyagg.{name}")
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, missing
+
+
+def test_benchmark_tracer_resolves_every_target():
+    # importing bench/layers.py looks up every (owner, attribute) it patches,
+    # so a renamed or deleted entry point fails here rather than in a traced run
+    path = PACKAGE.parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert len(layers.ORIGINALS) == len(layers.TARGETS) > 0
+    assert layers.patched_targets() == []

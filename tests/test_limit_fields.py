@@ -32,15 +32,33 @@ def test_fbs_spec_validation():
         lf.FbsSpec(h1=0.5, c_w=-1.0)
 
 
+# every grid a limit sampler must refuse: a zero, a tie, a decrease, NaN,
+# infinity, empty, 2-d
+BAD_GRIDS = ([0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [math.nan], [1.0, math.nan], [1.0, math.inf], [],
+             [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_fbs_grid_rejects_bad_grids():
     spec = lf.FbsSpec(h1=0.7)
     rng = rng_for("fbs-bad")
-    with pytest.raises(ValueError):
-        lf.sample_fbs_grid(spec, [0.0, 1.0], [1.0], rng)
-    with pytest.raises(ValueError):
-        lf.sample_fbs_grid(spec, [1.0, 1.0], [1.0], rng)
-    with pytest.raises(ValueError):
-        lf.sample_fbs_grid(spec, [1.0], [2.0, 1.0], rng)
+    for grid in BAD_GRIDS:
+        with pytest.raises(ValueError, match="x_grid"):
+            lf.sample_fbs_grid(spec, grid, [1.0], rng)
+        with pytest.raises(ValueError, match="y_grid"):
+            lf.sample_fbs_grid(spec, [1.0], grid, rng)
+
+
+def test_stable_sheet_and_telecom_reject_bad_grids():
+    params = StableParams(1.5, 1.0, 0.0)
+    spec = lf.TelecomSpec(alpha=1.5)
+    rng = rng_for("grid-bad")
+    for grid in BAD_GRIDS:
+        with pytest.raises(ValueError, match="x_grid"):
+            lf.sample_stable_sheet(params, grid, [1.0], rng)
+        with pytest.raises(ValueError, match="y_grid"):
+            lf.sample_stable_sheet(params, [1.0], grid, rng)
+        with pytest.raises(ValueError, match="x_grid"):
+            lf.sample_telecom(spec, grid, 1.0, rng)
 
 
 def test_fbs_covariance_closed_form_anchor():

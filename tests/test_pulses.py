@@ -3,7 +3,7 @@
 The kernel table is checked against window closed forms, additivity, total
 masses and the quadrature of its own point values; its samplers against the
 aged-pulse and length-biased laws; Brownian pulses through the shot-noise
-path recursion, for exact-law marginals; and the moment kernels against
+touched-cell sampler, for exact-law marginals; and the moment kernels against
 brute-force quadrature and Monte Carlo over kernel draws.
 """
 
@@ -161,11 +161,25 @@ def test_mean_mass_matches_sampled_masses():
 # -- Brownian pulses ------------------------------------------------------------------
 
 
+def brownian_windows(d, cuts, rng):
+    """Window integrals (n, n_windows) of Brownian pulses of durations d started at 0.
+
+    One pulse per row, through the touched-cell sampler of the shot-noise path.
+    """
+    n, nx = d.size, cuts.size
+    out = np.zeros(n * nx)
+    lows = np.concatenate(([0.0], cuts[:-1]))
+    cell = np.arange(n) * nx
+    shot_noise._add_cells(out, pulses.BrownianPulse(pareto(3.5)), d, None, np.zeros(n), np.full(n, cuts[0]),
+                          cell, lows, cuts, rng)
+    return out.reshape(n, nx)
+
+
 def test_brownian_integral_marginal_law():
     # integral of B over [0, t] is N(0, t^3/3); the windows share one path
     n = 40_000
     rng = rng_for("pl/bm-marginal")
-    vals = shot_noise._brownian_path_values(np.full(n, np.inf), np.zeros(n), np.array([0.5, 1.2, 2.0]), rng)
+    vals = brownian_windows(np.full(n, np.inf), np.array([0.5, 1.2, 2.0]), rng)
     assert stats.kstest(vals[:, 0] / math.sqrt(0.5**3 / 3.0), "norm").pvalue > 0.01
     assert stats.kstest(vals.sum(axis=1) / math.sqrt(8.0 / 3.0), "norm").pvalue > 0.01
 
@@ -178,7 +192,7 @@ def test_brownian_mass_in_law():
     d, m = K["brownian"].fresh(model, rng, n)
     assert m is None
     cuts = np.array([1.0, 2.0, 4.0, 2.0 * d.max()])
-    total = shot_noise._brownian_path_values(d, np.zeros(n), cuts, rng).sum(axis=1)
+    total = brownian_windows(d, cuts, rng).sum(axis=1)
     assert stats.kstest(total / np.sqrt(d**3 / 3.0), "norm").pvalue > 0.01
 
 
@@ -250,7 +264,7 @@ def test_workload_kernel_requires_finite_second_moment():
 def test_aged_pulse_age_law():
     model = pulses.RectIndep(ht.DegenerateDist(1.0), pareto())
     ages = K["rect-indep"].aged(model, rng_for("pl/age"), 50_000)[0]
-    cdf = lambda t: 1.0 - ht.residual_survival(pareto(), t)
+    cdf = lambda t: 1.0 - pareto().integrated_survival(t) / pareto().mean()
     assert stats.kstest(ages, cdf).pvalue > 0.01
 
 

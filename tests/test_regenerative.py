@@ -6,7 +6,8 @@ Cov = R + h with its renewal-function solver, and the scaling table.  Grid
 numerics are checked against closed forms (exponential and uniform cycle
 laws, the on-off and renewal-reward worked examples); the samplers are
 checked against the grids by Monte Carlo with 4-sigma bands, and the block
-path sampler against a reference wave sampler by two-sample KS tests.
+cycle walk behind both path samplers against reference wave loops by
+two-sample KS tests.
 """
 
 import math
@@ -171,7 +172,7 @@ def test_tilde_mass_tail_routes_exp_damped():
 
 def test_integrated_sample_mean_and_variance():
     model = onoff_model()
-    draws = rg.integrated_sample(model, 5.0, rng_for("rg/integrated"), n_rep=60000)
+    draws = rg.integrated_path(model, [5.0], rng_for("rg/integrated"), 60000)[:, 0]
     assert np.all((draws >= 0.0) & (draws <= 5.0 + 1e-9))
     sem = draws.std(ddof=1) / math.sqrt(draws.size)
     assert draws.mean() == pytest.approx(3.75, abs=4 * sem)
@@ -187,19 +188,22 @@ def test_integrated_sample_mean_and_variance():
 def test_integrated_sample_validation_and_flags():
     model = onoff_model()
     with pytest.raises(ValueError):
-        rg.integrated_sample(model, 0.0, rng_for("rg/int-bad"))
-    one = rg.integrated_sample(model, 2.0, rng_for("rg/int-scalar"))
-    assert isinstance(one, float) and 0.0 <= one <= 2.0
-    fresh = rg.integrated_sample(model, 2.0, rng_for("rg/int-fresh"), n_rep=200, stationary=False)
-    assert fresh.shape == (200,)
+        rg.integrated_path(model, [0.0], rng_for("rg/int-bad"), 1)
+    one = rg.integrated_path(model, [2.0], rng_for("rg/int-scalar"), 1)
+    assert one.shape == (1, 1) and 0.0 <= one[0, 0] <= 2.0
+    fresh = rg.integrated_path(model, [2.0], rng_for("rg/int-fresh"), 200, stationary=False)
+    assert fresh.shape == (200, 1) and np.all((fresh >= 0.0) & (fresh <= 2.0))
 
 
 def test_state_sample_validation():
     model = onoff_model()
     rng = rng_for("rg/state-bad")
-    for times in ([], [[0.0, 1.0]], [-1.0, 0.0], [2.0, 1.0]):
+    for times in ([], [[0.0, 1.0]], [-1.0, 0.0], [2.0, 1.0], [0.0, np.inf], [np.nan]):
         with pytest.raises(ValueError):
             rg.state_sample(model, times, rng)
+    for n_rep in (0, -3):
+        with pytest.raises(ValueError, match="n_rep"):
+            rg.state_sample(model, [0.0, 1.0], rng, n_rep)
 
 
 def test_state_sample_stationary_mean_flat():
@@ -593,6 +597,56 @@ def test_path_forced_multi_pass_matches_wave_sampler_in_law(family, stationary, 
     _assert_block_matches_waves(family, stationary, f"path-passes/{family}/{stationary}", 1, 6000)
 
 
+def _wave_states(model, times, rng, n_rep):
+    """Reference sampler: the per-cycle wave loop that the block walk replaced.
+
+    Time by time, every lane whose covering cycle ended at or before the
+    time draws its next cycle per pass.
+    """
+    kern = pulses.KERNELS[model.kind]
+    age, z, aux = kern.aged(model.pulse, rng, n_rep)
+    start = -age  # global time at which the covering cycle began
+    end = z - age
+    vals = np.zeros((n_rep, len(times)))
+    for k, t in enumerate(times):
+        lag = np.flatnonzero(end <= t)
+        while lag.size:
+            z_new, aux_new = kern.fresh(model.pulse, rng, lag.size)
+            start[lag] = end[lag]
+            end[lag] = end[lag] + z_new
+            aux[lag] = aux_new
+            lag = lag[end[lag] <= t]
+        vals[:, k] = kern.value(aux, t - start)
+    return vals
+
+
+# repeated times and times at 0; the last time spans several mean cycles
+STATE_TIMES = [0.0, 0.0, 0.3, 2.5, 2.5, 6.0, 15.0]
+
+
+@pytest.mark.parametrize("budget", [None, 3], ids=["default-budget", "budget-3"])
+@pytest.mark.parametrize("family", sorted(PATH_MODELS))
+def test_state_block_walk_matches_wave_loop_in_law(family, budget, monkeypatch):
+    # the default budget with 1000 lanes per call gives blocks of many cycles;
+    # a budget of 3 cells leaves one cycle per lane and pass
+    calls, lanes = (12, 1000) if budget is None else (1, 6000)
+    if budget is not None:
+        monkeypatch.setattr(rg, "BLOCK_CELL_BUDGET", budget)
+    model = PATH_MODELS[family]()
+    tag = f"state-law/{family}/{budget}"
+    walk = np.concatenate([rg.state_sample(model, STATE_TIMES, rng_for(tag, c), lanes) for c in range(calls)])
+    wave = _wave_states(model, STATE_TIMES, rng_for(tag + "/wave"), calls * lanes)
+    assert walk.shape == wave.shape
+    # a repeated time reads the same cycle at the same local time
+    assert np.array_equal(walk[:, 0], walk[:, 1]) and np.array_equal(walk[:, 3], walk[:, 4])
+    pairs = [(walk[:, j], wave[:, j]) for j in (0, 2, 3, 5, 6)]
+    # the row sum tests the joint law of one lane's path
+    pairs.append((walk.sum(axis=1), wave.sum(axis=1)))
+    for a, b in pairs:
+        res = sp_stats.ks_2samp(np.round(a, 9), np.round(b, 9))
+        assert res.pvalue > 1e-3, (family, budget, res)
+
+
 def test_path_windows_tile_the_covariance():
     # empirical covariance of two separated windows against the quadrature grid
     model = onoff_model()
@@ -625,8 +679,19 @@ def test_path_row_sums_match_integrated_law():
     model = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(2.5, 1.0), uniform_reward()))
     n = 80_000
     tot = rg.integrated_path(model, [1.0, 3.0], rng_for("path-ks"), n).sum(axis=1)
-    one = rg.integrated_sample(model, 3.0, rng_for("path-ks-one"), n_rep=n)
+    one = rg.integrated_path(model, [3.0], rng_for("path-ks-one"), n)[:, 0]
     assert sp_stats.ks_2samp(tot, one).pvalue > 0.01
+
+
+def test_path_cut_at_a_cycle_end(monkeypatch):
+    # unit on and off legs from a renewal epoch: cycles end at exactly 2, 4
+    # and 6, so every cut but 1.5 sits on a cycle end, where the ending and
+    # the starting cycle give the same path; with no block margin the first
+    # block ends exactly at the last cut, which is then read in a second pass
+    monkeypatch.setattr(rg, "BLOCK_MARGIN", 1.0)
+    model = rg.RegenModel(pulses.OnOff(ht.DegenerateDist(1.0), ht.DegenerateDist(1.0)))
+    got = rg.integrated_path(model, [1.5, 2.0, 4.0, 6.0], rng_for("path-tie"), 3, stationary=False)
+    np.testing.assert_array_equal(got, [[1.0, 0.0, 1.0, 1.0]] * 3)
 
 
 def test_path_validation():

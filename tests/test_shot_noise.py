@@ -57,8 +57,8 @@ def test_square_integrability_windows_enforced():
 def test_null_pulse_integrates_to_zero():
     src = sn.ShotNoiseSource(pl.RectIndep(A=ht.DegenerateDist(0.0), R=ht.RegVaryingDist(1.5, 1.0)))
     rng = rng_for("null")
-    assert sn.integrated_sample(src, 5.0, rng) == 0.0
-    assert np.all(sn.integrated_sample_batch(src, 5.0, rng, 50) == 0.0)
+    assert np.all(sn.integrated_path_batch(src, [5.0], rng, 1) == 0.0)
+    assert np.all(sn.integrated_path_batch(src, [1.0, 5.0], rng, 50) == 0.0)
 
 
 # -- mean and variance against closed forms ----------------------------------------
@@ -68,20 +68,20 @@ def test_mean_matches_t_times_level():
     # E R = 3 for a unit-scale tail-1.5 duration, so the T=10 window integrates to 30.
     src = rect_unit_source()
     assert src.mean_level() == pytest.approx(3.0)
-    vals = sn.integrated_sample_batch(src, 10.0, rng_for("mean"), 100_000)
+    vals = sn.integrated_path_batch(src, [10.0], rng_for("mean"), 100_000)[:, 0]
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - 30.0) <= 3.0 * se
 
 
 def test_exp_damped_mean_level():
     src = exp_damped_source()
-    vals = sn.integrated_sample_batch(src, 20.0, rng_for("mean-exp"), 30_000)
+    vals = sn.integrated_path_batch(src, [20.0], rng_for("mean-exp"), 30_000)[:, 0]
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - 20.0 * src.mean_level()) <= 3.5 * se
 
 
 def _variance_check(src, T, n, tag):
-    vals = sn.integrated_sample_batch(src, T, rng_for(tag), n)
+    vals = sn.integrated_path_batch(src, [T], rng_for(tag), n)[:, 0]
     s2 = vals.var(ddof=1)
     centered = vals - vals.mean()
     se_var = math.sqrt((np.mean(centered**4) - s2**2) / n)
@@ -264,8 +264,8 @@ def test_regime_window_rejections():
 
 def test_retiming_leaves_law_unchanged():
     src = rect_unit_source()
-    a = sn.integrated_sample_batch(src, 4.0, rng_for("shift-a"), 10_000)
-    b = sn.integrated_sample_batch(src, 4.0, rng_for("shift-b"), 10_000, origin=3.0)
+    a = sn.integrated_path_batch(src, [4.0], rng_for("shift-a"), 10_000)[:, 0]
+    b = sn.integrated_path_batch(src, [3.0, 7.0], rng_for("shift-b"), 10_000)[:, 1]
     assert stats.ks_2samp(a, b).pvalue > 0.01
     se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(a.size)
     assert abs(a.mean() - b.mean()) <= 3.5 * se
@@ -273,8 +273,8 @@ def test_retiming_leaves_law_unchanged():
 
 def test_retiming_brownian_pulse():
     src = sn.ShotNoiseSource(pl.BrownianPulse(R=ht.RegVaryingDist(2.5, 1.0)))
-    a = sn.integrated_sample_batch(src, 4.0, rng_for("shift-bm-a"), 8_000)
-    b = sn.integrated_sample_batch(src, 4.0, rng_for("shift-bm-b"), 8_000, origin=2.5)
+    a = sn.integrated_path_batch(src, [4.0], rng_for("shift-bm-a"), 8_000)[:, 0]
+    b = sn.integrated_path_batch(src, [2.5, 6.5], rng_for("shift-bm-b"), 8_000)[:, 1]
     assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
@@ -286,10 +286,9 @@ def test_superposition_of_two_half_rate_sources():
     half2 = sn.ShotNoiseSource(p2, rate=0.5)
 
     n, T = 1_000_000, 2.0
-    a = sn.integrated_sample_batch(mix, T, rng_for("super-mix"), n)
-    b = sn.integrated_sample_batch(half1, T, rng_for("super-1"), n) + sn.integrated_sample_batch(
-        half2, T, rng_for("super-2"), n
-    )
+    a = sn.integrated_path_batch(mix, [T], rng_for("super-mix"), n)[:, 0]
+    b = (sn.integrated_path_batch(half1, [T], rng_for("super-1"), n)[:, 0]
+         + sn.integrated_path_batch(half2, [T], rng_for("super-2"), n)[:, 0])
     for theta in (0.25, 0.5, 1.0, 2.0, 4.0):
         ea, eb = np.exp(1j * theta * a), np.exp(1j * theta * b)
         diff = ea.mean() - eb.mean()
@@ -483,11 +482,35 @@ def _window_mass(leaf, d, m, a, b):
     return pl.KERNELS[leaf.kind].mass(m, np.clip(a, 0.0, d), np.clip(b, 0.0, d))
 
 
+def _dense_brownian_windows(r, u, cuts, rng):
+    """Window increments (k, n_windows) of Brownian pulses of durations r anchored at times u.
+
+    Window j ends at global time cuts[j].  The path value at each window
+    boundary is drawn jointly with the window integral, on every window of
+    every pulse, so one pulse's columns come from one consistent Brownian
+    path (anchoring at u < 0 reproduces the stationary age law).
+    """
+    k = u.size
+    vals = np.zeros((k, cuts.size))
+    lo = np.clip(-u, 0.0, r)
+    beta = np.sqrt(lo) * rng.standard_normal(k)
+    for j in range(cuts.size):
+        hi = np.clip(cuts[j] - u, 0.0, r)
+        h = np.maximum(hi - lo, 0.0)
+        z1 = rng.standard_normal(k)
+        z2 = rng.standard_normal(k)
+        vals[:, j] = beta * h + h**1.5 * (0.5 * z1 + z2 / math.sqrt(12.0))
+        beta = beta + np.sqrt(h) * z1
+        lo = hi
+    return vals
+
+
 def _loop_path(src, cuts, rng, n_rep):
-    """Reference sampler: the per-window loop kernel that the touched-cell kernel replaced.
+    """Reference sampler: the dense per-window loop kernel.
 
     Arrivals are uniform on (0, c_n], every pulse is evaluated on every window
-    and each window is summed by its own bincount.
+    (Brownian pulses draw their path on every window too) and each window is
+    summed by its own bincount.
     """
     cuts = np.asarray(cuts, dtype=float)
     lows = np.concatenate(([0.0], cuts[:-1]))
@@ -499,7 +522,7 @@ def _loop_path(src, cuts, rng, n_rep):
 
     def add(leaf, rep, u, d, m):
         if leaf.kind == "brownian":
-            vals = sn._brownian_path_values(d, u, cuts, rng)
+            vals = _dense_brownian_windows(d, u, cuts, rng)
         else:
             vals = np.column_stack([_window_mass(leaf, d, m, lo - u, hi - u) for lo, hi in zip(lows, cuts)])
         for j in range(cuts.size):
@@ -604,7 +627,7 @@ def test_path_brownian_total_matches_single_window_in_law():
     src = sn.ShotNoiseSource(pl.BrownianPulse(R=ht.RegVaryingDist(2.5, 1.0)))
     n = 120_000
     tot = sn.integrated_path_batch(src, [0.7, 1.9, 2.5, 4.0], rng_for("path-bm"), n).sum(axis=1)
-    one = sn.integrated_sample_batch(src, 4.0, rng_for("path-bm-one"), n)
+    one = sn.integrated_path_batch(src, [4.0], rng_for("path-bm-one"), n)[:, 0]
     assert stats.ks_2samp(tot, one).pvalue > 0.01
 
 
