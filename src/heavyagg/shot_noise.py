@@ -160,16 +160,22 @@ def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
     Window j covers global time (lows[j], cuts[j]].  A pulse is evaluated on
     its first window and, only when it outlives that window, on each later
     window up to the one holding its end, so it costs O(1 + windows touched).
-    Only the per-cell evaluation depends on the family.
+    Only the per-cell evaluation depends on the family.  Deterministic
+    families add and free their first-cell masses before the continuation
+    cells are built, which keeps the two sets of arrays from being alive at
+    once; Brownian pulses need both together for their path values.
     """
-    pulse, step, lo_more, hi_more = _continuation_cells(d, a, b, cell, lows, cuts)
     lo, hi = np.clip(a, 0.0, d), np.clip(b, 0.0, d)
     if model.kind == "brownian":
+        pulse, step, lo_more, hi_more = _continuation_cells(d, a, b, cell, lows, cuts)
         head, tail = _brownian_cells(lo, hi, lo_more, hi_more, pulse, step, rng)
+        out += np.bincount(cell, head, out.size)
     else:
         mass = pl.KERNELS[model.kind].mass
-        head, tail = mass(m, lo, hi), mass(m[pulse], lo_more, hi_more)
-    out += np.bincount(cell, head, out.size)
+        out += np.bincount(cell, mass(m, lo, hi), out.size)
+        del lo, hi
+        pulse, step, lo_more, hi_more = _continuation_cells(d, a, b, cell, lows, cuts)
+        tail = mass(m[pulse], lo_more, hi_more)
     out += np.bincount(cell[pulse] + step, tail, out.size)
 
 
@@ -377,9 +383,14 @@ def intermediate_logchf(model, theta: float, x: float, y: float = 1.0) -> comple
     """log E exp(i theta V(x, y)) for the critical-regime limit of a shot-noise family.
 
     The limit field is a compensated Poisson integral over pulses scattered in
-    (arrival, vertical) coordinates with the duration-tail Levy measure; the
-    quadrature reduces the arrival coordinate to closed form for rectangular
-    families and keeps it numeric otherwise.
+    (arrival, vertical) coordinates with the duration-tail Levy measure.
+    Rectangular families take the arrival coordinate in closed form and the
+    duration by adaptive quadrature; Brownian pulses nest adaptive quadrature
+    over arrival inside duration.  Exp-damped pulses run one fixed
+    tensor-product rule over damping rate, duration and arrival (see
+    ``_exp_damped_rule``) at ``EXP_DAMPED_NODES`` and at twice every order,
+    and raise RuntimeError when the two differ by more than
+    ``EXP_DAMPED_RTOL`` relative.
     """
     kind = model.kind
     theta = float(theta)
@@ -454,33 +465,79 @@ def intermediate_logchf(model, theta: float, x: float, y: float = 1.0) -> comple
         return y * duration_quad(inner, x)
 
     if kind == "exp-damped":
-        kappa = model.A.kappa
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        v_nodes = 0.5 * (nodes + 1.0)
-        a_nodes = v_nodes ** (1.0 / kappa) * model.A.upper  # inverse-CDF transform
-        a_weights = 0.5 * weights
-
-        def mass(a, u, r):
-            lo = max(0.0, -u)
-            hi = min(r, x - u)
-            if hi <= lo:
-                return 0.0
-            return math.exp(-a * lo) * (-math.expm1(-a * (hi - lo))) / a
-
-        def inner(r):
-            acc = 0.0 + 0.0j
-            for a, w in zip(a_nodes, a_weights):
-                lo_u = max(-r, -60.0 / a)  # mass decays like e^{a u} for u < 0
-                kinks = [p for p in (0.0, x - r) if lo_u < p < x]
-                val_re, _ = integrate.quad(
-                    lambda u: nm.cos_minus_one(theta * mass(a, u, r)), lo_u, x, points=kinks, limit=60
-                )
-                val_im, _ = integrate.quad(
-                    lambda u: nm.sin_minus_z(theta * mass(a, u, r)), lo_u, x, points=kinks, limit=60
-                )
-                acc += w * complex(val_re, val_im)
-            return acc
-
-        return y * duration_quad(inner, x)
+        value, err = _exp_damped_logchf(model, theta, x)
+        if not err <= EXP_DAMPED_RTOL * abs(value):
+            raise RuntimeError(f"exp-damped chf rule did not converge (error bound {err:.2e} for {value:.6e})")
+        return y * value
 
     raise ValueError(f"no intermediate-limit oracle for family {kind!r}")
+
+
+# Orders of the exp-damped chf rule on its four axes: damping rate, duration
+# head, duration tail (tanh-sinh half-width) and arrival.  The error estimate
+# compares the rule with the one of twice every order.  At rho=1.2,
+# kappa=0.5, x=1, theta=0.8 the pair differs by 2e-7 relative, the finer
+# rule is within 2e-10 of the converged value, and both take 0.09 s.
+EXP_DAMPED_NODES = (32, 24, 48, 16)
+EXP_DAMPED_RTOL = 1e-5
+# v = w**3 in the damping-rate axis: the duration tail leaves a
+# v**((rho-1)/kappa) corner at v = 0 that stalls plain Gauss-Legendre in v
+EXP_DAMPED_GRADING = 3
+
+
+def _exp_damped_rule(model, theta: float, x: float, orders) -> complex:
+    """One tensor-product rule for log E exp(i theta V(x, 1)) with exp-damped pulses.
+
+    The damping rate is a = upper * v**(1/kappa) with v uniform, graded as
+    v = z**EXP_DAMPED_GRADING and Gauss-Legendre in z.  Durations r < x run
+    in q with r = q**(2/(2 - rho)), which flattens the r**(1-rho) head;
+    durations r > x run in s with r = x * s**(-1/rho), which makes the Levy
+    weight uniform, on the tanh-sinh rule.  For each (a, r) the arrival
+    integral splits where the window (lo, hi] of the pulse changes form:
+    pulses starting before 0 and ending inside the window, pulses starting
+    inside it (both of length min(r, x), Gauss-Legendre), and the middle
+    stretch: length x - r with a constant mass when r <= x, else the pulses
+    covering the whole window, run in e = exp(a u) because their mass decays
+    like exp(a u) over a stretch of length r - x.
+    """
+    n_v, n_head, n_tail, n_u = orders
+    rho, c_rho = model.R.alpha, model.R.tail_constant()
+    grade = EXP_DAMPED_GRADING
+
+    z, wz = nm.gauss_legendre_panels((0.0, 1.0), n_v)
+    a = model.A.upper * z[0] ** (grade / model.A.kappa)
+    wa = wz[0] * grade * z[0] ** (grade - 1)
+
+    n_sub = 2.0 / (2.0 - rho)
+    q, wq = nm.gauss_legendre_panels((0.0, x ** (1.0 / n_sub)), n_head)
+    r_in = q[0] ** n_sub
+    w_in = wq[0] * n_sub * q[0] ** (n_sub - 1.0) * rho * c_rho * r_in ** (-1.0 - rho)
+    s, ws = nm.tanh_sinh_unit(n_tail)
+    r_out = x * s ** (-1.0 / rho)
+    r = np.concatenate((r_in, r_out))
+
+    t, wt = nm.gauss_legendre_panels((0.0, 1.0), n_u)
+    t, wt = t[0], wt[0]
+    aa, rr = a[:, None, None], r[None, :, None]
+    span = np.minimum(rr, x)
+    ends = nm.psi_array(theta * np.exp(-aa * rr) * np.expm1(aa * span * t) / aa)
+    ends += nm.psi_array(-theta * np.expm1(-aa * span * t) / aa)
+    g = span[:, :, 0] * (ends @ wt)
+
+    ac = a[:, None]
+    g[:, :r_in.size] += (x - r_in) * nm.psi_array(-theta * np.expm1(-ac * r_in) / ac)
+    width = -np.expm1(-aa * (r_out[None, :, None] - x))  # the e-range is (1 - width, 1)
+    e = 1.0 - width * (1.0 - t)
+    covering = nm.psi_array(-theta * np.expm1(-aa * x) / aa * e) / (aa * e)
+    g[:, r_in.size:] += width[:, :, 0] * (covering @ wt)
+    return complex(wa @ g @ np.concatenate((w_in, ws * c_rho * x**-rho)))
+
+
+def _exp_damped_logchf(model, theta: float, x: float, orders=EXP_DAMPED_NODES) -> tuple[complex, float]:
+    """(value, err) of the exp-damped chf at y = 1.
+
+    The value is the rule at twice every order in ``orders``; err is its
+    distance to the rule at ``orders``.
+    """
+    fine = _exp_damped_rule(model, theta, x, tuple(2 * n for n in orders))
+    return fine, abs(fine - _exp_damped_rule(model, theta, x, orders))

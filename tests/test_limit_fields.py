@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +409,96 @@ def test_kappa_field_mixed_sign_conjugate_symmetry():
     b = lf.intermediate_kappa_field_chf([-0.9, 1.4], pts, 1.7, 1.3, 0.8)
     assert a == pytest.approx(b.conjugate(), rel=1e-9)
     assert a.real < 0.0
+
+
+def _nested_quad_kappa(theta_vec, points, kappa, rho, c_nu):
+    """Independent route to the kappa-field log ch.f.: adaptive quad over arrivals
+    inside adaptive quad over durations, the head in q with r = q**(2/(kappa-rho))."""
+    d_plus = c_nu * math.gamma(2.0 - kappa) / ((kappa - 1.0) * kappa) * cmath.exp(-1j * math.pi * kappa / 2.0)
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    thetas = np.asarray(theta_vec, dtype=float)
+    segments, prev = [], 0.0
+    for b in np.unique(ys):
+        segments.append((b - prev, thetas[ys >= b], xs[ys >= b]))
+        prev = b
+    x_max = float(np.max(xs))
+
+    def g_of_r(r, part):
+        kinks = sorted({k for xj in xs for k in (0.0, xj, xj - r) if -r < k < x_max})
+
+        def f(u):
+            total = 0j
+            for height, th, xv in segments:
+                s = sum(t * max(0.0, min(xj, u + r) - max(u, 0.0)) for t, xj in zip(th, xv))
+                total += height * abs(s) ** kappa * (d_plus if s > 0 else d_plus.conjugate())
+            return total.real if part == "re" else total.imag
+
+        return integrate.quad(f, -r, x_max, points=kinks, limit=200)[0]
+
+    m = 2.0 / (kappa - rho)
+    q_kinks = sorted({float(xj) ** (1.0 / m) for xj in xs if xj < x_max}) or None
+
+    def component(part):
+        head = integrate.quad(lambda q: m * q ** (-m * rho - 1.0) * g_of_r(q**m, part),
+                              0.0, x_max ** (1.0 / m), points=q_kinks, limit=100)[0]
+        tail = integrate.quad(lambda r: g_of_r(r, part) * r ** (-1.0 - rho), x_max, np.inf, limit=100)[0]
+        return head + tail
+
+    return complex(component("re"), component("im"))
+
+
+def _kappa_single_point(theta, x, y, kappa, rho, c_nu):
+    """Closed form of the one-point kappa field."""
+    d_plus = c_nu * math.gamma(2.0 - kappa) / ((kappa - 1.0) * kappa) * cmath.exp(-1j * math.pi * kappa / 2.0)
+    shape = x ** (kappa + 1.0 - rho) * (
+        2.0 / ((kappa + 1.0) * (kappa + 1.0 - rho))
+        + 1.0 / (kappa - rho)
+        - 1.0 / (kappa + 1.0 - rho)
+        + 2.0 / ((kappa + 1.0) * rho)
+        + 1.0 / (rho - 1.0)
+        - 1.0 / rho
+    )
+    base = y * abs(theta) ** kappa * shape
+    return base * d_plus if theta > 0 else base * d_plus.conjugate()
+
+
+def test_kappa_field_matches_nested_quadrature_mixed_sign():
+    case = ([1.2, -0.7], [(0.5, 1.0), (1.0, 0.5)], 1.8, 1.4, 1.0)
+    assert lf.intermediate_kappa_field_chf(*case) == pytest.approx(_nested_quad_kappa(*case), rel=1e-6)
+
+
+def test_kappa_field_y_additivity():
+    # points at one x with heights y1 < y2: sessions below y1 see both, the rest only the upper point
+    kappa, rho, c_nu, x = 1.7, 1.3, 0.8, 1.2
+    th1, th2, y1, y2 = 0.9, -1.6, 0.4, 1.5
+    got = lf.intermediate_kappa_field_chf([th1, th2], [(x, y1), (x, y2)], kappa, rho, c_nu)
+    one = lf.intermediate_kappa_field_chf([th1 + th2], [(x, 1.0)], kappa, rho, c_nu)
+    two = lf.intermediate_kappa_field_chf([th2], [(x, 1.0)], kappa, rho, c_nu)
+    assert got == pytest.approx(y1 * one + (y2 - y1) * two, rel=1e-10)
+
+
+def test_kappa_field_merges_equal_points():
+    merged = lf.intermediate_kappa_field_chf([1.2], [(0.7, 1.3)], 1.6, 1.2, 1.0)
+    got = lf.intermediate_kappa_field_chf([0.6, 0.6], [(0.7, 1.3), (0.7, 1.3)], 1.6, 1.2, 1.0)
+    assert got == pytest.approx(merged, rel=1e-10)
+    # 1e-12 apart the field moves by about 1e-12; durations down to that gap
+    # only resolve when kinks such as x - r keep their distance r from x
+    near = lf.intermediate_kappa_field_chf([0.6, 0.6], [(0.7, 1.3), (0.7 + 1e-12, 1.3)], 1.6, 1.2, 1.0)
+    assert near == pytest.approx(merged, rel=1e-11)
+
+
+def test_kappa_field_closed_form_without_warnings_and_error_bound_honest():
+    # the benchmark point, where the old nested quadrature hit its subdivision limit
+    kappa, rho = 1.6, 1.3
+    want = _kappa_single_point(1.0, 1.0, 1.0, kappa, rho, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lf.intermediate_kappa_field_chf([1.0], [(1.0, 1.0)], kappa, rho, 1.0)
+        value, err = lf._kappa_field_logchf([1.0], [(1.0, 1.0)], kappa, rho, 1.0)
+    assert abs(got - want) <= 1e-10 * abs(want)
+    assert value == got
+    assert err >= abs(value - want)
 
 
 # -- asymptotic self-similarity ladders -----------------------------------------------

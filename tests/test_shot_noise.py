@@ -305,8 +305,10 @@ def test_compensated_trig_helpers():
     import mpmath as mp
 
     mp.mp.dps = 60  # the z=1e-12 references cancel down to 1e-50
-    for z in (1e-12, 1e-8, 1e-4, 9.9e-4, 1.1e-3, 0.5, 3.0, -2.2, -1e-5):
+    zs = (1e-12, 1e-8, 1e-4, 9.9e-4, 1.1e-3, 0.5, 3.0, -2.2, -1e-5)
+    for z, vec in zip(zs, nm.psi_array(np.array(zs))):
         zz = mp.mpf(z)
+        assert vec == pytest.approx(nm.psi(z), rel=1e-12, abs=1e-300)
         assert nm.cos_minus_one(z) == pytest.approx(float(mp.cos(zz) - 1), rel=1e-8, abs=1e-300)
         assert nm.sin_minus_z(z) == pytest.approx(float(mp.sin(zz) - zz), rel=1e-8, abs=1e-300)
         assert nm.one_minus_cos_minus_half_sq(z) == pytest.approx(
@@ -436,6 +438,16 @@ def test_intermediate_logchf_exp_damped_variance_anchor():
     theta = 0.05
     val = sn.intermediate_logchf(model, theta, x, 1.0)
     assert -2.0 * val.real / theta**2 == pytest.approx(var, rel=5e-3)
+
+
+def test_intermediate_logchf_exp_damped_error_estimate_covers_refinement():
+    # err compares the rule with the one of half every order; doubling every
+    # order once more must move the value by less than that
+    model = exp_damped_source().pulse
+    value, err = sn._exp_damped_logchf(model, 0.8, 1.0)
+    finer, _ = sn._exp_damped_logchf(model, 0.8, 1.0, tuple(2 * n for n in sn.EXP_DAMPED_NODES))
+    assert 0.0 < abs(finer - value) < err <= sn.EXP_DAMPED_RTOL * abs(value)
+    assert sn.intermediate_logchf(model, 0.8, 1.0, 1.0) == value
 
 
 def test_intermediate_logchf_scales_linearly_in_y():
