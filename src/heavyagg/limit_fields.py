@@ -10,9 +10,10 @@ field driven by a product power measure on amplitude and duration) used as a
 counterexample oracle, and a checker for the small/large-scale asymptotic
 self-similarity of the Telecom field.
 
-Sampling the Telecom field truncates durations below ``eps`` and pads the
-arrival coordinate a finite distance to the left; both cuts carry closed-form
-variance bounds so tests can budget the truncation error explicitly.
+Cut at durations below ``eps``, the Telecom field is integrated, centred
+rectangular shot noise, so its sampler runs on the shot-noise path kernel; the
+variance of the dropped durations is closed form, so tests can budget the
+truncation error explicitly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import numpy as np
 from scipy import integrate
 
 from . import numerics as nm
-from .heavy_tail import StableParams, sample_stable, stable_params_from_tails
+from . import shot_noise
+from .heavy_tail import DegenerateDist, RegVaryingDist, StableParams, sample_stable, stable_params_from_tails
+from .pulses import RectIndep
 
 __all__ = [
     "FbsSpec",
@@ -154,17 +157,14 @@ class TelecomSpec:
     """Compensated-Poisson field over sessions with power-tailed durations.
 
     The driving measure is du * dv * alpha * c * r^(-alpha-1) dr.  ``eps``
-    truncates durations from below for simulation; ``pad_tail_prob`` sets the
-    left padding of the arrival coordinate at the (1 - pad_tail_prob) quantile
-    of the truncated duration law.  ``var_tol``, when set, makes the sampler
-    warn if the combined truncation variance bound at the requested window
-    exceeds it.
+    truncates durations from below for simulation, the only cut the sampler
+    makes.  ``var_tol``, when set, makes the sampler warn if the variance of
+    the dropped durations at the requested window exceeds it.
     """
 
     alpha: float
     c: float = 1.0
     eps: float = 1e-3
-    pad_tail_prob: float = 1e-6
     var_tol: float | None = None
 
     def __post_init__(self) -> None:
@@ -174,13 +174,14 @@ class TelecomSpec:
             raise ValueError("c must be positive")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if not 0.0 < self.pad_tail_prob < 1.0:
-            raise ValueError("pad_tail_prob must lie in (0, 1)")
 
     @property
     def u_pad(self) -> float:
-        """Left extent of the simulated arrival window."""
-        return self.eps * self.pad_tail_prob ** (-1.0 / self.alpha)
+        """Left extent of the simulated arrival window: unbounded.
+
+        Kept only because bench/workloads.py reads it; delete it with that use.
+        """
+        return math.inf
 
     def hurst(self) -> float:
         return (3.0 - self.alpha) / 2.0
@@ -196,6 +197,7 @@ def small_jump_variance(spec: TelecomSpec, x: float, y: float = 1.0) -> float:
 
     The squared-overlap integral is r**2 * x - r**3/3 for r <= x and
     2*x**3/3 + (r - x)*x**2 beyond, integrated against the duration measure.
+    This is the sampler's whole truncation budget.
     """
     a, c, e = spec.alpha, spec.c, spec.eps
     lo = min(e, x)
@@ -207,39 +209,15 @@ def small_jump_variance(spec: TelecomSpec, x: float, y: float = 1.0) -> float:
 
 
 def left_pad_variance(spec: TelecomSpec, x: float, y: float = 1.0) -> float:
-    """Variance of the omitted points left of the arrival padding."""
-    a, c, pad = spec.alpha, spec.c, spec.u_pad
+    """Variance lost to a left cut of the arrival axis: 0, the sampler makes none.
 
-    def head(r: float) -> float:
-        s = r - pad
-        return (s**3 / 3.0) * r ** (-a - 1.0)
-
-    h, _ = integrate.quad(head, pad, pad + x, limit=200)
-    # tail: integral of (x^2 (r - pad) - 2 x^3 / 3) r^(-a-1) over (pad + x, inf)
-    t = x**2 * (pad + x) ** (1.0 - a) / (a - 1.0) - (x**2 * pad + 2.0 * x**3 / 3.0) * (pad + x) ** (-a) / a
-    return y * a * c * (h + t)
+    Kept only because bench/workloads.py calls it; delete it with that use.
+    """
+    return 0.0
 
 
-def _left_pad_mean_correction(alpha: float, pad: float, x: float) -> float:
-    """Integral over r > pad of the overlap mass lost to the padding."""
-
-    def head(r: float) -> float:
-        return 0.5 * (r - pad) ** 2 * r ** (-alpha - 1.0)
-
-    h, _ = integrate.quad(head, pad, pad + x, limit=200)
-    t = x * (pad + x) ** (1.0 - alpha) / (alpha - 1.0) - (x * pad + 0.5 * x * x) * (pad + x) ** (-alpha) / alpha
-    return h + t
-
-
-def _telecom_compensator(spec: TelecomSpec, x: np.ndarray, y_max: float) -> np.ndarray:
-    a, c = spec.alpha, spec.c
-    main = a * c / (a - 1.0) * spec.eps ** (1.0 - a) * x
-    corr = np.array([_left_pad_mean_correction(a, spec.u_pad, float(xj)) for xj in x])
-    return y_max * (main - a * c * corr)
-
-
-# Poisson points times x values per vectorised pass of sample_telecom; whole
-# replicates are batched up to this size
+# expected pulses times x values per call of the path kernel in
+# sample_telecom; whole replicates are batched up to this size
 TELECOM_CHUNK_POINTS = 4_000_000
 
 
@@ -252,68 +230,38 @@ def sample_telecom(
 ):
     """Field values at (x, y_max) for every x in x_grid; shape (n_rep, n_x).
 
-    Points (u, r) of the driving Poisson measure are instantiated only where
-    they can overlap the window, i.e. u in (-(r ∧ pad), x_max]; points of the
-    padded domain farther left contribute zero overlap and zero compensator
-    mass, so skipping them changes nothing in law.  The duration coordinate is
-    drawn from the exact length-weighted mixture that this restriction induces
-    and the compensator (the expected sum over the simulated domain) is
-    subtracted in closed form, so the output is exact apart from the
-    documented eps- and padding-truncations.
+    Cut at durations r > eps, the driving measure restricted to v <= y_max is
+    stationary rect-indep shot noise: unit pulses at rate y_max * c *
+    eps**-alpha with Pareto(alpha, eps) durations.  So the draws run through
+    ``shot_noise.integrated_path_batch``: arrivals window by window, and
+    sessions alive at time 0 from the exact stationary (length-biased) law.
+    The window sums are cumulated over the grid and the exact mean
+    x * rate * E R is subtracted.  The output is exact apart from the dropped
+    durations r < eps, whose variance ``small_jump_variance`` gives.
+    Replicates are batched so that the expected pulses times grid points of
+    one batch stay within ``TELECOM_CHUNK_POINTS``.
     """
     x = nm.strict_grid("x_grid", x_grid)
     if not y_max > 0:
         raise ValueError("y_max must be positive")
     reps = 1 if n_rep is None else int(n_rep)
-    a, c, eps = spec.alpha, spec.c, spec.eps
-    pad = spec.u_pad
-    x_max = float(x[-1])
-
     if spec.var_tol is not None:
-        bound = small_jump_variance(spec, x_max, y_max) + left_pad_variance(spec, x_max, y_max)
+        bound = small_jump_variance(spec, float(x[-1]), y_max)
         if bound > spec.var_tol:
             warnings.warn(
                 f"truncation variance bound {bound:.3e} exceeds var_tol={spec.var_tol:.3e}; decrease eps",
                 stacklevel=2,
             )
 
-    # mixture weights of the duration law tilted by the u-window length x_max + (r ∧ pad)
-    w_flat = c * x_max * eps**-a
-    w_ramp = c * a / (a - 1.0) * (eps ** (1.0 - a) - pad ** (1.0 - a))
-    w_plateau = c * pad ** (1.0 - a)
-    lam = y_max * (w_flat + w_ramp + w_plateau)
-
-    comp = _telecom_compensator(spec, x, y_max)
+    pulse = RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, spec.eps))
+    src = shot_noise.ShotNoiseSource(pulse, rate=y_max * spec.c * spec.eps**-spec.alpha)
+    per_rep_cells = src.rate * (x[-1] + src.mean_duration) * x.size
+    chunk = max(1, min(reps, int(TELECOM_CHUNK_POINTS // per_rep_cells)))
     out = np.empty((reps, x.size))
-    out[:] = -comp[None, :]
-    counts = rng.poisson(lam, size=reps)
-
-    start = 0
-    while start < reps:
-        stop = start
-        total = 0
-        while stop < reps and (stop == start or (total + counts[stop]) * x.size <= TELECOM_CHUNK_POINTS):
-            total += int(counts[stop])
-            stop += 1
-        n_pts = int(np.sum(counts[start:stop]))
-        if n_pts:
-            rep_idx = np.repeat(np.arange(stop - start), counts[start:stop])
-            pick = rng.random(n_pts) * (w_flat + w_ramp + w_plateau)
-            r = np.empty(n_pts)
-            is_flat = pick < w_flat
-            is_ramp = ~is_flat & (pick < w_flat + w_ramp)
-            is_plat = ~is_flat & ~is_ramp
-            r[is_flat] = eps * (1.0 - rng.random(int(is_flat.sum()))) ** (-1.0 / a)
-            u01 = rng.random(int(is_ramp.sum()))
-            r[is_ramp] = (eps ** (1.0 - a) - u01 * (eps ** (1.0 - a) - pad ** (1.0 - a))) ** (1.0 / (1.0 - a))
-            r[is_plat] = pad * (1.0 - rng.random(int(is_plat.sum()))) ** (-1.0 / a)
-            lo = -np.minimum(r, pad)
-            u = lo + rng.random(n_pts) * (x_max - lo)
-            upper = u + r
-            for j, xj in enumerate(x):
-                contrib = np.clip(upper, 0.0, xj) - np.clip(u, 0.0, xj)
-                out[start:stop, j] += np.bincount(rep_idx, weights=contrib, minlength=stop - start)
-        start = stop
+    for lo in range(0, reps, chunk):
+        hi = min(lo + chunk, reps)
+        out[lo:hi] = np.cumsum(shot_noise.integrated_path_batch(src, x, rng, hi - lo), axis=1)
+    out -= x * src.mean_level()
     return out[0] if n_rep is None else out
 
 
@@ -605,7 +553,7 @@ def asymptotic_ss_check(
         exact_dist.append(max(abs(exact[th] - target[th]) for th in theta_grid))
         if n_rep > 0:
             draws = sample_telecom(spec, [lam * x], 1.0, rng, n_rep=n_rep)[:, 0] * scale
-            slack_var = small_jump_variance(spec, lam * x, 1.0) + left_pad_variance(spec, lam * x, 1.0)
+            slack_var = small_jump_variance(spec, lam * x, 1.0)
             dists = []
             ses = []
             for th in theta_grid:

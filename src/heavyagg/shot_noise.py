@@ -261,22 +261,26 @@ def covariance_oracle(src: ShotNoiseSource, t: float) -> float:
     return src.rate * _cov_kernel_integral(src.pulse, t)
 
 
+def _checked_quad(f, lo: float, hi: float, what: str) -> float:
+    """Adaptive ``quad`` of f over (lo, hi); RuntimeError above an error bound of max(1e-8, 1e-6 |value|)."""
+    val, err = integrate.quad(f, lo, hi, limit=400)
+    if err > max(1e-8, 1e-6 * abs(val)):
+        raise RuntimeError(f"{what} quadrature did not converge (error bound {err:.2e} for {val:.6e})")
+    return val
+
+
 def _cov_kernel_integral(model, t: float) -> float:
     kind = model.kind
     if kind == "rect-indep":
         return model.A.moment(2.0) * float(model.R.integrated_survival(t))
     if kind == "mixture":
         return float(sum(w * _cov_kernel_integral(c, t) for w, c in zip(model.weights, model.components)))
-    val, err = integrate.quad(lambda u: pl.corr_kernel(model, u, t), 0, np.inf, limit=400)
-    if err > max(1e-8, 1e-6 * abs(val)):
-        raise RuntimeError(f"covariance quadrature did not converge (error bound {err:.2e})")
-    return val
+    return _checked_quad(lambda u: pl.corr_kernel(model, u, t), 0, np.inf, "covariance")
 
 
 def integral_variance(src: ShotNoiseSource, T: float) -> float:
     """Var(int_0^T X dt) = 2 int_0^T (T - t) Cov(X(0), X(t)) dt."""
-    val, err = integrate.quad(lambda t: (T - t) * covariance_oracle(src, t), 0, T, limit=400)
-    return 2.0 * val
+    return 2.0 * _checked_quad(lambda t: (T - t) * covariance_oracle(src, t), 0, T, "integral variance")
 
 
 # -- scaling regimes --------------------------------------------------------------------
@@ -333,7 +337,7 @@ def regime_of(src: ShotNoiseSource, gamma: float) -> RegimeSpec:
                 return 0.0
             return s**rho * (-math.log1p(-s)) ** (-rho) / kappa
 
-        tail_int, _ = integrate.quad(tail_integrand, 0.0, 1.0, limit=400)
+        tail_int = _checked_quad(tail_integrand, 0.0, 1.0, "exp-damped tail constant")
         c_plus = kappa * c_rho * c_kappa * tail_int
         c_minus = 0.0
     elif kind == "brownian":

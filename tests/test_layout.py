@@ -3,14 +3,19 @@
 Every module under ``src/heavyagg`` is parsed; importing an underscore-prefixed
 name from a sibling (``from .x import _name``) or reading one through a
 sibling module (``x._name``) fails the test.  Dunder names are public.  Every
-``__all__`` entry must exist, and the benchmark's span tracer must still find
-every entry point it wraps.
+``__all__`` entry must exist, the benchmark's span tracer must still find
+every entry point it wraps, and the benchmark's Telecom point count must match
+the sampler.
 """
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+from heavyagg import limit_fields, shot_noise
+from heavyagg.heavy_tail import DegenerateDist, RegVaryingDist
+from heavyagg.pulses import RectIndep
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heavyagg"
 
@@ -71,12 +76,30 @@ def test_every_public_name_exists():
     assert not missing, missing
 
 
+def _bench_module(name: str):
+    path = PACKAGE.parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_resolves_every_target():
     # importing bench/layers.py looks up every (owner, attribute) it patches,
     # so a renamed or deleted entry point fails here rather than in a traced run
-    path = PACKAGE.parents[1] / "bench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("bench_layers", path)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _bench_module("layers")
     assert len(layers.ORIGINALS) == len(layers.TARGETS) > 0
     assert layers.patched_targets() == []
+
+
+def test_benchmark_telecom_contract():
+    # bench/workloads.py reads TelecomSpec.u_pad and left_pad_variance; its
+    # point count must stay the expected pulses of the eps-cut shot-noise
+    # source that sample_telecom runs on one unit window
+    check = _bench_module("workloads").TelecomCheck()
+    check.setup()
+    a, c, eps = check.spec.alpha, check.spec.c, check.spec.eps
+    src = shot_noise.ShotNoiseSource(RectIndep(DegenerateDist(1.0), RegVaryingDist(a, eps)), rate=c * eps**-a)
+    want = check.telecom_reps * src.rate * (1.0 + src.mean_duration)
+    assert abs(check.telecom_points_per_job() - want) <= 1e-12 * want
+    assert limit_fields.left_pad_variance(check.spec, 1.0) == 0.0

@@ -184,14 +184,8 @@ def test_truncation_variance_bounds_brute():
     sj2, _ = integrate.quad(lambda r: sq_overlap(r, x) * 1.5 * 2.0 * r**-2.5, 0.0, wide.eps, points=[x])
     assert lf.small_jump_variance(wide, x, y) == pytest.approx(y * sj2, rel=1e-8)
 
-    pad = spec.u_pad
-
-    def pad_loss(r, x):
-        s = r - pad
-        return s**3 / 3.0 if s <= x else x**3 / 3.0 + (s - x) * x * x
-
-    lp, _ = integrate.quad(lambda r: pad_loss(r, x) * 1.5 * 2.0 * r**-2.5, pad, np.inf, points=None)
-    assert lf.left_pad_variance(spec, x, y) == pytest.approx(y * lp, rel=1e-6)
+    # the sampler makes no cut on the arrival axis
+    assert lf.left_pad_variance(spec, x, y) == 0.0
 
 
 def test_halving_eps_shrinks_small_jump_bound():
@@ -213,20 +207,18 @@ def test_telecom_spec_validation():
         lf.TelecomSpec(alpha=1.5, c=0.0)
     with pytest.raises(ValueError):
         lf.TelecomSpec(alpha=1.5, eps=0.0)
-    with pytest.raises(ValueError):
-        lf.TelecomSpec(alpha=1.5, pad_tail_prob=0.0)
 
 
 # -- Telecom field: sampler ----------------------------------------------------------
 
 
 def test_telecom_sampler_variance_and_chf():
-    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.01, pad_tail_prob=1e-6)
+    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.01)
     n = 30_000
     xs = [1.0, 2.0]
     draws = lf.sample_telecom(spec, xs, 1.0, rng_for("tele-var"), n_rep=n)
     assert draws.shape == (n, 2)
-    slack = {x: lf.small_jump_variance(spec, x) + lf.left_pad_variance(spec, x) for x in xs}
+    slack = {x: lf.small_jump_variance(spec, x) for x in xs}
     for j, x in enumerate(xs):
         col = draws[:, j]
         se_mean = np.std(col) / math.sqrt(n)
@@ -246,7 +238,7 @@ def test_telecom_sampler_variance_and_chf():
 
 def test_telecom_sampler_y_scaling():
     # doubling y_max doubles the variance
-    spec = lf.TelecomSpec(alpha=1.7, c=1.0, eps=0.02, pad_tail_prob=1e-9)
+    spec = lf.TelecomSpec(alpha=1.7, c=1.0, eps=0.02)
     n = 20_000
     one = lf.sample_telecom(spec, [1.0], 1.0, rng_for("tele-y1"), n_rep=n)[:, 0]
     two = lf.sample_telecom(spec, [1.0], 2.0, rng_for("tele-y2"), n_rep=n)[:, 0]
@@ -257,12 +249,44 @@ def test_telecom_sampler_y_scaling():
 
 def test_telecom_sampler_variance_growth_exponent():
     # slope of log Var against log x recovers 3 - alpha
-    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.005, pad_tail_prob=1e-12)
+    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.005)
     xs = np.array([1.0, 2.0, 4.0])
     draws = lf.sample_telecom(spec, xs, 1.0, rng_for("tele-slope"), n_rep=20_000)
     lv = np.log(np.var(draws, axis=0))
     slope = np.polyfit(np.log(xs), lv, 1)[0]
     assert abs(slope - 1.5) < 0.05
+
+
+@pytest.mark.parametrize("one_rep_batches", [False, True])
+def test_telecom_sampler_cross_x_covariance(monkeypatch, one_rep_batches):
+    # stationary increments: Cov(J(x1), J(x2)) = (V(x1) + V(x2) - V(x2 - x1)) / 2,
+    # with V the variance of the eps-cut field
+    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.05)
+    xs = (0.5, 1.0, 2.0)
+    n = 10_000
+    batch_sizes = []
+    if one_rep_batches:
+        monkeypatch.setattr(lf, "TELECOM_CHUNK_POINTS", 1)
+        kernel = shot_noise.integrated_path_batch
+
+        def counting_kernel(src, cuts, rng, n_rep):
+            batch_sizes.append(n_rep)
+            return kernel(src, cuts, rng, n_rep)
+
+        monkeypatch.setattr(shot_noise, "integrated_path_batch", counting_kernel)
+    draws = lf.sample_telecom(spec, xs, 1.0, rng_for("tele-cov"), n_rep=n)
+    if one_rep_batches:
+        assert batch_sizes == [1] * n
+
+    def var(x):
+        return lf.telecom_variance(spec.alpha, spec.c, x) - lf.small_jump_variance(spec, x)
+
+    centred = draws - draws.mean(axis=0)
+    for i, j in [(0, 1), (1, 2), (0, 2)]:
+        x1, x2 = xs[i], xs[j]
+        want = 0.5 * (var(x1) + var(x2) - var(x2 - x1))
+        prod = centred[:, i] * centred[:, j]
+        assert abs(prod.mean() - want) < 4.0 * prod.std() / math.sqrt(n)
 
 
 def test_telecom_sampler_warns_when_budget_exceeded():
@@ -327,16 +351,12 @@ def test_telecom_field_self_similarity_exact():
 
 
 def test_telecom_field_self_similarity_monte_carlo():
-    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.01, pad_tail_prob=1e-9)
+    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.01)
     n = 15_000
     for lam in (2.0, 4.0):
         left = lf.sample_telecom(spec, [lam], lam**0.5, rng_for(f"ss-l{lam}"), n_rep=n)[:, 0]
         right = lam * lf.sample_telecom(spec, [1.0], 1.0, rng_for(f"ss-r{lam}"), n_rep=n)[:, 0]
-        allowance = (
-            lf.small_jump_variance(spec, lam, lam**0.5)
-            + lf.left_pad_variance(spec, lam, lam**0.5)
-            + lam * lam * (lf.small_jump_variance(spec, 1.0) + lf.left_pad_variance(spec, 1.0))
-        )
+        allowance = lf.small_jump_variance(spec, lam, lam**0.5) + lam * lam * lf.small_jump_variance(spec, 1.0)
         for th in (0.25, 0.5, 1.0):
             za, zb = np.exp(1j * th * left), np.exp(1j * th * right)
             emp_a, emp_b = complex(np.mean(za)), complex(np.mean(zb))
@@ -517,7 +537,7 @@ def test_ss_check_exact_ladders_monotone():
 
 
 def test_ss_check_sampler_consistency_at_one_rung():
-    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.01, pad_tail_prob=1e-9)
+    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.01)
     report = lf.asymptotic_ss_check(spec, "small", [0.25], 5000, rng_for("ss-mc"))
     assert report.sampler_consistent
     assert len(report.empirical_dist) == 1 and report.empirical_se[0] > 0.0

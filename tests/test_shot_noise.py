@@ -1,6 +1,7 @@
 """Shot-noise sampler, covariance oracle, and regime table."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,15 @@ def test_variance_identity_mixture():
         components=(rect_unit_source().pulse, exp_damped_source().pulse), weights=(0.5, 0.5)
     )
     _variance_check(sn.ShotNoiseSource(mix), 8.0, 20_000, "var-mix")
+
+
+def test_integral_variance_raises_when_quadrature_does_not_converge(monkeypatch):
+    # a covariance oscillating far faster than quad's subdivision limit resolves
+    monkeypatch.setattr(sn, "covariance_oracle", lambda src, t: math.sin(1e5 * t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        with pytest.raises(RuntimeError, match="integral variance quadrature did not converge"):
+            sn.integral_variance(rect_unit_source(), 10.0)
 
 
 # -- covariance oracle ---------------------------------------------------------------
@@ -411,25 +421,37 @@ def test_intermediate_logchf_zero_and_conjugate_symmetry():
     assert minus == pytest.approx(plus.conjugate(), rel=1e-6, abs=1e-8)
 
 
+def _sq_expm1_integral(a, length):
+    """int_0^length (expm1(a v) / a)**2 dv, by its power series near a * length = 0."""
+    z = a * length
+    if abs(z) < 0.1:
+        g = sum((2.0 ** (n - 1) - 2.0) / math.factorial(n) * z ** (n - 3) for n in range(3, 20))
+    else:
+        g = (0.5 * math.expm1(2.0 * z) - 2.0 * math.expm1(z) + z) / z**3
+    return length**3 * g
+
+
 def test_intermediate_logchf_exp_damped_variance_anchor():
     # independent curvature check: Var J(x,1) = int du int P_A(da) int mass^2 nu(dr)
     rho, kappa = 1.2, 0.5
     model = exp_damped_source(rho, kappa).pulse
     x = 1.0
 
-    def mass(a, u, r):
-        lo, hi = max(0.0, -u), min(r, x - u)
-        if hi <= lo:
-            return 0.0
-        return math.exp(-a * lo) * (-math.expm1(-a * (hi - lo))) / a
+    def arrival_integral(a, r):
+        # int over arrivals u in (-r, x) of mass(a, u, r)^2, piece by piece
+        # between the kinks 0 and x - r: a pulse covering the window's start
+        # and its own end, one covering the window's start only, one inside
+        # it, and one running past x
+        span = min(r, x)
+        val = math.exp(-2.0 * a * r) * _sq_expm1_integral(a, span) + _sq_expm1_integral(-a, span)
+        if r < x:
+            return val + (x - r) * (math.expm1(-a * r) / a) ** 2
+        return val - (math.expm1(-a * x) / a) ** 2 * math.expm1(-2.0 * a * (r - x)) / (2.0 * a)
 
     def inner(r):
-        kinks = [p for p in (0.0, x - r) if -r < p < x]
-
         def a_integrand(t):
             a = t * t  # flattens the a^{kappa-1} singularity for kappa = 1/2
-            val, _ = integrate.quad(lambda u: mass(a, u, r) ** 2, -r, x, points=kinks, limit=60)
-            return val * 2.0 * kappa * t ** (2.0 * kappa - 1.0)
+            return arrival_integral(a, r) * 2.0 * kappa * t ** (2.0 * kappa - 1.0)
 
         val, _ = integrate.quad(a_integrand, 0.0, 1.0, limit=60)
         return val
