@@ -4,16 +4,19 @@ Aggregated heavy-tailed traffic settles, after rescaling, into one of three
 limit objects: a fractional Brownian sheet (Gaussian branch), an alpha-stable
 Levy sheet (independent-increment branch), or the Telecom random field at the
 critical growth exponent.  This module provides exact finite-dimensional
-samplers for all three, closed-form or quadrature oracles for their
+samplers for all three, closed-form or fixed-rule oracles for their
 characteristic functions and variances, a fourth field (the kappa-stable
 field driven by a product power measure on amplitude and duration) used as a
 counterexample oracle, and a checker for the small/large-scale asymptotic
 self-similarity of the Telecom field.
 
-Cut at durations below ``eps``, the Telecom field is integrated, centred
-rectangular shot noise, so its sampler runs on the shot-noise path kernel; the
-variance of the dropped durations is closed form, so tests can budget the
-truncation error explicitly.
+The Telecom field is the critical limit of unit rectangular shot noise, so
+both its sampler and its chf run on the shot-noise module.  Cut at durations
+below ``eps``, the field is integrated, centred rectangular shot noise, and
+the sampler runs on the shot-noise path kernel; the variance of the dropped
+durations is closed form, so tests can budget the truncation error
+explicitly.  ``telecom_logchf`` is ``shot_noise.intermediate_logchf`` of the
+unit-rectangle family.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import numerics as nm
 from . import shot_noise
@@ -269,15 +271,12 @@ def sample_telecom(
 
 
 def telecom_logchf(theta: float, x: float, alpha: float, c: float, mu: float = 1.0) -> complex:
-    """Two-term quadrature of the Telecom log characteristic function.
+    """log E exp(-i theta/mu J(x, 1)) for the Telecom field J of intensity constant c/mu.
 
-    Value of c/mu * int_0^inf Psi(-theta/mu * (x ∧ r)) r^-alpha dr
-    - i*theta*c/mu^2 * int_0^x (e^{-i*theta*r/mu} - 1)(x - r) r^-alpha dr
-    with Psi(z) = e^{iz} - 1 - iz.  Equals the log ch.f. at theta of
-    -(1/mu) J(x, 1) where J is the field with intensity constant c/mu, which
-    is how the critical-regime limits of cycle-structured inputs are phrased.
-    Compensated trig forms keep the r -> 0 region exact; the second integrand
-    flattens its r^(1-alpha) endpoint in a square-root substitution.
+    The critical-regime limits of cycle-structured inputs are phrased this
+    way.  J is the critical limit of unit rectangles whose durations have
+    tail constant c/mu, so this is ``shot_noise.intermediate_logchf`` of that
+    family at -theta/mu, and raises RuntimeError as it does.
     """
     if not 1.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
@@ -287,42 +286,14 @@ def telecom_logchf(theta: float, x: float, alpha: float, c: float, mu: float = 1
         raise ValueError("mu must be positive")
     if c < 0:
         raise ValueError("c must be nonnegative")
-    if theta == 0.0 or c == 0.0:
+    if c == 0.0:
         return 0j
-    phi = -theta / mu
-
-    opts = {"limit": 300, "epsabs": 1e-14, "epsrel": 1e-10}
-    re1, er1 = integrate.quad(lambda r: nm.cos_minus_one(phi * r) * r**-alpha, 0.0, x, **opts)
-    im1, ei1 = integrate.quad(lambda r: nm.sin_minus_z(phi * r) * r**-alpha, 0.0, x, **opts)
-    term1 = (c / mu) * (complex(re1, im1) + nm.psi(phi * x) * x ** (1.0 - alpha) / (alpha - 1.0))
-
-    # substitution r = q**n flattens the r^(1-alpha) endpoint of the sine part
-    n_sub = max(2.0, 2.0 / (2.0 - alpha))
-
-    def ramp_re(q: float) -> float:
-        r = q**n_sub
-        return n_sub * q ** (n_sub - 1.0) * nm.cos_minus_one(phi * r) * (x - r) * r**-alpha
-
-    def ramp_im(q: float) -> float:
-        r = q**n_sub
-        return n_sub * q ** (n_sub - 1.0) * math.sin(phi * r) * (x - r) * r**-alpha
-
-    sx = x ** (1.0 / n_sub)
-    re2, er2 = integrate.quad(ramp_re, 0.0, sx, **opts)
-    im2, ei2 = integrate.quad(ramp_im, 0.0, sx, **opts)
-    term2 = -1j * theta * (c / mu**2) * complex(re2, im2)
-
-    val = term1 + term2
-    err = (c / mu) * (er1 + ei1) + abs(theta) * (c / mu**2) * (er2 + ei2)
-    if err > 1e-7 * abs(val) + 1e-13:
-        warnings.warn(f"quadrature error estimate {err:.3e} for value {val:.6e}", stacklevel=2)
-    return val
+    pulse = RectIndep(DegenerateDist(1.0), RegVaryingDist(alpha, (c / mu) ** (1.0 / alpha)))
+    return shot_noise.intermediate_logchf(pulse, -theta / mu, x)
 
 
 def telecom_field_logchf(spec: TelecomSpec, theta: float, x: float, y: float = 1.0) -> complex:
     """log E exp(i theta J(x, y)) for the field itself (intensity spec.c)."""
-    if theta == 0.0:
-        return 0j
     return y * telecom_logchf(-theta, x, spec.alpha, spec.c, 1.0)
 
 

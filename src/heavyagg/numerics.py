@@ -1,33 +1,38 @@
-"""Numerically careful helpers for characteristic-function integrands.
+"""Careful characteristic-function integrands and the fixed rules of the oracles.
 
-The compensated exponential e^{iz} - 1 - iz and its parts appear inside
-integrals against heavy-tailed Levy measures, where the integration weight
-amplifies the region of tiny z by many orders of magnitude.  Naive forms like
-``cos(z) - 1`` round to zero there and bias the integral; these helpers stay
-accurate down to z = 0.
-
-``strict_grid`` is the one validator of time and coordinate grids.
-``gauss_legendre_panels`` and ``tanh_sinh_unit`` are the fixed rules behind
-the vectorised oracles.
+Psi(z) = e^{iz} - 1 - iz and its ramp average sit inside integrals against
+heavy-tailed Levy measures, whose weight amplifies tiny z by many orders of
+magnitude; ``psi_array`` and ``psi_ramp_array`` stay accurate down to z = 0,
+where naive forms like ``cos(z) - 1`` round to zero.  ``gauss_legendre_panels``
+(nodes cached per order), ``tanh_sinh_unit`` and ``levy_duration_rule`` are
+the fixed rules; ``checked_quad`` is an adaptive ``quad`` that keeps its error
+estimate; ``strict_grid`` is the one validator of time and coordinate grids.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
-from scipy import special
+from scipy import integrate, special
 
 __all__ = [
-    "cos_minus_one",
-    "sin_minus_z",
-    "one_minus_cos_minus_half_sq",
-    "psi",
     "psi_array",
+    "psi_ramp_array",
     "strict_grid",
     "gauss_legendre_panels",
     "tanh_sinh_unit",
+    "levy_duration_rule",
+    "checked_quad",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on (-1, 1)."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def gauss_legendre_panels(breaks, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,7 +42,7 @@ def gauss_legendre_panels(breaks, n: int) -> tuple[np.ndarray, np.ndarray]:
     shape (panels, n), so summing weights * f(nodes) integrates f over
     (breaks[0], breaks[-1]) with every break as a panel edge.
     """
-    t, w = np.polynomial.legendre.leggauss(n)
+    t, w = _legendre(n)
     b = np.asarray(breaks, dtype=float)
     half = 0.5 * (b[1:] - b[:-1])[:, None]
     return b[:-1, None] + half * (t + 1.0), half * w
@@ -64,6 +69,29 @@ def tanh_sinh_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
+def levy_duration_rule(rho: float, c: float, b: float, power: float, n_head: int, n_tail: int):
+    """Nodes r and weights w with w @ f(r) ~ int_0^inf f(r) rho c r**(-rho-1) dr.
+
+    The first n_head nodes are Gauss-Legendre in q on the head (0, b) with
+    r = q**power; power = 2 / (k - rho) makes the integrand smooth in q when
+    f vanishes like r**k.  The other 2 n_tail + 1 are tanh-sinh in s on the
+    tail, r = b * s**(-1/rho), where the Levy weight is uniform in s.
+    """
+    q, wq = gauss_legendre_panels((0.0, b ** (1.0 / power)), n_head)
+    r_head = q[0] ** power
+    w_head = wq[0] * power * q[0] ** (power - 1.0) * rho * c * r_head ** (-1.0 - rho)
+    s, ws = tanh_sinh_unit(n_tail)
+    return np.concatenate((r_head, b * s ** (-1.0 / rho))), np.concatenate((w_head, ws * c * b**-rho))
+
+
+def checked_quad(f, lo: float, hi: float, what: str) -> float:
+    """Adaptive ``quad`` of f over (lo, hi); RuntimeError above an error bound of max(1e-8, 1e-6 |value|)."""
+    val, err = integrate.quad(f, lo, hi, limit=400)
+    if err > max(1e-8, 1e-6 * abs(val)):
+        raise RuntimeError(f"{what} quadrature did not converge (error bound {err:.2e} for {val:.6e})")
+    return val
+
+
 def strict_grid(name: str, grid) -> np.ndarray:
     """``grid`` as a float array; raises unless it is a finite, positive,
     strictly increasing, nonempty 1-d array (the message names ``name``)."""
@@ -74,36 +102,32 @@ def strict_grid(name: str, grid) -> np.ndarray:
     return arr
 
 
-def cos_minus_one(z: float) -> float:
-    """cos(z) - 1 without cancellation, via -2 sin^2(z/2)."""
-    s = math.sin(0.5 * z)
-    return -2.0 * s * s
+def psi_array(z) -> np.ndarray:
+    """Psi(z) = e^{iz} - 1 - iz elementwise, as expm1(iz) - iz.
+
+    Below |z| = 1e-3 it runs on its Taylor series sum_{n>=2} (iz)**n / n!
+    up to n = 7.  For real z, expm1(iz) is -2 sin(z/2)**2 + i sin z, so no
+    part cancels there.  Complex z (the rotated duration contour of
+    rect-coupled pulses) must keep Im z >= 0.
+    """
+    iz = 1j * np.atleast_1d(z)
+    out = np.expm1(iz) - iz
+    small = np.abs(iz) < 1e-3
+    w = iz[small]
+    out[small] = w * w / 2.0 * (1.0 + w / 3.0 * (1.0 + w / 4.0 * (1.0 + w / 5.0 * (1.0 + w / 6.0 * (1.0 + w / 7.0)))))
+    return out.reshape(np.shape(z))
 
 
-def sin_minus_z(z: float) -> float:
-    """sin(z) - z, series below 1e-3 (next omitted term is ~z^9/362880)."""
-    if abs(z) < 1e-3:
-        z2 = z * z
-        return -z * z2 / 6.0 * (1.0 - z2 / 20.0 * (1.0 - z2 / 42.0))
-    return math.sin(z) - z
+def psi_ramp_array(z) -> np.ndarray:
+    """The ramp average int_0^1 Psi(z s) ds = (Psi(z) + z**2/2) / (iz) elementwise.
 
-
-def one_minus_cos_minus_half_sq(z: float) -> float:
-    """(1 - cos z) - z^2/2, series below 1e-3."""
-    if abs(z) < 1e-3:
-        z2 = z * z
-        return -z2 * z2 / 24.0 * (1.0 - z2 / 30.0 * (1.0 - z2 / 56.0))
-    return -cos_minus_one(z) - 0.5 * z * z
-
-
-def psi(z: float) -> complex:
-    """The compensated oscillator e^{iz} - 1 - iz for real z."""
-    return complex(cos_minus_one(z), sin_minus_z(z))
-
-
-def psi_array(z: np.ndarray) -> np.ndarray:
-    """``psi`` elementwise on a real array, with the same series below 1e-3."""
-    half = np.sin(0.5 * z)
-    z2 = z * z
-    series = -z * z2 / 6.0 * (1.0 - z2 / 20.0 * (1.0 - z2 / 42.0))
-    return -2.0 * half * half + 1j * np.where(np.abs(z) < 1e-3, series, np.sin(z) - z)
+    Below |z| = 1e-3 it runs on its series sum_{n>=2} (iz)**n / (n+1)! up to
+    n = 7, as in ``psi_array``, which also gives 0 at z = 0.
+    """
+    iz = 1j * np.atleast_1d(z)
+    small = np.abs(iz) < 1e-3
+    big = np.where(small, 1.0, iz)
+    out = (np.expm1(big) - big - 0.5 * big * big) / big
+    w = iz[small]
+    out[small] = w * w / 6.0 * (1.0 + w / 4.0 * (1.0 + w / 5.0 * (1.0 + w / 6.0 * (1.0 + w / 7.0 * (1.0 + w / 8.0)))))
+    return out.reshape(np.shape(z))

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
+from . import numerics as nm
 from .heavy_tail import (
     DegenerateDist,
     LowTailPowerDist,
@@ -89,10 +90,9 @@ class RewardLaw:
 
     def _u_average(self, z, power: int):
         """E[g(z, U)^power] over U uniform on (0, 1), by 24-node Gauss-Legendre in u."""
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        u = 0.5 * (nodes + 1.0)
-        vals = np.array([np.asarray(self.g(z, np.full(z.shape, ui))) ** power for ui in u])
-        return 0.5 * np.tensordot(weights, vals, axes=1)
+        u, weights = nm.gauss_legendre_panels((0.0, 1.0), 24)
+        vals = np.array([np.asarray(self.g(z, np.full(z.shape, ui))) ** power for ui in u[0]])
+        return np.tensordot(weights[0], vals, axes=1)
 
     def cond_mean(self, z):
         """E[W | Z = z], vectorized (Gauss-Legendre in u for coupled laws)."""
@@ -422,9 +422,8 @@ def mean_mass(model) -> float:
         def integrand(t):
             return float(model.A.laplace(t)) * float(model.R.survival(t))
 
-        head, _ = integrate.quad(integrand, 0.0, model.R.x_min, limit=200)
-        tail, _ = integrate.quad(integrand, model.R.x_min, np.inf, limit=200)
-        return head + tail
+        head = nm.checked_quad(integrand, 0.0, model.R.x_min, "exp-damped mean mass")
+        return head + nm.checked_quad(integrand, model.R.x_min, np.inf, "exp-damped mean mass")
     if kind == "brownian":
         return 0.0
     if kind == "on-off":
@@ -435,10 +434,8 @@ def mean_mass(model) -> float:
         if model.reward.kind == "independent":
             return model.reward.dist.mean() * model.Z.mean()
         lo = model.Z.x_min if getattr(model.Z, "kind", "") == "pareto-exact" else 0.0
-        val, _ = integrate.quad(
-            lambda z: float(model.reward.cond_mean(z)) * z * float(model.Z.pdf(z)), lo, np.inf, limit=200
-        )
-        return val
+        return nm.checked_quad(lambda z: float(model.reward.cond_mean(z)) * z * float(model.Z.pdf(z)),
+                               lo, np.inf, "coupled-reward mean mass")
     if kind == "mixture":
         return float(sum(w * mean_mass(c) for w, c in zip(model.weights, model.components)))
     raise ValueError(f"unknown pulse family {kind!r}")

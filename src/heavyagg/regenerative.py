@@ -646,13 +646,6 @@ def cov_decomposition(model: RegenModel, t_max: float, dt: float) -> CovDecompos
 # -- the scaling table --------------------------------------------------------------
 
 
-def _telecom_limit_logchf(mass_scale: float, alpha: float, c_z: float, mu: float):
-    def logchf(theta, x=1.0, y=1.0):
-        return y * telecom_logchf(theta * mass_scale, x, alpha, c_z, mu)
-
-    return logchf
-
-
 def regime_of(model: RegenModel, gamma: float) -> RegimeSpec:
     """Scaling-table entry for the aggregated source at count-growth exponent gamma.
 
@@ -745,6 +738,6 @@ def regime_of(model: RegenModel, gamma: float) -> RegimeSpec:
             raise ValueError(crit_reason)
         mass_scale, c_drive = crit
         return ({"c_Z": c_drive, "mu": mu, "prefactor": -mass_scale / mu},
-                _telecom_limit_logchf(mass_scale, alpha, c_drive, mu))
+                lambda theta, x=1.0, y=1.0: y * telecom_logchf(theta * mass_scale, x, alpha, c_drive, mu))
 
     return build_regime(gamma, alpha - 1.0, alpha, constants, (c_plus / mu, c_minus / mu), intermediate)

@@ -15,9 +15,12 @@ single window (0, T] is the one-cut path ``integrated_path_batch(src, [T],
 
 It also carries the family constants of the scaling table (the critical
 growth exponent gamma0, the exponents and tail constants that the regimes
-module turns into the three limit laws), plus quadrature oracles for the
-covariance function and for the characteristic function of the intermediate
-(critical-regime) limit field.
+module turns into the three limit laws), a quadrature oracle for the
+covariance function, and the characteristic function of the intermediate
+(critical-regime) limit field.  That chf runs every family on one fixed rule
+(shared duration nodes, a per-family arrival integral) at two orders and
+raises when they disagree; the Telecom field's chf in limit_fields is its
+unit-rectangle case.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import numerics as nm
 from . import pulses as pl
-from .heavy_tail import DegenerateDist
+from .heavy_tail import DegenerateDist, UniformDist
 from .heavy_tail import sample_length_biased_pair  # noqa: F401  (bench/layers.py traces this attribute)
 from .regimes import RegimeSpec, build_regime
 
@@ -261,26 +264,18 @@ def covariance_oracle(src: ShotNoiseSource, t: float) -> float:
     return src.rate * _cov_kernel_integral(src.pulse, t)
 
 
-def _checked_quad(f, lo: float, hi: float, what: str) -> float:
-    """Adaptive ``quad`` of f over (lo, hi); RuntimeError above an error bound of max(1e-8, 1e-6 |value|)."""
-    val, err = integrate.quad(f, lo, hi, limit=400)
-    if err > max(1e-8, 1e-6 * abs(val)):
-        raise RuntimeError(f"{what} quadrature did not converge (error bound {err:.2e} for {val:.6e})")
-    return val
-
-
 def _cov_kernel_integral(model, t: float) -> float:
     kind = model.kind
     if kind == "rect-indep":
         return model.A.moment(2.0) * float(model.R.integrated_survival(t))
     if kind == "mixture":
         return float(sum(w * _cov_kernel_integral(c, t) for w, c in zip(model.weights, model.components)))
-    return _checked_quad(lambda u: pl.corr_kernel(model, u, t), 0, np.inf, "covariance")
+    return nm.checked_quad(lambda u: pl.corr_kernel(model, u, t), 0, np.inf, "covariance")
 
 
 def integral_variance(src: ShotNoiseSource, T: float) -> float:
     """Var(int_0^T X dt) = 2 int_0^T (T - t) Cov(X(0), X(t)) dt."""
-    return 2.0 * _checked_quad(lambda t: (T - t) * covariance_oracle(src, t), 0, T, "integral variance")
+    return 2.0 * nm.checked_quad(lambda t: (T - t) * covariance_oracle(src, t), 0, T, "integral variance")
 
 
 # -- scaling regimes --------------------------------------------------------------------
@@ -337,7 +332,7 @@ def regime_of(src: ShotNoiseSource, gamma: float) -> RegimeSpec:
                 return 0.0
             return s**rho * (-math.log1p(-s)) ** (-rho) / kappa
 
-        tail_int = _checked_quad(tail_integrand, 0.0, 1.0, "exp-damped tail constant")
+        tail_int = nm.checked_quad(tail_integrand, 0.0, 1.0, "exp-damped tail constant")
         c_plus = kappa * c_rho * c_kappa * tail_int
         c_minus = 0.0
     elif kind == "brownian":
@@ -368,157 +363,141 @@ def regime_of(src: ShotNoiseSource, gamma: float) -> RegimeSpec:
 # -- intermediate-limit characteristic functions -----------------------------------------
 
 
-def _ramp_inner(theta_h: float, m: float, plateau: float) -> complex:
-    """Closed form of int Psi(theta_h * overlap(u)) du for a rectangular pulse.
-
-    The overlap rises linearly 0 -> m, sits at m for ``plateau`` length, and
-    falls back; the two ramps contribute 2 * int_0^m Psi(theta_h s) ds
-    = 2 [ (sin z - z) + i ((1 - cos z) - z^2/2) ] / theta_h with z = theta_h m.
-    """
-    th = theta_h
-    if th == 0.0:
-        return 0.0
-    z = th * m
-    ramp = complex(nm.sin_minus_z(z) / th, nm.one_minus_cos_minus_half_sq(z) / th)
-    return 2.0 * ramp + plateau * nm.psi(z)
-
-
-def intermediate_logchf(model, theta: float, x: float, y: float = 1.0) -> complex:
-    """log E exp(i theta V(x, y)) for the critical-regime limit of a shot-noise family.
-
-    The limit field is a compensated Poisson integral over pulses scattered in
-    (arrival, vertical) coordinates with the duration-tail Levy measure.
-    Rectangular families take the arrival coordinate in closed form and the
-    duration by adaptive quadrature; Brownian pulses nest adaptive quadrature
-    over arrival inside duration.  Exp-damped pulses run one fixed
-    tensor-product rule over damping rate, duration and arrival (see
-    ``_exp_damped_rule``) at ``EXP_DAMPED_NODES`` and at twice every order,
-    and raise RuntimeError when the two differ by more than
-    ``EXP_DAMPED_RTOL`` relative.
-    """
-    kind = model.kind
-    theta = float(theta)
-    if theta == 0.0:
-        return 0.0 + 0.0j
-    rho = model.R.alpha
-    c_rho = model.R.tail_constant()
-
-    def duration_quad(f, break_r):
-        """Integrate f against the duration Levy measure, split at the kink radius.
-
-        On the head segment the substitution r = q^2 flattens the r^{1-rho}-type
-        endpoint singularity that otherwise starves the adaptive rule.
-        """
-        def weighted(r):
-            return f(r) * rho * c_rho * r ** (-1 - rho)
-
-        sq = math.sqrt(break_r)
-
-        def head(q):
-            return weighted(q * q) * 2.0 * q
-
-        re1, _ = integrate.quad(lambda q: head(q).real, 0, sq, limit=300)
-        re2, _ = integrate.quad(lambda r: weighted(r).real, break_r, np.inf, limit=300)
-        im1, _ = integrate.quad(lambda q: head(q).imag, 0, sq, limit=300)
-        im2, _ = integrate.quad(lambda r: weighted(r).imag, break_r, np.inf, limit=300)
-        return complex(re1 + re2, im1 + im2)
-
-    if kind in ("rect-indep", "rect-coupled"):
-        if kind == "rect-indep":
-            def amp_expect(f):
-                a_law = model.A
-                if isinstance(a_law, DegenerateDist):
-                    return f(a_law.value)
-                if hasattr(a_law, "expect"):
-                    return complex(
-                        a_law.expect(lambda a: f(a).real), a_law.expect(lambda a: f(a).imag)
-                    )
-                raise ValueError("intermediate oracle needs a degenerate or expect-capable amplitude law")
-
-            def integrand(r):
-                m = min(r, x)
-                plateau = abs(x - r)
-                return amp_expect(lambda a: _ramp_inner(theta * a, m, plateau))
-        else:
-            p = model.p
-
-            def integrand(r):
-                d = r**p
-                h = r ** (1.0 - p)
-                m = min(d, x)
-                plateau = abs(x - d)
-                return _ramp_inner(theta * h, m, plateau)
-
-        break_r = x if kind == "rect-indep" else x ** (1.0 / model.p)
-        return y * duration_quad(integrand, break_r)
-
-    if kind == "brownian":
-        def inner(r):
-            def over_u(u):
-                a0 = max(0.0, -u)
-                b0 = min(r, x - u)
-                if b0 <= a0:
-                    return 0.0
-                v = (b0 - a0) ** 2 * (b0 + 2.0 * a0) / 3.0  # Var of int_a0^b0 B
-                return math.expm1(-0.5 * theta * theta * v)
-
-            kinks = [p for p in (0.0, x - r) if -r < p < x]
-            val, _ = integrate.quad(over_u, -r, x, points=kinks, limit=200)
-            return complex(val, 0.0)
-
-        return y * duration_quad(inner, x)
-
-    if kind == "exp-damped":
-        value, err = _exp_damped_logchf(model, theta, x)
-        if not err <= EXP_DAMPED_RTOL * abs(value):
-            raise RuntimeError(f"exp-damped chf rule did not converge (error bound {err:.2e} for {value:.6e})")
-        return y * value
-
-    raise ValueError(f"no intermediate-limit oracle for family {kind!r}")
-
-
-# Orders of the exp-damped chf rule on its four axes: damping rate, duration
-# head, duration tail (tanh-sinh half-width) and arrival.  The error estimate
-# compares the rule with the one of twice every order.  At rho=1.2,
-# kappa=0.5, x=1, theta=0.8 the pair differs by 2e-7 relative, the finer
-# rule is within 2e-10 of the converged value, and both take 0.09 s.
-EXP_DAMPED_NODES = (32, 24, 48, 16)
-EXP_DAMPED_RTOL = 1e-5
+# Orders of the chf rule on its four axes: mark (amplitude or damping rate),
+# duration head, duration tail (tanh-sinh half-width) and arrival; err, the
+# distance to the rule of twice every order, is 2.2e-7 relative for exp-damped
+# pulses (rho=1.2, kappa=0.5, x=1, theta=0.8) and 1.2e-7 for rect-coupled ones
+# (rho=1.7, p=0.8, x=theta=1).
+CHF_NODES = (32, 24, 48, 16)
+CHF_RTOL = 1e-5
 # v = w**3 in the damping-rate axis: the duration tail leaves a
 # v**((rho-1)/kappa) corner at v = 0 that stalls plain Gauss-Legendre in v
 EXP_DAMPED_GRADING = 3
 
 
-def _exp_damped_rule(model, theta: float, x: float, orders) -> complex:
-    """One tensor-product rule for log E exp(i theta V(x, 1)) with exp-damped pulses.
+def intermediate_logchf(model, theta: float, x: float, y: float = 1.0) -> complex:
+    """log E exp(i theta V(x, y)) for the critical-regime limit of a shot-noise family.
+
+    The limit is a compensated Poisson integral: y times the integral of
+    Psi(theta * window mass) = e^{i theta mass} - 1 - i theta mass over pulse
+    duration (Levy measure of the duration tail), mark and arrival.  Every
+    family runs one fixed rule (``_chf_rule``) at ``CHF_NODES`` and at twice
+    every order; RuntimeError when the two differ by more than ``CHF_RTOL``.
+    """
+    if theta == 0.0:
+        return 0.0 + 0.0j
+    value, err = _intermediate_logchf(model, theta, x)
+    if not err <= CHF_RTOL * abs(value):
+        raise RuntimeError(f"{model.kind} chf rule did not converge (error bound {err:.2e} for {value:.6e})")
+    return y * value
+
+
+def _intermediate_logchf(model, theta: float, x: float, orders=CHF_NODES) -> tuple[complex, float]:
+    """(value, err) at y = 1: the rule at twice every order and its distance to the rule at ``orders``."""
+    fine = _chf_rule(model, theta, x, tuple(2 * n for n in orders))
+    return fine, abs(fine - _chf_rule(model, theta, x, orders))
+
+
+def _chf_rule(model, theta: float, x: float, orders) -> complex:
+    """One fixed rule for log E exp(i theta V(x, 1)).
+
+    Durations come from ``nm.levy_duration_rule`` with the break b where a
+    pulse first covers the window (x, or x**(1/p) for rect-coupled pulses)
+    and power 2 / (k - rho) for an arrival integral that vanishes like r**k
+    (k = 3 for Brownian pulses, 2 otherwise).  Each family supplies its
+    arrival integral g(mark, r) and its mark nodes.
+    """
+    n_mark, n_head, n_tail, n_u = orders
+    kind = model.kind
+    if kind not in ("rect-indep", "rect-coupled", "brownian", "exp-damped"):
+        raise ValueError(f"no intermediate-limit oracle for family {kind!r}")
+    rho = model.R.alpha
+    k = 3.0 if kind == "brownian" else 2.0
+    if not 0.0 < k - rho:
+        raise ValueError(f"no intermediate limit for {kind} pulses with duration tail index {rho} >= {k:g}")
+    b = x ** (1.0 / model.p) if kind == "rect-coupled" else x
+    r, w = nm.levy_duration_rule(rho, model.R.tail_constant(), b, 2.0 / (k - rho), n_head, n_tail)
+    head = np.arange(r.size) < n_head
+    if kind in ("rect-indep", "rect-coupled"):
+        # height a * r**(1-p) and duration r**p: p = 1 for rect-indep, a = 1 for rect-coupled
+        p, a_law = (1.0, model.A) if kind == "rect-indep" else (model.p, DegenerateDist(1.0))
+        if isinstance(a_law, UniformDist):
+            a, wa = nm.gauss_legendre_panels((a_law.lo, a_law.hi), n_mark)
+            a, wa = a[0], wa[0] / (a_law.hi - a_law.lo)
+        elif isinstance(a_law, DegenerateDist):
+            a, wa = np.array([a_law.value]), np.ones(1)
+        else:
+            raise ValueError("intermediate oracle needs a degenerate or uniform amplitude law")
+        if p < 1.0:
+            # beyond b the height grows and Psi oscillates ever faster in r; on
+            # the ray r = b + e**(i phi) (r' - b), phi = pi/4 with the sign of
+            # theta, it decays instead, and by Cauchy the integral is the same
+            # (the integrand is analytic and vanishes like |r|**(1-rho) between
+            # the ray and the real axis)
+            tilt = np.exp(1j * math.copysign(0.25 * math.pi, theta))
+            r_tail = r[n_head:]
+            r = np.concatenate((r[:n_head], b + tilt * (r_tail - b)))
+            w = np.concatenate((w[:n_head], w[n_head:] * tilt * (r[n_head:] / r_tail) ** (-1.0 - rho)))
+        # the overlap of (u, u + d) with (0, x) rises linearly to m = min(d, x),
+        # stays for |x - d| and falls back, so g = 2 m ramp(z) + |x - d| Psi(z)
+        # with z = theta * height * m; for d > x (the tail) this also holds
+        # on the ray
+        d = r**p
+        m = np.where(head, d, x)
+        z = theta * a[:, None] * r ** (1.0 - p) * m
+        g = 2.0 * m * nm.psi_ramp_array(z) + np.where(head, x - d, d - x) * nm.psi_array(z)
+    elif kind == "brownian":
+        wa, g = np.ones(1), _brownian_arrival(theta, r, x, n_u)[None, :]
+    else:
+        wa, g = _exp_damped_arrival(model.A, theta, r, x, n_mark, n_head, n_u)
+    return complex(wa @ g @ w)
+
+
+def _brownian_arrival(theta: float, r, x: float, n_u: int):
+    """int expm1(-theta**2 Var(mass) / 2) du for Brownian pulses of duration r.
+
+    Pulses covering the window's start, or starting inside it, see a stretch
+    w in (0, min(r, x)) at the end or start of their path: Var = w**2 (r -
+    2w/3) or w**3/3, Gauss-Legendre in w.  The x - r pulses inside the window
+    have Var = r**3/3; a pulse covering it with lag l in (0, r - x) has
+    Var = x**3/3 + x**2 l, integrated in closed form.
+    """
+    k = 0.5 * theta * theta
+    m = np.minimum(r, x)
+    t, wt = nm.gauss_legendre_panels((0.0, 1.0), n_u)
+    s = m[:, None] * t[0]
+    ends = np.expm1(-k * s * s * (r[:, None] - 2.0 * s / 3.0)) + np.expm1(-k * s**3 / 3.0)
+    g = m * (ends @ wt[0])
+    inside = r <= x
+    g[inside] += (x - r[inside]) * np.expm1(-k * r[inside] ** 3 / 3.0)
+    # int_0^lag expm1(-c0 - k x**2 l) dl = -lag * (e**-c0 phi(z) - expm1(-c0)), z = k x**2 lag,
+    # phi(z) = 1 + expm1(-z) / z on its series below z = 1e-3
+    lag = r[~inside] - x
+    c0 = k * x**3 / 3.0
+    z = k * x * x * lag
+    phi = np.where(z < 1e-3, z / 2.0 * (1.0 - z / 3.0 * (1.0 - z / 4.0 * (1.0 - z / 5.0))),
+                   1.0 + np.expm1(-z) / np.where(z < 1e-3, 1.0, z))
+    g[~inside] -= lag * (math.exp(-c0) * phi - math.expm1(-c0))
+    return g
+
+
+def _exp_damped_arrival(law, theta: float, r, x: float, n_v: int, n_head: int, n_u: int):
+    """Damping-rate weights and the arrival integrals g(a, r) of exp-damped pulses.
 
     The damping rate is a = upper * v**(1/kappa) with v uniform, graded as
-    v = z**EXP_DAMPED_GRADING and Gauss-Legendre in z.  Durations r < x run
-    in q with r = q**(2/(2 - rho)), which flattens the r**(1-rho) head;
-    durations r > x run in s with r = x * s**(-1/rho), which makes the Levy
-    weight uniform, on the tanh-sinh rule.  For each (a, r) the arrival
-    integral splits where the window (lo, hi] of the pulse changes form:
-    pulses starting before 0 and ending inside the window, pulses starting
-    inside it (both of length min(r, x), Gauss-Legendre), and the middle
-    stretch: length x - r with a constant mass when r <= x, else the pulses
-    covering the whole window, run in e = exp(a u) because their mass decays
-    like exp(a u) over a stretch of length r - x.
+    v = z**EXP_DAMPED_GRADING and Gauss-Legendre in z.  The first n_head
+    durations are the head r < x.  For each (a, r) the arrival integral
+    splits where the window (lo, hi] of the pulse changes form: pulses
+    starting before 0 and ending inside the window, pulses starting inside
+    it (both of length min(r, x), Gauss-Legendre), and the middle stretch:
+    length x - r with a constant mass when r <= x, else the pulses covering
+    the whole window, run in e = exp(a u) because their mass decays like
+    exp(a u) over a stretch of length r - x.
     """
-    n_v, n_head, n_tail, n_u = orders
-    rho, c_rho = model.R.alpha, model.R.tail_constant()
     grade = EXP_DAMPED_GRADING
-
     z, wz = nm.gauss_legendre_panels((0.0, 1.0), n_v)
-    a = model.A.upper * z[0] ** (grade / model.A.kappa)
+    a = law.upper * z[0] ** (grade / law.kappa)
     wa = wz[0] * grade * z[0] ** (grade - 1)
-
-    n_sub = 2.0 / (2.0 - rho)
-    q, wq = nm.gauss_legendre_panels((0.0, x ** (1.0 / n_sub)), n_head)
-    r_in = q[0] ** n_sub
-    w_in = wq[0] * n_sub * q[0] ** (n_sub - 1.0) * rho * c_rho * r_in ** (-1.0 - rho)
-    s, ws = nm.tanh_sinh_unit(n_tail)
-    r_out = x * s ** (-1.0 / rho)
-    r = np.concatenate((r_in, r_out))
 
     t, wt = nm.gauss_legendre_panels((0.0, 1.0), n_u)
     t, wt = t[0], wt[0]
@@ -528,20 +507,10 @@ def _exp_damped_rule(model, theta: float, x: float, orders) -> complex:
     ends += nm.psi_array(-theta * np.expm1(-aa * span * t) / aa)
     g = span[:, :, 0] * (ends @ wt)
 
-    ac = a[:, None]
-    g[:, :r_in.size] += (x - r_in) * nm.psi_array(-theta * np.expm1(-ac * r_in) / ac)
+    ac, r_in, r_out = a[:, None], r[:n_head], r[n_head:]
+    g[:, :n_head] += (x - r_in) * nm.psi_array(-theta * np.expm1(-ac * r_in) / ac)
     width = -np.expm1(-aa * (r_out[None, :, None] - x))  # the e-range is (1 - width, 1)
     e = 1.0 - width * (1.0 - t)
     covering = nm.psi_array(-theta * np.expm1(-aa * x) / aa * e) / (aa * e)
-    g[:, r_in.size:] += width[:, :, 0] * (covering @ wt)
-    return complex(wa @ g @ np.concatenate((w_in, ws * c_rho * x**-rho)))
-
-
-def _exp_damped_logchf(model, theta: float, x: float, orders=EXP_DAMPED_NODES) -> tuple[complex, float]:
-    """(value, err) of the exp-damped chf at y = 1.
-
-    The value is the rule at twice every order in ``orders``; err is its
-    distance to the rule at ``orders``.
-    """
-    fine = _exp_damped_rule(model, theta, x, tuple(2 * n for n in orders))
-    return fine, abs(fine - _exp_damped_rule(model, theta, x, orders))
+    g[:, n_head:] += width[:, :, 0] * (covering @ wt)
+    return wa, g

@@ -4,14 +4,16 @@ Every module under ``src/heavyagg`` is parsed; importing an underscore-prefixed
 name from a sibling (``from .x import _name``) or reading one through a
 sibling module (``x._name``) fails the test.  Dunder names are public.  Every
 ``__all__`` entry must exist, the benchmark's span tracer must still find
-every entry point it wraps, and the benchmark's Telecom point count must match
-the sampler.
+every entry point it wraps, every script that ``pyproject.toml`` declares
+must resolve, and the benchmark's Telecom point count must match the sampler.
 """
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from heavyagg import limit_fields, shot_noise
 from heavyagg.heavy_tail import DegenerateDist, RegVaryingDist
@@ -74,6 +76,16 @@ def test_every_public_name_exists():
         module = importlib.import_module(f"heavyagg.{name}")
         missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, missing
+
+
+def test_every_declared_script_resolves():
+    # an installed console script imports its module and looks up its
+    # function, so a dangling [project.scripts] target fails at every start
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
 
 
 def _bench_module(name: str):

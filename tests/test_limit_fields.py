@@ -9,9 +9,17 @@ import pytest
 from scipy import integrate, stats
 
 from heavyagg import limit_fields as lf
+from heavyagg import numerics as nm
 from heavyagg import shot_noise
-from heavyagg.heavy_tail import DegenerateDist, RegVaryingDist, StableParams, sample_stable
-from heavyagg.pulses import RectIndep
+from heavyagg.heavy_tail import (
+    DegenerateDist,
+    LowTailPowerDist,
+    RegVaryingDist,
+    StableParams,
+    UniformDist,
+    sample_stable,
+)
+from heavyagg.pulses import BrownianPulse, ExpDamped, RectCoupled, RectIndep
 from heavyagg.streams import stream
 
 SEED = 71
@@ -322,15 +330,58 @@ def test_telecom_logchf_small_theta_variance_probe():
     assert -2.0 * val.real / th**2 == pytest.approx(16.0 / 3.0, rel=1e-5)
 
 
-def test_telecom_logchf_matches_critical_shot_noise_route():
-    # unit-amplitude rectangular sessions at the critical growth exponent give the
-    # same log ch.f. through an entirely separate reduction
-    c, mu, alpha = 2.0, 3.0, 1.4
-    model = RectIndep(DegenerateDist(1.0), RegVaryingDist(alpha, (c / mu) ** (1.0 / alpha), "pareto-exact"))
-    for th, x in [(1.1, 2.0), (-0.6, 0.9)]:
-        mine = lf.telecom_logchf(th, x, alpha, c, mu)
-        other = shot_noise.intermediate_logchf(model, -th / mu, x, 1.0)
-        assert mine == pytest.approx(other, rel=1e-8)
+def _two_term_telecom_logchf(theta, x, alpha, c, mu):
+    """Independent route to ``telecom_logchf``: a two-term adaptive quadrature.
+
+    c/mu * int_0^inf Psi(-theta/mu * (x ∧ r)) r^-alpha dr
+    - i*theta*c/mu^2 * int_0^x (e^{-i*theta*r/mu} - 1)(x - r) r^-alpha dr,
+    with Psi(z) = e^{iz} - 1 - iz in compensated form near r = 0; the second
+    integrand flattens its r^(1-alpha) endpoint in a substitution r = q**n.
+    """
+    phi = -theta / mu
+
+    def psi(z):
+        return complex(nm.psi_array(z))
+
+    opts = {"limit": 300, "epsabs": 1e-14, "epsrel": 1e-10}
+    re1 = integrate.quad(lambda r: psi(phi * r).real * r**-alpha, 0.0, x, **opts)[0]
+    im1 = integrate.quad(lambda r: psi(phi * r).imag * r**-alpha, 0.0, x, **opts)[0]
+    term1 = (c / mu) * (complex(re1, im1) + psi(phi * x) * x ** (1.0 - alpha) / (alpha - 1.0))
+
+    n_sub = max(2.0, 2.0 / (2.0 - alpha))
+
+    def ramp(q):
+        r = q**n_sub
+        return n_sub * q ** (n_sub - 1.0) * (psi(phi * r) + 1j * phi * r) * (x - r) * r**-alpha
+
+    sx = x ** (1.0 / n_sub)
+    re2 = integrate.quad(lambda q: ramp(q).real, 0.0, sx, **opts)[0]
+    im2 = integrate.quad(lambda q: ramp(q).imag, 0.0, sx, **opts)[0]
+    return term1 - 1j * theta * (c / mu**2) * complex(re2, im2)
+
+
+def test_telecom_logchf_matches_two_term_quadrature():
+    for th, x, alpha, c, mu in [(1.1, 2.0, 1.4, 2.0, 3.0), (-0.6, 0.9, 1.4, 2.0, 3.0), (2.4, 0.7, 1.2, 3.0, 2.0)]:
+        want = _two_term_telecom_logchf(th, x, alpha, c, mu)
+        assert lf.telecom_logchf(th, x, alpha, c, mu) == pytest.approx(want, rel=1e-8)
+
+
+def test_chf_oracles_make_no_adaptive_quad_call(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("adaptive quad called")
+
+    monkeypatch.setattr(integrate, "quad", no_quad)
+    assert lf.telecom_logchf(1.1, 2.0, 1.4, 2.0, 3.0) != 0.0
+    models = [
+        RectIndep(DegenerateDist(1.0), RegVaryingDist(1.5, 1.0)),
+        RectIndep(UniformDist(0.5, 2.0), RegVaryingDist(1.5, 1.0)),
+        RectCoupled(RegVaryingDist(1.7, 1.0), 0.8),
+        BrownianPulse(RegVaryingDist(2.5, 1.0)),
+        ExpDamped(LowTailPowerDist(0.5), RegVaryingDist(1.2, 1.0)),
+    ]
+    for model in models:
+        assert shot_noise.intermediate_logchf(model, 0.8, 1.0) != 0.0
+    assert lf.intermediate_kappa_field_chf([1.2, -0.7], [(0.5, 1.0), (1.0, 0.5)], 1.8, 1.4, 1.0) != 0.0
 
 
 def test_telecom_logchf_y_linearity():

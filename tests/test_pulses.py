@@ -158,6 +158,15 @@ def test_mean_mass_matches_sampled_masses():
         assert abs(mass.mean() - pulses.mean_mass(model)) <= 4.0 * se, kind
 
 
+def test_mean_mass_quadratures_raise_on_a_large_error_bound(monkeypatch):
+    # exp-damped and coupled-reward mean masses keep quad's error bound
+    monkeypatch.setattr(integrate, "quad", lambda f, lo, hi, **kw: (1.0, 0.5))
+    for model in (pulses.ExpDamped(ht.LowTailPowerDist(0.4), pareto(1.5)),
+                  pulses.RenewalReward(pareto(1.5), pulses.vanishing_reward(0.5))):
+        with pytest.raises(RuntimeError, match="mean mass quadrature did not converge"):
+            pulses.mean_mass(model)
+
+
 # -- Brownian pulses ------------------------------------------------------------------
 
 

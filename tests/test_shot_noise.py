@@ -311,19 +311,61 @@ def test_superposition_of_two_half_rate_sources():
 # -- intermediate-limit characteristic function ---------------------------------------
 
 
+def test_gauss_legendre_nodes_are_cached_read_only():
+    t, w = nm._legendre(48)
+    assert nm._legendre(48)[0] is t
+    assert w.sum() == pytest.approx(2.0, rel=1e-14)
+    for arr in (t, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    nodes, weights = nm.gauss_legendre_panels((0.0, 1.0, 3.0), 48)
+    assert nodes.shape == weights.shape == (2, 48)
+    assert np.sum(weights * nodes**2) == pytest.approx(9.0, rel=1e-14)
+
+
+def cos_minus_one(z: float) -> float:
+    """cos(z) - 1 without cancellation, via -2 sin^2(z/2)."""
+    s = math.sin(0.5 * z)
+    return -2.0 * s * s
+
+
+def sin_minus_z(z: float) -> float:
+    """sin(z) - z, series below 1e-3 (next omitted term is ~z^9/362880)."""
+    if abs(z) < 1e-3:
+        z2 = z * z
+        return -z * z2 / 6.0 * (1.0 - z2 / 20.0 * (1.0 - z2 / 42.0))
+    return math.sin(z) - z
+
+
+def one_minus_cos_minus_half_sq(z: float) -> float:
+    """(1 - cos z) - z^2/2, series below 1e-3."""
+    if abs(z) < 1e-3:
+        z2 = z * z
+        return -z2 * z2 / 24.0 * (1.0 - z2 / 30.0 * (1.0 - z2 / 56.0))
+    return -cos_minus_one(z) - 0.5 * z * z
+
+
+def psi(z: float) -> complex:
+    """The compensated oscillator e^{iz} - 1 - iz for real z."""
+    return complex(cos_minus_one(z), sin_minus_z(z))
+
+
 def test_compensated_trig_helpers():
     import mpmath as mp
 
     mp.mp.dps = 60  # the z=1e-12 references cancel down to 1e-50
     zs = (1e-12, 1e-8, 1e-4, 9.9e-4, 1.1e-3, 0.5, 3.0, -2.2, -1e-5)
-    for z, vec in zip(zs, nm.psi_array(np.array(zs))):
+    for z, vec, ramp in zip(zs, nm.psi_array(np.array(zs)), nm.psi_ramp_array(np.array(zs))):
         zz = mp.mpf(z)
-        assert vec == pytest.approx(nm.psi(z), rel=1e-12, abs=1e-300)
-        assert nm.cos_minus_one(z) == pytest.approx(float(mp.cos(zz) - 1), rel=1e-8, abs=1e-300)
-        assert nm.sin_minus_z(z) == pytest.approx(float(mp.sin(zz) - zz), rel=1e-8, abs=1e-300)
-        assert nm.one_minus_cos_minus_half_sq(z) == pytest.approx(
+        assert vec == pytest.approx(psi(z), rel=1e-12, abs=1e-300)
+        assert cos_minus_one(z) == pytest.approx(float(mp.cos(zz) - 1), rel=1e-8, abs=1e-300)
+        assert sin_minus_z(z) == pytest.approx(float(mp.sin(zz) - zz), rel=1e-8, abs=1e-300)
+        assert one_minus_cos_minus_half_sq(z) == pytest.approx(
             float(1 - mp.cos(zz) - zz * zz / 2), rel=1e-8, abs=1e-300
         )
+        # the ramp average int_0^1 Psi(z s) ds
+        assert ramp.real == pytest.approx(float((mp.sin(zz) - zz) / zz), rel=1e-8, abs=1e-300)
+        assert ramp.imag == pytest.approx(float((1 - mp.cos(zz) - zz * zz / 2) / zz), rel=1e-8, abs=1e-300)
 
 
 def split_levy_quad(f, rho, c_rho, break_r):
@@ -353,10 +395,10 @@ def brute_rect_logchf(theta, x, y, rho, c_rho):
     def inner(r):
         kinks = sorted({p for p in (0.0, x - r) if -r < p < x})
         re, _ = integrate.quad(
-            lambda u: nm.cos_minus_one(theta * overlap(u, r)), -r, x, points=kinks, limit=200
+            lambda u: cos_minus_one(theta * overlap(u, r)), -r, x, points=kinks, limit=200
         )
         im, _ = integrate.quad(
-            lambda u: nm.sin_minus_z(theta * overlap(u, r)), -r, x, points=kinks, limit=200
+            lambda u: sin_minus_z(theta * overlap(u, r)), -r, x, points=kinks, limit=200
         )
         return complex(re, im)
 
@@ -392,14 +434,26 @@ def test_intermediate_logchf_coupled_matches_brute():
             return h * max(0.0, min(u + d, x) - max(u, 0.0))
 
         kinks = sorted({q for q in (0.0, x - d) if -d < q < x})
-        re, _ = integrate.quad(lambda u: nm.cos_minus_one(theta * mass(u)), -d, x, points=kinks, limit=200)
+        re, _ = integrate.quad(lambda u: cos_minus_one(theta * mass(u)), -d, x, points=kinks, limit=200)
         im, _ = integrate.quad(
-            lambda u: nm.sin_minus_z(theta * mass(u)), -d, x, points=kinks, limit=200
+            lambda u: sin_minus_z(theta * mass(u)), -d, x, points=kinks, limit=200
         )
         return complex(re, im)
 
     want = split_levy_quad(inner, rho, 1.0, x ** (1.0 / p))
     assert sn.intermediate_logchf(model, theta, x, 1.0) == pytest.approx(want, rel=1e-6)
+
+
+def test_intermediate_logchf_coupled_fast_oscillating_tail_frozen():
+    # at p = 0.6 the height r**0.4 makes Psi oscillate ever faster in the
+    # duration tail, which stalls a rule on the real axis and adaptive quad
+    # alike.  Expected value computed offline by adaptive quad of the
+    # closed-form arrival integral over 4,000 log-spaced duration panels up
+    # to r = 1e45 (tolerance 1e-12 each).
+    model = pl.RectCoupled(R=ht.RegVaryingDist(1.5, 1.0), p=0.6)
+    want = -2.6166174603514 - 1.5739323304239j
+    assert sn.intermediate_logchf(model, 1.0, 1.0, 1.0) == pytest.approx(want, rel=1e-7)
+    assert sn.intermediate_logchf(model, -1.0, 1.0, 1.0) == pytest.approx(want.conjugate(), rel=1e-7)
 
 
 def test_intermediate_logchf_brownian_real_and_frozen():
@@ -466,10 +520,63 @@ def test_intermediate_logchf_exp_damped_error_estimate_covers_refinement():
     # err compares the rule with the one of half every order; doubling every
     # order once more must move the value by less than that
     model = exp_damped_source().pulse
-    value, err = sn._exp_damped_logchf(model, 0.8, 1.0)
-    finer, _ = sn._exp_damped_logchf(model, 0.8, 1.0, tuple(2 * n for n in sn.EXP_DAMPED_NODES))
-    assert 0.0 < abs(finer - value) < err <= sn.EXP_DAMPED_RTOL * abs(value)
+    value, err = sn._intermediate_logchf(model, 0.8, 1.0)
+    finer, _ = sn._intermediate_logchf(model, 0.8, 1.0, tuple(2 * n for n in sn.CHF_NODES))
+    assert 0.0 < abs(finer - value) < err <= sn.CHF_RTOL * abs(value)
     assert sn.intermediate_logchf(model, 0.8, 1.0, 1.0) == value
+
+
+CHF_FAMILIES = {
+    "rect-uniform": pl.RectIndep(A=ht.UniformDist(0.5, 2.0), R=ht.RegVaryingDist(1.5, 1.0)),
+    "rect-coupled": pl.RectCoupled(R=ht.RegVaryingDist(1.7, 1.0), p=0.8),
+    "brownian": pl.BrownianPulse(R=ht.RegVaryingDist(2.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CHF_FAMILIES))
+@pytest.mark.parametrize("theta, x", [(1.0, 1.0), (-2.0, 1.5)])
+def test_intermediate_logchf_error_estimate_covers_refinement(family, theta, x):
+    model = CHF_FAMILIES[family]
+    value, err = sn._intermediate_logchf(model, theta, x)
+    finer, _ = sn._intermediate_logchf(model, theta, x, tuple(2 * n for n in sn.CHF_NODES))
+    assert abs(finer - value) < max(err, 1e-14 * abs(value))
+    assert err <= sn.CHF_RTOL * abs(value)
+    assert sn.intermediate_logchf(model, theta, x, 2.0) == 2.0 * value
+
+
+def test_intermediate_logchf_raises_when_the_orders_disagree(monkeypatch):
+    # at two nodes per axis the rule and its refinement differ far beyond
+    # CHF_RTOL, for every family
+    coarse = sn._intermediate_logchf
+    monkeypatch.setattr(sn, "_intermediate_logchf", lambda m, th, x: coarse(m, th, x, (2, 2, 2, 2)))
+    for model in (*CHF_FAMILIES.values(), rect_unit_source().pulse, exp_damped_source().pulse):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            sn.intermediate_logchf(model, 1.0, 1.0)
+
+
+def test_intermediate_logchf_rejects_models_without_a_limit():
+    mix = pl.MixturePulse((rect_unit_source().pulse, exp_damped_source().pulse), (0.5, 0.5))
+    with pytest.raises(ValueError, match="no intermediate-limit oracle"):
+        sn.intermediate_logchf(mix, 1.0, 1.0)
+    # the Levy integral of the r**2 arrival integral diverges at r = 0 for rho >= 2
+    with pytest.raises(ValueError, match="duration tail index"):
+        sn.intermediate_logchf(rect_unit_source(2.2).pulse, 1.0, 1.0)
+
+
+def test_intermediate_logchf_uniform_amplitude_mixes_degenerate_ones():
+    # the log chf is linear in the amplitude law: a uniform amplitude on
+    # (lo, hi) averages the degenerate-amplitude oracle over a
+    lo, hi, theta, x = 0.5, 2.0, 1.3, 1.2
+    duration = ht.RegVaryingDist(1.5, 1.0)
+    got = sn.intermediate_logchf(pl.RectIndep(A=ht.UniformDist(lo, hi), R=duration), theta, x)
+
+    def at(a, part):
+        return getattr(sn.intermediate_logchf(pl.RectIndep(A=ht.DegenerateDist(a), R=duration), theta, x), part)
+
+    want = complex(*(integrate.quad(at, lo, hi, args=(part,))[0] / (hi - lo) for part in ("real", "imag")))
+    assert got == pytest.approx(want, rel=1e-8)
+    with pytest.raises(ValueError, match="amplitude"):
+        sn.intermediate_logchf(pl.RectIndep(A=ht.ExponentialDist(1.0), R=duration), theta, x)
 
 
 def test_intermediate_logchf_scales_linearly_in_y():
