@@ -35,10 +35,12 @@ __all__ = ["AggregateSample", "aggregate", "rect_increment"]
 
 # per-chunk working-set budget in array cells (pulses or lanes times windows);
 # chunk sizes derive from expected workloads only, never from drawn values,
-# so a given argument tuple always consumes the generator identically.  The
-# shot-noise kernel touches O(pulses + cells touched), so for shot noise the
-# pulses * nx estimate is an upper bound; it is kept because sizing chunks by
-# pulses alone would batch many more replicates per call and raise peak memory
+# so a given argument tuple always consumes the generator identically.  For
+# regenerative sources it bounds the lanes (replicates times block sources)
+# that one call walks at once.  The shot-noise kernel walks its pulses in
+# fixed blocks (shot_noise.PULSE_BLOCK), so there a chunk only sets how many
+# replicates share one call: the call's memory is bounded by the block, not
+# by this budget
 CHUNK_CELL_BUDGET = 4_000_000
 # refuse calls whose output matrix alone would dwarf desk-scale memory
 MAX_OUTPUT_CELLS = 1 << 26

@@ -24,7 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
+
+from . import numerics as nm
 
 __all__ = [
     "RegVaryingDist",
@@ -179,9 +181,8 @@ class RegVaryingDist:
             return self.alpha * self.x_min**self.alpha * lo ** (q - self.alpha) / (self.alpha - q)
         # integration by parts: E[X^q; X>m] = m^q S(m) + q * int_m^inf x^(q-1) S(x) dx
         m = max(m, 0.0)
-        tail, _ = integrate.quad(
-            lambda x: x ** (q - 1.0) * float(self.survival(x)), max(m, 1e-300), np.inf, limit=200
-        )
+        tail = nm.checked_quad(lambda x: x ** (q - 1.0) * float(self.survival(x)), max(m, 1e-300), np.inf,
+                               "partial moment")
         head = m**q * float(self.survival(m)) if m > 0 else 0.0
         return head + q * tail
 
@@ -217,6 +218,12 @@ class RegVaryingDist:
             out = np.where(pick, pareto, bulk)
             return float(out[0]) if size is None else out
         u = rng.random(size)
+        if self.kind == "pareto-exact" and size is not None:
+            # 1 - U lies in (0, 1], so the isf needs neither a floor nor a range check
+            np.subtract(1.0, u, out=u)
+            np.power(u, -1.0 / self.alpha, out=u)
+            u *= self.x_min
+            return u
         u = np.maximum(u, np.finfo(float).tiny)
         return self.isf(u)
 
@@ -371,8 +378,7 @@ class UniformDist:
         return (self.hi ** (q + 1.0) - self.lo ** (q + 1.0)) / ((q + 1.0) * span)
 
     def expect(self, func) -> float:
-        val, _ = integrate.quad(func, self.lo, self.hi, limit=200)
-        return val / (self.hi - self.lo)
+        return nm.checked_quad(func, self.lo, self.hi, "uniform expectation") / (self.hi - self.lo)
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(self.lo, self.hi, size)

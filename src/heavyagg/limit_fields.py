@@ -218,11 +218,6 @@ def left_pad_variance(spec: TelecomSpec, x: float, y: float = 1.0) -> float:
     return 0.0
 
 
-# expected pulses times x values per call of the path kernel in
-# sample_telecom; whole replicates are batched up to this size
-TELECOM_CHUNK_POINTS = 4_000_000
-
-
 def sample_telecom(
     spec: TelecomSpec,
     x_grid,
@@ -239,9 +234,9 @@ def sample_telecom(
     sessions alive at time 0 from the exact stationary (length-biased) law.
     The window sums are cumulated over the grid and the exact mean
     x * rate * E R is subtracted.  The output is exact apart from the dropped
-    durations r < eps, whose variance ``small_jump_variance`` gives.
-    Replicates are batched so that the expected pulses times grid points of
-    one batch stay within ``TELECOM_CHUNK_POINTS``.
+    durations r < eps, whose variance ``small_jump_variance`` gives.  All
+    replicates go through one kernel call, whose memory is the output plus
+    one pulse block's temporaries however many pulses it draws.
     """
     x = nm.strict_grid("x_grid", x_grid)
     if not y_max > 0:
@@ -257,12 +252,7 @@ def sample_telecom(
 
     pulse = RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, spec.eps))
     src = shot_noise.ShotNoiseSource(pulse, rate=y_max * spec.c * spec.eps**-spec.alpha)
-    per_rep_cells = src.rate * (x[-1] + src.mean_duration) * x.size
-    chunk = max(1, min(reps, int(TELECOM_CHUNK_POINTS // per_rep_cells)))
-    out = np.empty((reps, x.size))
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        out[lo:hi] = np.cumsum(shot_noise.integrated_path_batch(src, x, rng, hi - lo), axis=1)
+    out = np.cumsum(shot_noise.integrated_path_batch(src, x, rng, reps), axis=1)
     out -= x * src.mean_level()
     return out[0] if n_rep is None else out
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from . import numerics as nm
 from .heavy_tail import (
@@ -460,20 +459,13 @@ def corr_kernel(model, u: float, t: float) -> float:
     if kind == "workload":
         if model.Zon.alpha <= 2.0:
             raise ValueError("workload correlation kernel needs alpha > 2 (finite E Z_on^2)")
-        val, _ = integrate.quad(
-            lambda v: (2.0 * v - 2.0 * u - t) * float(model.Zon.survival(v)), s, np.inf, limit=200
-        )
-        return val
+        return nm.checked_quad(lambda v: (2.0 * v - 2.0 * u - t) * float(model.Zon.survival(v)), s, np.inf,
+                               "workload correlation kernel")
     if kind == "renewal-reward":
         if model.reward.kind == "independent":
             return model.reward.dist.moment(2.0) * float(model.Z.survival(s))
-        val, _ = integrate.quad(
-            lambda z: float(model.reward.cond_moment2(np.array([z]))[0]) * float(model.Z.pdf(z)),
-            s,
-            np.inf,
-            limit=200,
-        )
-        return val
+        return nm.checked_quad(lambda z: float(model.reward.cond_moment2(np.array([z]))[0]) * float(model.Z.pdf(z)),
+                               s, np.inf, "coupled-reward correlation kernel")
     if kind == "mixture":
         return float(sum(w * corr_kernel(c, u, t) for w, c in zip(model.weights, model.components)))
     raise ValueError(f"unknown pulse family {kind!r}")

@@ -6,12 +6,15 @@ exact-in-law samples of the windowed integrals int X(t) dt over consecutive
 windows: arrivals inside each window are a Poisson(rate * width) batch with
 uniform positions, and pulses already alive at the first window's start are
 a Poisson(rate * E[D]) batch whose (age, duration) pairs come from the exact
-length-biased device.  No truncation horizon is involved anywhere.  Every
-pulse is evaluated only on the windows it touches; deterministic pulses
-through the per-family kernels of the pulses module, Brownian pulses through
-a Gaussian recursion that carries the path value from window to window.  A
-single window (0, T] is the one-cut path ``integrated_path_batch(src, [T],
-...)[:, 0]``.
+length-biased device.  No truncation horizon is involved anywhere.  Only
+the counts are drawn for the whole call; the pulses themselves are walked in
+fixed blocks of ``PULSE_BLOCK``, so the memory of a call is its output and
+its per-cell counts plus one block's temporaries, however many replicates it
+draws.  Every pulse is evaluated only on the windows it touches;
+deterministic pulses through the per-family kernels of the pulses module,
+Brownian pulses through a Gaussian recursion that carries the path value
+from window to window.  A single window (0, T] is the one-cut path
+``integrated_path_batch(src, [T], ...)[:, 0]``.
 
 It also carries the family constants of the scaling table (the critical
 growth exponent gamma0, the exponents and tail constants that the regimes
@@ -136,8 +139,9 @@ def _continuation_cells(d, a, b, cell, lows, cuts):
     Arguments as for ``_add_cells``.  Returns (pulse, step, lo, hi) with one
     entry per continuation cell: the pulse's index, the cell's offset from
     the pulse's first cell and the cell's window (lo, hi] in pulse-local time,
-    clipped to the support.  The cells of one pulse are consecutive and in
-    time order.
+    cut at the pulse end.  A continuation window starts after the pulse does
+    and before it ends, so only its end needs the cut.  The cells of one
+    pulse are consecutive and in time order.
     """
     nx = cuts.size
     more = np.flatnonzero(d > b) if nx > 1 else np.empty(0, dtype=np.intp)
@@ -150,8 +154,8 @@ def _continuation_cells(d, a, b, cell, lows, cuts):
     step = 1 + np.arange(owner.size) - np.repeat(np.cumsum(n_more) - n_more, n_more)
     window = first[owner] + step
     pulse = more[owner]
-    u, d = u[owner], d[pulse]
-    return pulse, step, np.clip(lows[window] - u, 0.0, d), np.clip(cuts[window] - u, 0.0, d)
+    u = u[owner]
+    return pulse, step, lows[window] - u, np.minimum(cuts[window] - u, d[pulse])
 
 
 def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
@@ -159,16 +163,18 @@ def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
 
     Pulse i of one leaf family has duration d[i] and mark m[i]; it first
     touches the window whose flat index (rep * n_windows + window) is
-    cell[i], and (a[i], b[i]] is that window in the pulse's local time.
-    Window j covers global time (lows[j], cuts[j]].  A pulse is evaluated on
-    its first window and, only when it outlives that window, on each later
-    window up to the one holding its end, so it costs O(1 + windows touched).
-    Only the per-cell evaluation depends on the family.  Deterministic
-    families add and free their first-cell masses before the continuation
-    cells are built, which keeps the two sets of arrays from being alive at
-    once; Brownian pulses need both together for their path values.
+    cell[i], and (a[i], b[i]] is that window in the pulse's local time, so
+    a[i] < d[i] and b[i] > 0: the window starts before the pulse ends and
+    ends after it starts.  Window j covers global time (lows[j], cuts[j]].
+    A pulse is evaluated on its first window and, only when it outlives that
+    window, on each later window up to the one holding its end, so it costs
+    O(1 + windows touched).  Only the per-cell evaluation depends on the
+    family.  Deterministic families add and free their first-cell masses
+    before the continuation cells are built, which keeps the two sets of
+    arrays from being alive at once; Brownian pulses need both together for
+    their path values.
     """
-    lo, hi = np.clip(a, 0.0, d), np.clip(b, 0.0, d)
+    lo, hi = np.maximum(a, 0.0), np.minimum(b, d)
     if model.kind == "brownian":
         pulse, step, lo_more, hi_more = _continuation_cells(d, a, b, cell, lows, cuts)
         head, tail = _brownian_cells(lo, hi, lo_more, hi_more, pulse, step, rng)
@@ -199,6 +205,36 @@ def _leaf_groups(model, probs, rng, k):
             yield leaf, idx, idx.size
 
 
+# Pulses per block of the path kernel.  A per-pulse temporary of one block
+# is 128 KiB of float64: the dozen or so a block allocates stay inside L2
+# (2 MiB per core on the 2-vCPU Xeon measured), and glibc serves them from
+# its heap, which blocks reuse, where full-length temporaries went through
+# mmap and were page-faulted in afresh on every pass.  glibc maps requests
+# from its mmap threshold up; that starts at 128 KiB and rises past the
+# first mapping freed, so blocks of 1 << 14 sit at its edge.  On
+# telecom-check, per warmed job: 4k blocks pay per-block Python overhead
+# (3.0-3.3 s against 1.9-2.7 s at 8k-16k), 8k-12k take no minor page
+# fault and 16k ~1.6k, and from 32k (256 KiB) the temporaries are mapped
+# on every pass again (0.27-0.44M faults).
+PULSE_BLOCK = 1 << 14
+
+
+def _pulse_blocks(counts):
+    """Yield (entries, share) for consecutive blocks of PULSE_BLOCK pulses.
+
+    counts[e] pulses belong to entry e, in entry order.  A block holds
+    share[i] pulses of entry entries.start + i; an entry may straddle blocks.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for p0 in range(0, total, PULSE_BLOCK):
+        p1 = min(p0 + PULSE_BLOCK, total)
+        # the first entry with a pulse at or after p0, the last with one before p1
+        i0 = int(np.searchsorted(ends, p0, side="right"))
+        i1 = int(np.searchsorted(ends, p1, side="left")) + 1
+        yield slice(i0, i1), np.diff(np.minimum(ends[i0:i1], p1), prepend=p0)
+
+
 def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, n_rep: int):
     """Stationary increments int_{c_{j-1}}^{c_j} X dt over shared pulses.
 
@@ -207,14 +243,18 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     row's windows are evaluated on one set of pulses, so cumulative sums over a
     row form a consistent sample path of the integrated process.
 
-    Arrivals are drawn window by window: Poisson(rate * width) uniform points
-    in each (rep, window) cell.  That is the Poisson process on (0, c_n]
-    restricted to disjoint windows, and it tells each new pulse's first
-    window without a search.  Pulses alive at time zero are a
-    Poisson(rate * E D) batch with exact stationary (age, duration) pairs,
-    first touching window 0.  Pulses are evaluated only on the
-    windows they touch, and bincounts over flat (rep, window) indices sum
-    the cells, so the cost is O(pulses + cells touched), not
+    Arrival counts are drawn once per (rep, window) cell: Poisson(rate *
+    width) uniform points in each cell.  That is the Poisson process on
+    (0, c_n] restricted to disjoint windows, and it tells each new pulse's
+    first window without a search.  Pulses alive at time zero are a
+    Poisson(rate * E D) batch per replicate with exact stationary (age,
+    duration) pairs, first touching window 0.  Both kinds are then walked in
+    blocks of ``PULSE_BLOCK`` pulses: a block rebuilds the first cells of its
+    pulses from the counts, draws their positions, durations and marks, and
+    adds their masses on the windows they touch (a cell's pulses may fall
+    into two blocks).  So the memory of one call is the output and the counts
+    plus temporaries of O(PULSE_BLOCK x windows touched per pulse), whatever
+    ``n_rep`` is, and the cost is O(pulses + cells touched), not
     O(pulses * n_windows).  Brownian pulses go through the same cells and
     carry their path value from one touched window to the next.
     """
@@ -229,28 +269,36 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     widths = cuts - lows
     model = src.pulse
     out = np.zeros(n_rep * nx)
-
-    # pulses arriving inside each window, at offset s from its start; a new
-    # pulse's first cell is its (rep, window) cell
     n_new = rng.poisson(src.rate * widths, (n_rep, nx)).ravel()
-    cell = np.repeat(np.arange(n_rep * nx), n_new)
-    width = np.repeat(np.tile(widths, n_rep), n_new)
-    s = width * rng.uniform(size=cell.size)
-    probs = model.weights if model.kind == "mixture" else None
-    for leaf, idx, k in _leaf_groups(model, probs, rng, cell.size):
-        d, m = pl.KERNELS[leaf.kind].fresh(leaf, rng, k)
-        _add_cells(out, leaf, d, m, -s[idx], width[idx] - s[idx], cell[idx], lows, cuts, rng)
-
-    # pulses alive at time zero, anchored at the negated stationary age; a
-    # mixture's alive-pulse component is size-biased by its mean duration
     n_old = rng.poisson(src.rate * mean_d, n_rep)
-    cell = np.repeat(np.arange(0, n_rep * nx, nx), n_old)
+    fresh_probs = aged_probs = None
     if model.kind == "mixture":
-        probs = np.array(model.weights) * [pl.duration_mean(c) for c in model.components]
-        probs /= probs.sum()
-    for leaf, idx, k in _leaf_groups(model, probs, rng, cell.size):
-        age, d, m = pl.KERNELS[leaf.kind].aged(leaf, rng, k)
-        _add_cells(out, leaf, d, m, age, age + cuts[0], cell[idx], lows, cuts, rng)
+        # a mixture's alive-pulse component is size-biased by its mean duration
+        fresh_probs = model.weights
+        aged_probs = np.array(model.weights) * [pl.duration_mean(c) for c in model.components]
+        aged_probs /= aged_probs.sum()
+
+    # pulses arriving inside a cell, at offset s from its start; a block's
+    # cells lie in replicates r0 <= r < r1, so it adds into that slice of out
+    # and its bincounts span the slice, not the whole output
+    cell_width = np.tile(widths, n_rep)
+    for cells, share in _pulse_blocks(n_new):
+        r0, r1 = cells.start // nx, (cells.stop - 1) // nx + 1
+        cell = np.repeat(np.arange(cells.start - r0 * nx, cells.stop - r0 * nx), share)
+        width = np.repeat(cell_width[cells], share)
+        for leaf, idx, k in _leaf_groups(model, fresh_probs, rng, cell.size):
+            w = width[idx]
+            s = w * rng.random(k)
+            d, m = pl.KERNELS[leaf.kind].fresh(leaf, rng, k)
+            _add_cells(out[r0 * nx:r1 * nx], leaf, d, m, -s, w - s, cell[idx], lows, cuts, rng)
+
+    # pulses alive at time zero, anchored at the negated stationary age
+    for reps, share in _pulse_blocks(n_old):
+        cell = np.repeat(np.arange(0, (reps.stop - reps.start) * nx, nx), share)
+        for leaf, idx, k in _leaf_groups(model, aged_probs, rng, cell.size):
+            age, d, m = pl.KERNELS[leaf.kind].aged(leaf, rng, k)
+            _add_cells(out[reps.start * nx:reps.stop * nx], leaf, d, m, age, age + cuts[0], cell[idx],
+                       lows, cuts, rng)
     return out.reshape(n_rep, nx)
 
 
@@ -405,7 +453,8 @@ def _chf_rule(model, theta: float, x: float, orders) -> complex:
     pulse first covers the window (x, or x**(1/p) for rect-coupled pulses)
     and power 2 / (k - rho) for an arrival integral that vanishes like r**k
     (k = 3 for Brownian pulses, 2 otherwise).  Each family supplies its
-    arrival integral g(mark, r) and its mark nodes.
+    arrival integral g(mark, r) and its mark nodes.  Rect-coupled pulses with
+    p < 1 split the duration tail where |theta| * height * x reaches 1.
     """
     n_mark, n_head, n_tail, n_u = orders
     kind = model.kind
@@ -416,8 +465,8 @@ def _chf_rule(model, theta: float, x: float, orders) -> complex:
     if not 0.0 < k - rho:
         raise ValueError(f"no intermediate limit for {kind} pulses with duration tail index {rho} >= {k:g}")
     b = x ** (1.0 / model.p) if kind == "rect-coupled" else x
-    r, w = nm.levy_duration_rule(rho, model.R.tail_constant(), b, 2.0 / (k - rho), n_head, n_tail)
-    head = np.arange(r.size) < n_head
+    c_rho = model.R.tail_constant()
+    r, w = nm.levy_duration_rule(rho, c_rho, b, 2.0 / (k - rho), n_head, n_tail)
     if kind in ("rect-indep", "rect-coupled"):
         # height a * r**(1-p) and duration r**p: p = 1 for rect-indep, a = 1 for rect-coupled
         p, a_law = (1.0, model.A) if kind == "rect-indep" else (model.p, DegenerateDist(1.0))
@@ -429,6 +478,16 @@ def _chf_rule(model, theta: float, x: float, orders) -> complex:
         else:
             raise ValueError("intermediate oracle needs a degenerate or uniform amplitude law")
         if p < 1.0:
+            # beyond b the arrival integral grows like r**(2-p) until |z| = 1 at
+            # r = edge, which a small theta pushes far out; the tail is split
+            # there: Gauss-Legendre in log r up to it, tanh-sinh beyond
+            edge = abs(theta * x) ** (-1.0 / (1.0 - p))
+            if edge > b:
+                v, wv = nm.gauss_legendre_panels((0.0, math.log(edge / b)), n_tail)
+                s, ws = nm.tanh_sinh_unit(n_tail)
+                r_mid = b * np.exp(v[0])
+                r = np.concatenate((r[:n_head], r_mid, edge * s ** (-1.0 / rho)))
+                w = np.concatenate((w[:n_head], wv[0] * rho * c_rho * r_mid**-rho, ws * c_rho * edge**-rho))
             # beyond b the height grows and Psi oscillates ever faster in r; on
             # the ray r = b + e**(i phi) (r' - b), phi = pi/4 with the sign of
             # theta, it decays instead, and by Cauchy the integral is the same
@@ -442,6 +501,7 @@ def _chf_rule(model, theta: float, x: float, orders) -> complex:
         # stays for |x - d| and falls back, so g = 2 m ramp(z) + |x - d| Psi(z)
         # with z = theta * height * m; for d > x (the tail) this also holds
         # on the ray
+        head = np.arange(r.size) < n_head
         d = r**p
         m = np.where(head, d, x)
         z = theta * a[:, None] * r ** (1.0 - p) * m

@@ -2,10 +2,11 @@
 
 Every module under ``src/heavyagg`` is parsed; importing an underscore-prefixed
 name from a sibling (``from .x import _name``) or reading one through a
-sibling module (``x._name``) fails the test.  Dunder names are public.  Every
-``__all__`` entry must exist, the benchmark's span tracer must still find
-every entry point it wraps, every script that ``pyproject.toml`` declares
-must resolve, and the benchmark's Telecom point count must match the sampler.
+sibling module (``x._name``) fails the test.  Dunder names are public.  No
+module reads the process environment.  Every ``__all__`` entry must exist,
+the benchmark's span tracer must still find every entry point it wraps, every
+script that ``pyproject.toml`` declares must resolve, and the benchmark's
+Telecom point count must match the sampler.
 """
 
 import ast
@@ -67,6 +68,32 @@ def test_checker_sees_both_forms(tmp_path):
         "from .shot_noise import _helper\nfrom . import pulses as pl\npl._kernel(1)\npl.__name__\n"
     )
     assert private_uses(src) == ["mod.py:1 imports _helper", "mod.py:3 reads pl._kernel"]
+
+
+ENVIRONMENT_READS = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(path: Path) -> list[str]:
+    """Lines of ``path`` that read the process environment through ``os``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{path.name}:{node.lineno} imports os.{a.name}" for a in node.names
+                      if a.name in ENVIRONMENT_READS]
+        elif isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS:
+            found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    return found
+
+
+def test_no_module_reads_the_environment(tmp_path):
+    # block sizes and budgets are module constants: a knob read from the
+    # environment would make a run's draws and memory depend on the shell
+    probe = tmp_path / "mod.py"
+    probe.write_text("import os\nfrom os import getenv\nos.environ.get('X')\n")
+    assert environment_reads(probe) == ["mod.py:2 imports os.getenv", "mod.py:3 reads .environ"]
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in environment_reads(path)]
+    assert not found, found
 
 
 def test_every_public_name_exists():

@@ -265,26 +265,31 @@ def test_telecom_sampler_variance_growth_exponent():
     assert abs(slope - 1.5) < 0.05
 
 
-@pytest.mark.parametrize("one_rep_batches", [False, True])
-def test_telecom_sampler_cross_x_covariance(monkeypatch, one_rep_batches):
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_telecom_sampler_cross_x_covariance(monkeypatch, small_blocks):
     # stationary increments: Cov(J(x1), J(x2)) = (V(x1) + V(x2) - V(x2 - x1)) / 2,
     # with V the variance of the eps-cut field
     spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.05)
     xs = (0.5, 1.0, 2.0)
     n = 10_000
-    batch_sizes = []
-    if one_rep_batches:
-        monkeypatch.setattr(lf, "TELECOM_CHUNK_POINTS", 1)
-        kernel = shot_noise.integrated_path_batch
+    split_cells = []
+    if small_blocks:
+        # an odd block of 257 pulses ends inside cells of one replicate, so
+        # the pulses of one (replicate, window) cell fall into two blocks
+        monkeypatch.setattr(shot_noise, "PULSE_BLOCK", 257)
+        walk = shot_noise._pulse_blocks
 
-        def counting_kernel(src, cuts, rng, n_rep):
-            batch_sizes.append(n_rep)
-            return kernel(src, cuts, rng, n_rep)
+        def spy(counts):
+            last = -1
+            for entries, share in walk(counts):
+                split_cells.append(entries.start == last)
+                last = entries.stop - 1
+                yield entries, share
 
-        monkeypatch.setattr(shot_noise, "integrated_path_batch", counting_kernel)
+        monkeypatch.setattr(shot_noise, "_pulse_blocks", spy)
     draws = lf.sample_telecom(spec, xs, 1.0, rng_for("tele-cov"), n_rep=n)
-    if one_rep_batches:
-        assert batch_sizes == [1] * n
+    if small_blocks:
+        assert sum(split_cells) > 1000
 
     def var(x):
         return lf.telecom_variance(spec.alpha, spec.c, x) - lf.small_jump_variance(spec, x)

@@ -8,6 +8,7 @@ brute-force quadrature and Monte Carlo over kernel draws.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,32 @@ def test_mean_mass_quadratures_raise_on_a_large_error_bound(monkeypatch):
                   pulses.RenewalReward(pareto(1.5), pulses.vanishing_reward(0.5))):
         with pytest.raises(RuntimeError, match="mean mass quadrature did not converge"):
             pulses.mean_mass(model)
+
+
+def test_kernel_and_moment_quadratures_raise_when_they_do_not_converge(monkeypatch):
+    # the workload and coupled-reward correlation kernels, partial moments of
+    # non-Pareto laws and uniform expectations keep quad's error bound: an
+    # integrand oscillating far faster than quad's subdivision limit resolves
+    # makes each of them raise
+    def wild(self, x):
+        return np.exp(-x) * (1.0 + np.sin(1e5 * x))
+
+    monkeypatch.setattr(ht.RegVaryingDist, "survival", wild)
+    monkeypatch.setattr(ht.RegVaryingDist, "pdf", wild)
+    monkeypatch.setattr(pulses.RewardLaw, "cond_moment2", lambda self, z: np.ones_like(z))
+    cases = [
+        ("workload correlation kernel",
+         lambda: pulses.corr_kernel(pulses.Workload(pareto(2.5), ht.ExponentialDist(1.0)), 0.5, 0.3)),
+        ("coupled-reward correlation kernel",
+         lambda: pulses.corr_kernel(pulses.RenewalReward(pareto(3.5), pulses.vanishing_reward(0.5)), 0.5, 0.3)),
+        ("partial moment", lambda: ht.RegVaryingDist(1.5, 1.0, "pareto-shifted").partial_moment(0.5, 0.2)),
+        ("uniform expectation", lambda: ht.UniformDist(0.0, 1.0).expect(lambda w: math.sin(1e5 * w))),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for what, call in cases:
+            with pytest.raises(RuntimeError, match=f"{what} quadrature did not converge"):
+                call()
 
 
 # -- Brownian pulses ------------------------------------------------------------------

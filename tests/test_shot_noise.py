@@ -1,6 +1,7 @@
 """Shot-noise sampler, covariance oracle, and regime table."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -456,6 +457,18 @@ def test_intermediate_logchf_coupled_fast_oscillating_tail_frozen():
     assert sn.intermediate_logchf(model, -1.0, 1.0, 1.0) == pytest.approx(want.conjugate(), rel=1e-7)
 
 
+def test_intermediate_logchf_coupled_small_theta_tail():
+    # at p = 0.6 and theta = 0.01 the arrival integral grows like r**1.4 up
+    # to r = theta**(-1/(1-p)) = 1e5 before the ray damps it; one tanh-sinh
+    # tail from r = 1 missed the growth by 1e-4 relative
+    model = pl.RectCoupled(R=ht.RegVaryingDist(1.5, 1.0), p=0.6)
+    value, err = sn._intermediate_logchf(model, 0.01, 1.0)
+    finer, _ = sn._intermediate_logchf(model, 0.01, 1.0, tuple(2 * n for n in sn.CHF_NODES))
+    assert err <= sn.CHF_RTOL * abs(value)
+    assert abs(finer - value) < err
+    assert sn.intermediate_logchf(model, 0.01, 1.0) == value
+
+
 def test_intermediate_logchf_brownian_real_and_frozen():
     # Expected value computed offline at 22-digit precision with tanh-sinh
     # quadrature in two independent integration orders (durations outer with a
@@ -684,13 +697,24 @@ def _loop_path(src, cuts, rng, n_rep):
     return out
 
 
-@pytest.mark.parametrize("grid", sorted(PATH_GRIDS))
+# the kernel's own pulse block, and an odd block of 257 pulses that splits
+# the pulses of (replicate, window) cells between blocks
+PATH_BLOCKS = {"": None, "block257": 257}
+
+
+@pytest.mark.parametrize(
+    "grid, block",
+    [(g, b) for b in PATH_BLOCKS for g in sorted(PATH_GRIDS)],
+    ids=[f"{g}-{b}" if b else g for b in PATH_BLOCKS for g in sorted(PATH_GRIDS)],
+)
 @pytest.mark.parametrize("which", range(len(PATH_SOURCE_IDS)), ids=PATH_SOURCE_IDS)
-def test_path_kernel_matches_loop_kernel_in_law(which, grid):
+def test_path_kernel_matches_loop_kernel_in_law(monkeypatch, which, grid, block):
+    if PATH_BLOCKS[block]:
+        monkeypatch.setattr(sn, "PULSE_BLOCK", PATH_BLOCKS[block])
     src = path_test_sources()[which]
     cuts = PATH_GRIDS[grid]
     n = 20_000
-    tag = f"path-kernel/{PATH_SOURCE_IDS[which]}/{grid}"
+    tag = f"path-kernel/{PATH_SOURCE_IDS[which]}/{grid}{block}"
     new = sn.integrated_path_batch(src, cuts, rng_for(tag), n)
     ref = _loop_path(src, cuts, rng_for(tag + "/loop"), n)
     assert new.shape == ref.shape == (n, cuts.size)
@@ -770,6 +794,20 @@ def test_path_brownian_total_matches_single_window_in_law():
     tot = sn.integrated_path_batch(src, [0.7, 1.9, 2.5, 4.0], rng_for("path-bm"), n).sum(axis=1)
     one = sn.integrated_path_batch(src, [4.0], rng_for("path-bm-one"), n)[:, 0]
     assert stats.ks_2samp(tot, one).pvalue > 0.01
+
+
+def test_path_kernel_memory_is_bounded_by_the_block():
+    # the eps = 1e-3 Telecom source: ~1.6M pulses over 50 replicates, whose
+    # full-length per-pulse arrays would each take ~12.6 MB
+    eps = 1e-3
+    src = sn.ShotNoiseSource(pl.RectIndep(ht.DegenerateDist(1.0), ht.RegVaryingDist(1.5, eps)), rate=eps**-1.5)
+    tracemalloc.start()
+    try:
+        sn.integrated_path_batch(src, [1.0], rng_for("path-memory"), 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_path_validation():
