@@ -11,19 +11,21 @@ the tails.  Replicates share one set of simulated sources across the whole
 (x, y) grid: the joint law over the grid is the object of interest, so grid
 points must be read off common paths rather than re-simulated.
 
-Evaluation walks the y-grid in blocks of new sources (the count difference
-between consecutive cut points) and accumulates prefix sums, so values at a
-smaller y reuse the block draws verbatim.  Shot-noise blocks exploit Poisson
-superposition: ``m`` unit-rate copies equal one source of ``m``-fold rate,
-which keeps the pulse count, not the source count, as the cost driver.
-Regenerative blocks simulate ``m`` lanes per replicate and sum them.
+Each replicate's sources are drawn as lanes of one path call per chunk of
+replicates, every y block at once; prefix sums over x and over the lanes
+then give A at every cut, so values at a smaller y reuse the draws of the
+larger verbatim.  Regenerative sources take one lane per source and A at
+y_j is the sum of the first ``count_j`` lanes.  Shot-noise sources take one
+lane per y block: by Poisson superposition the block's ``m`` unit-rate copies
+are one source of ``m``-fold rate, so the cost grows with the pulse count,
+not the source count.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +35,13 @@ from .shot_noise import ShotNoiseSource, integrated_path_batch
 
 __all__ = ["AggregateSample", "aggregate", "rect_increment"]
 
-# per-chunk working-set budget in array cells (pulses or lanes times windows);
-# chunk sizes derive from expected workloads only, never from drawn values,
-# so a given argument tuple always consumes the generator identically.  For
-# regenerative sources it bounds the lanes (replicates times block sources)
-# that one call walks at once.  The shot-noise kernel walks its pulses in
-# fixed blocks (shot_noise.PULSE_BLOCK), so there a chunk only sets how many
-# replicates share one call: the call's memory is bounded by the block, not
-# by this budget
+# per-call budget in array cells, lanes times windows for both input classes
+# (a call's lanes are its replicates times the lanes per replicate); the
+# chunk size derives from the grid and the source counts only, never from
+# drawn values, so a given argument tuple always consumes the generator
+# identically.  The regenerative walk's memory grows with its lanes; the
+# shot-noise kernel walks its pulses in fixed blocks (shot_noise.PULSE_BLOCK),
+# so there the budget bounds the call's output and per-cell counts
 CHUNK_CELL_BUDGET = 4_000_000
 # refuse calls whose output matrix alone would dwarf desk-scale memory
 MAX_OUTPUT_CELLS = 1 << 26
@@ -54,11 +55,12 @@ class AggregateSample:
 
     ``values[r, i, j]`` is the field at ``(x_grid[i], y_grid[j])`` for
     replicate ``r``.  ``source_counts[j]`` is the source count at the j-th y
-    cut; consecutive differences are the per-block lane counts.  ``meta``
+    cut; consecutive differences are the per-block source counts.  ``meta``
     records how the integrated paths were evaluated (family, mean level, the
-    chunk plan ``block_chunks`` and, per entry of it, the wall seconds spent in
-    the path sampler in ``block_path_s``) and lists in ``zero_source_y`` the y
-    cuts that hold no source, enough to audit a run without rerunning it.
+    path-call lanes per replicate ``lanes_per_rep``, the replicates per call
+    ``reps_per_call`` and, per call, the wall seconds spent in the path
+    sampler in ``path_s``) and lists in ``zero_source_y`` the y cuts that hold
+    no source, enough to audit a run without rerunning it.
     """
 
     lam: float
@@ -82,8 +84,8 @@ def aggregate(src, lam: float, gamma: float, H: float, x_grid, y_grid, n_rep: in
 
     ``src`` is a ShotNoiseSource or a RegenModel.  Each replicate simulates
     ``floor(y_max * lam**gamma)`` sources once, reads their integrated paths at
-    every ``lam * x`` cut, prefix-sums over the y blocks, subtracts the exact
-    mean ``lam * x * count * EX``, and divides by ``lam**H``.
+    every ``lam * x`` cut, prefix-sums over the lanes that carry them, subtracts
+    the exact mean ``lam * x * count * EX``, and divides by ``lam**H``.
     """
     if not isinstance(src, (ShotNoiseSource, RegenModel)):
         raise TypeError("src must be a ShotNoiseSource or a RegenModel")
@@ -112,52 +114,40 @@ def aggregate(src, lam: float, gamma: float, H: float, x_grid, y_grid, n_rep: in
 
     mean_level = _mean_level_of(src)
     shot = isinstance(src, ShotNoiseSource)
-    if shot:
-        per_rep_load = src.rate * (cuts[-1] + src.mean_duration)
-    else:
-        per_rep_load = max(cuts[-1] / src.mu, 1.0)
     # expected working cells for one replicate of one source copy
-    per_copy_cells = max(per_rep_load if shot else 1.0, 1.0) * nx
+    per_copy_cells = max(src.rate * (cuts[-1] + src.mean_duration) if shot else 1.0, 1.0) * nx
     if counts[-1] * per_copy_cells > MAX_SINGLE_REP_CELLS:
         raise ValueError("memory guard: sources times grid size exceeds the single-replicate cap")
 
-    raw = np.zeros((n_rep, nx, ny))
-    chunk_plan: list[tuple[int, int]] = []
+    # A at y_j is the prefix sum of a replicate's lanes up to lane ends[j]
+    lanes, ends = (ny, np.arange(1, ny + 1)) if shot else (int(counts[-1]), counts)
+    chunk = max(1, min(n_rep, CHUNK_CELL_BUDGET // max(lanes * nx, 1)))
+    read = ends > 0
+    A = np.zeros((n_rep, nx, ny))
     path_s: list[float] = []
-    for j, m in enumerate(blocks):
-        if m == 0:
-            continue
-        block_cells = m * per_copy_cells
-        chunk = max(1, min(n_rep, int(CHUNK_CELL_BUDGET // max(block_cells, 1.0))))
-        chunk_plan.append((int(m), chunk))
+    # a grid without sources makes no path call
+    for lo in range(0, n_rep if counts[-1] else 0, chunk):
+        n = min(chunk, n_rep - lo)
+        t0 = time.perf_counter()
         if shot:
-            block_src = replace(src, rate=src.rate * float(m))
-
-            def draw(n):
-                return integrated_path_batch(block_src, cuts, rng, n)
+            inc = integrated_path_batch(src, cuts, rng, n * ny, np.tile(blocks, n))
         else:
+            inc = integrated_path(src, cuts, rng, n * lanes)
+        path_s.append(time.perf_counter() - t0)
+        inc = inc.reshape(n, lanes, nx)
+        np.cumsum(inc, axis=2, out=inc)
+        np.cumsum(inc, axis=1, out=inc)
+        A[lo:lo + n][:, :, read] = inc[:, ends[read] - 1, :].transpose(0, 2, 1)
 
-            def draw(n):
-                return integrated_path(src, cuts, rng, n * int(m)).reshape(n, int(m), nx).sum(axis=1)
-
-        spent = 0.0
-        for lo in range(0, n_rep, chunk):
-            hi = min(lo + chunk, n_rep)
-            t0 = time.perf_counter()
-            inc = draw(hi - lo)
-            spent += time.perf_counter() - t0
-            raw[lo:hi, :, j] = np.cumsum(inc, axis=1)
-        path_s.append(spent)
-
-    A = np.cumsum(raw, axis=2)
     mean = cuts[:, None] * counts[None, :] * mean_level
     values = (A - mean[None, :, :]) / float(lam) ** H
     meta = {
         "kind": "shot-noise" if shot else "regenerative",
         "mean_level": mean_level,
         "window_cuts": cuts.tolist(),
-        "block_chunks": chunk_plan,
-        "block_path_s": path_s,
+        "lanes_per_rep": lanes,
+        "reps_per_call": chunk,
+        "path_s": path_s,
         "zero_source_y": yg[counts == 0].tolist(),
     }
     return AggregateSample(

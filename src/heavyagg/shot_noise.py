@@ -235,13 +235,17 @@ def _pulse_blocks(counts):
         yield slice(i0, i1), np.diff(np.minimum(ends[i0:i1], p1), prepend=p0)
 
 
-def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, n_rep: int):
+def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, n_rep: int, copies=1):
     """Stationary increments int_{c_{j-1}}^{c_j} X dt over shared pulses.
 
     ``cuts`` are finite, strictly increasing positive times c_1 < ... < c_n
     (the first window opens at 0).  Returns shape (n_rep, n_windows); each
     row's windows are evaluated on one set of pulses, so cumulative sums over a
-    row form a consistent sample path of the integrated process.
+    row form a consistent sample path of the integrated process.  Row r sums
+    ``copies[r]`` independent copies of ``src`` (shape () or (n_rep,), finite
+    and nonnegative): by Poisson superposition that is one source at rate
+    ``src.rate * copies[r]``, which only the two count draws see, and a row of
+    no copies is exact zeros.
 
     Arrival counts are drawn once per (rep, window) cell: Poisson(rate *
     width) uniform points in each cell.  That is the Poisson process on
@@ -261,6 +265,9 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     cuts = nm.strict_grid("cuts", cuts)
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
+    rate = src.rate * np.asarray(copies, dtype=float)
+    if rate.shape not in ((), (n_rep,)) or not np.all(np.isfinite(rate) & (rate >= 0.0)):
+        raise ValueError("copies must be finite, nonnegative, of shape () or (n_rep,)")
     mean_d = src.mean_duration
     if not math.isfinite(mean_d):
         raise ValueError("mean pulse duration must be finite")
@@ -269,8 +276,8 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     widths = cuts - lows
     model = src.pulse
     out = np.zeros(n_rep * nx)
-    n_new = rng.poisson(src.rate * widths, (n_rep, nx)).ravel()
-    n_old = rng.poisson(src.rate * mean_d, n_rep)
+    n_new = rng.poisson(rate[..., None] * widths, (n_rep, nx)).ravel()
+    n_old = rng.poisson(rate * mean_d, n_rep)
     fresh_probs = aged_probs = None
     if model.kind == "mixture":
         # a mixture's alive-pulse component is size-biased by its mean duration

@@ -64,8 +64,10 @@ def test_shape_and_source_counts(make):
     assert np.array_equal(s.source_counts, want)
     assert s.meta["zero_source_y"] == []
     assert s.meta["window_cuts"] == pytest.approx([s.lam * x for x in X_GRID])
-    assert len(s.meta["block_path_s"]) == len(s.meta["block_chunks"])
-    assert all(t >= 0.0 for t in s.meta["block_path_s"])
+    assert s.meta["lanes_per_rep"] == (len(Y_GRID) if s.meta["kind"] == "shot-noise" else s.source_counts[-1])
+    assert s.meta["reps_per_call"] == 40
+    assert len(s.meta["path_s"]) == 1
+    assert all(t >= 0.0 for t in s.meta["path_s"])
 
 
 def test_onoff_window_increments_within_rate_bounds():
@@ -97,13 +99,77 @@ def test_rect_increment_degenerate_and_full_rectangles():
         ag.rect_increment(s, 0.3, 1.0, 0.0, 1.0)
 
 
-def test_zero_source_cuts_are_reported():
+def count_path_calls(monkeypatch):
+    """Wrap the two path samplers as aggregation calls them; returns the call counter."""
+    calls = []
+    for name in ("integrated_path_batch", "integrated_path"):
+        original = getattr(ag, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ag, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [onoff_model, rect_source])
+def test_zero_source_cuts_are_reported(monkeypatch, make):
     # 1000**0.1 = 1.995..., so y = 0.5 holds floor(0.998) = 0 sources
-    model = onoff_model()
-    s = ag.aggregate(model, 1e3, 0.1, 1.0, (0.5, 1.0), (0.5, 1.0), 20, rng_for("agg/zero"))
+    s = ag.aggregate(make(), 1e3, 0.1, 1.0, (0.5, 1.0), (0.5, 1.0), 20, rng_for("agg/zero"))
     assert s.source_counts.tolist() == [0, 1]
     assert s.meta["zero_source_y"] == [0.5]
     assert np.array_equal(s.values[:, :, 0], np.zeros((20, 2)))
+    assert np.any(s.values[:, :, 1] != 0.0)
+    # a grid without any source is exact zeros and makes no path call
+    calls = count_path_calls(monkeypatch)
+    s = ag.aggregate(make(), 1e3, 0.1, 1.0, (0.5, 1.0), (0.25, 0.5), 20, rng_for("agg/zero"))
+    assert s.source_counts.tolist() == [0, 0]
+    assert s.meta["zero_source_y"] == [0.25, 0.5]
+    assert np.array_equal(s.values, np.zeros((20, 2, 2)))
+    assert calls == [] and s.meta["path_s"] == []
+
+
+@pytest.mark.parametrize("budget", [None, 2 * 14 * len(X_GRID)], ids=["default-budget", "small-budget"])
+@pytest.mark.parametrize("make", [onoff_model, rect_source])
+def test_one_path_call_per_replicate_chunk(monkeypatch, make, budget):
+    # every y block is drawn in the same call; only the replicates are chunked
+    if budget:
+        monkeypatch.setattr(ag, "CHUNK_CELL_BUDGET", budget)
+    calls = count_path_calls(monkeypatch)
+    s = ag.aggregate(make(), 200.0, 0.5, 1.0, X_GRID, Y_GRID, 30, rng_for("agg/calls"))
+    assert s.source_counts.tolist() == [7, 14]
+    chunk = s.meta["reps_per_call"]
+    assert chunk == min(30, ag.CHUNK_CELL_BUDGET // (s.meta["lanes_per_rep"] * len(X_GRID)))
+    assert len(calls) == math.ceil(30 / chunk) == len(s.meta["path_s"])
+    assert (len(calls) == 1) == (budget is None)
+
+
+def test_shot_noise_variance_is_linear_in_y():
+    # Var V(x, y_j) = counts[j] * Var(int_0^{lam x} X dt) / lam**(2H) at every cut
+    src = rect_source()
+    lam, gamma, x_grid, y_grid, n = 100.0, 0.5, (0.5, 1.0), (0.3, 0.6, 1.0), 4000
+    H = sn.regime_of(src, gamma).H
+    s = ag.aggregate(src, lam, gamma, H, x_grid, y_grid, n, rng_for("agg/var-y"))
+    assert s.source_counts.tolist() == [3, 6, 10]
+    dev2 = (s.values - s.values.mean(axis=0)) ** 2
+    got = dev2.sum(axis=0) / (n - 1)
+    se = dev2.std(axis=0, ddof=1) / math.sqrt(n)
+    one = np.array([sn.integral_variance(src, lam * x) for x in x_grid]) / lam ** (2.0 * H)
+    want = one[:, None] * s.source_counts[None, :]
+    assert np.all(np.abs(got - want) <= 5.0 * se), (got, want, se)
+
+
+@pytest.mark.parametrize("make", [onoff_sample, shot_sample])
+def test_disjoint_y_bands_are_independent(make):
+    # the bands (0, 0.5] and (0.5, 1] in y hold disjoint sources
+    _, s = make(n_rep=3000)
+    n = s.values.shape[0]
+    for x in X_GRID:
+        low = ag.rect_increment(s, 0.0, x, 0.0, 0.5)
+        high = ag.rect_increment(s, 0.0, x, 0.5, 1.0)
+        r = np.corrcoef(low, high)[0, 1]
+        assert abs(r) <= 5.0 / math.sqrt(n), (x, r)
 
 
 def test_memory_guards():

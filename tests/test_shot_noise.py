@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -697,26 +698,34 @@ def _loop_path(src, cuts, rng, n_rep):
     return out
 
 
-# the kernel's own pulse block, and an odd block of 257 pulses that splits
-# the pulses of (replicate, window) cells between blocks
-PATH_BLOCKS = {"": None, "block257": 257}
+# (pulse block, copies per row): the kernel's own pulse block; an odd block
+# of 257 pulses that splits the pulses of (replicate, window) cells between
+# blocks; and rows of 2.5 copies of the source interleaved with rows of none
+PATH_CASES = {"": (None, 1.0), "block257": (257, 1.0), "copies": (None, 2.5)}
 
 
 @pytest.mark.parametrize(
-    "grid, block",
-    [(g, b) for b in PATH_BLOCKS for g in sorted(PATH_GRIDS)],
-    ids=[f"{g}-{b}" if b else g for b in PATH_BLOCKS for g in sorted(PATH_GRIDS)],
+    "grid, case",
+    [(g, c) for c in PATH_CASES for g in sorted(PATH_GRIDS)],
+    ids=[f"{g}-{c}" if c else g for c in PATH_CASES for g in sorted(PATH_GRIDS)],
 )
 @pytest.mark.parametrize("which", range(len(PATH_SOURCE_IDS)), ids=PATH_SOURCE_IDS)
-def test_path_kernel_matches_loop_kernel_in_law(monkeypatch, which, grid, block):
-    if PATH_BLOCKS[block]:
-        monkeypatch.setattr(sn, "PULSE_BLOCK", PATH_BLOCKS[block])
+def test_path_kernel_matches_loop_kernel_in_law(monkeypatch, which, grid, case):
+    block, copies = PATH_CASES[case]
+    if block:
+        monkeypatch.setattr(sn, "PULSE_BLOCK", block)
     src = path_test_sources()[which]
     cuts = PATH_GRIDS[grid]
     n = 20_000
-    tag = f"path-kernel/{PATH_SOURCE_IDS[which]}/{grid}{block}"
-    new = sn.integrated_path_batch(src, cuts, rng_for(tag), n)
-    ref = _loop_path(src, cuts, rng_for(tag + "/loop"), n)
+    tag = f"path-kernel/{PATH_SOURCE_IDS[which]}/{grid}{case}"
+    if copies == 1.0:
+        new = sn.integrated_path_batch(src, cuts, rng_for(tag), n)
+    else:
+        rows = sn.integrated_path_batch(src, cuts, rng_for(tag), 2 * n, np.tile([copies, 0.0], n))
+        assert np.all(rows[1::2] == 0.0)
+        new = rows[::2]
+    # the sum of `copies` sources is one source at `copies` times the rate
+    ref = _loop_path(replace(src, rate=src.rate * copies), cuts, rng_for(tag + "/loop"), n)
     assert new.shape == ref.shape == (n, cuts.size)
     # the narrow grid is checked at its ends, its middle and in total
     cols = range(cuts.size) if cuts.size <= 4 else (0, cuts.size // 2, cuts.size - 1)
@@ -818,3 +827,6 @@ def test_path_validation():
             sn.integrated_path_batch(src, cuts, rng, 4)
     with pytest.raises(ValueError, match="n_rep"):
         sn.integrated_path_batch(src, [1.0], rng, 0)
+    for copies in (np.nan, np.inf, -1.0, np.ones(3), [1.0, np.nan, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="copies"):
+            sn.integrated_path_batch(src, [1.0], rng, 4, copies)
