@@ -57,8 +57,8 @@ _FAMILIES = ("on-off", "workload", "renewal-reward", "exp-damped")
 
 # per-pass working set of integrated_path in cycle cells (lanes times block
 # length).  On on-off traffic with 300 lanes of about 44k cycles each (2-vCPU
-# x86 host), 1 << 13 cells ran 1.6x slower than this and 1 << 17 about 8%
-# faster for 8 MB more peak memory
+# x86 host), 1 << 13 cells ran 1.3x slower than this and 1 << 17 was no
+# faster (1.03x-1.07x the time) for 5.5 MB more traced peak memory
 BLOCK_CELL_BUDGET = 1 << 15
 # cycles drawn per lane and pass, relative to the expected number still needed:
 # heavy-tailed cycle sums fall short of their mean more often than not, so a
@@ -221,16 +221,36 @@ def tilde_mass_sample(model: RegenModel, rng: np.random.Generator, size=None):
 
 
 def _running_sum(start, steps):
-    """start + cumulative sums of ``steps`` down axis 0.
+    """start + cumulative sums of ``steps`` down axis 0, added in row order.
 
-    One vector add per row: numpy's accumulate walks each column separately,
-    which costs several times more when the rows are long.
+    Row i is ((start + steps[0]) + steps[1]) + ... + steps[i] in both
+    branches, so they agree bitwise with each other and with ``_row_total``.
+    numpy's accumulate walks each column separately: with fewer columns than
+    rows that is the cheaper walk, while with long rows one vector add per
+    row costs several times less.
     """
+    if steps.shape[1] < steps.shape[0]:
+        return np.cumsum(np.vstack((start, steps)), axis=0)[1:]
     out = np.empty_like(steps)
     np.add(start, steps[0], out=out[0])
     for row in range(1, steps.shape[0]):
         np.add(out[row - 1], steps[row], out=out[row])
     return out
+
+
+def _row_total(start, steps):
+    """The last row of ``_running_sum(start, steps)``, bitwise, without the others.
+
+    One reduce call instead of one add per row.  numpy reduces a C-ordered
+    block of two or more columns down its rows in row order, but a single
+    column pairwise, so that column takes the accumulate; numpy does not
+    document either order, and ``test_running_sum_and_row_total_add_in_row_order``
+    pins both.
+    """
+    rows = np.vstack((start, steps))
+    if rows.shape[1] == 1:
+        return np.cumsum(rows, axis=0)[-1]
+    return np.add.reduce(rows, axis=0)
 
 
 def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator, n_lanes: int,
@@ -248,8 +268,12 @@ def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator,
     Cycles are drawn in blocks.  Each pass gives every lane that has not yet
     passed the last time K fresh cycles, with K sized from the expected
     number still needed and capped at ``BLOCK_CELL_BUDGET`` // lanes (but at
-    least one).  Cumulative sums place the cycle ends and the integrated
-    path at them.  Cycles ending past the last time are discarded, which
+    least one).  Row-order totals of the block give each lane's end and
+    integrated path after it; only lanes whose block passes their first
+    unread time are read, and only their blocks get running sums, which
+    place the cycle ends and the integrated path at them.  The totals add in
+    the running sums' order, so a lane's state does not depend on whether
+    it was read.  Cycles ending past the last time are discarded, which
     leaves the law exact because fresh cycles are iid and independent of the
     path so far.
     """
@@ -275,27 +299,27 @@ def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator,
         z, aux = kern.fresh(model.pulse, rng, k * active.size)
         # row i holds the i-th new cycle of every active lane
         z, aux = z.reshape(k, active.size), aux.reshape(k, active.size)
-        ends = _running_sum(end[active], z)
-        masses = _running_sum(mass[active], kern.mass(aux, 0.0, z))
+        m = kern.mass(aux, 0.0, z)
+        last, last_mass = _row_total(end[active], z), _row_total(mass[active], m)
         # only lanes whose block passes their first unread time have times to read
-        hit = np.flatnonzero(ends[-1] > next_time[filled[active]])
+        hit = np.flatnonzero(last > next_time[filled[active]])
         lanes = active[hit]
+        ends, masses = _running_sum(end[lanes], z[:, hit]), _running_sum(mass[lanes], m[:, hit])
         # cycle i of hit lane c covers the times with indices in [lo[i, c], hi[i, c])
-        hi = np.searchsorted(times, ends[:, hit])
+        hi = np.searchsorted(times, ends)
         lo = np.vstack((filled[lanes], hi[:-1]))
         i, c = np.nonzero(hi > lo)
         reps = hi[i, c] - lo[i, c]
         first = np.repeat(np.cumsum(reps) - reps, reps)
         i, c = np.repeat(i, reps), np.repeat(c, reps)
         j = lo[i, c] + np.arange(first.size) - first
+        start = np.where(i > 0, ends[i - 1, c], end[lanes[c]])
+        before = np.where(i > 0, masses[i - 1, c], mass[lanes[c]])
         col = hit[c]
-        start = np.where(i > 0, ends[i - 1, col], end[lanes[c]])
-        before = np.where(i > 0, masses[i - 1, col], mass[lanes[c]])
         out[lanes[c], j] = read(aux[i, col], z[i, col], 0.0, times[j] - start, before)
         filled[lanes] = hi[-1]
-        end[active] = ends[-1]
-        mass[active] = masses[-1]
-        active = active[ends[-1] <= horizon]
+        end[active], mass[active] = last, last_mass
+        active = active[last <= horizon]
     return out
 
 

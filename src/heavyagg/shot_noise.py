@@ -133,18 +133,18 @@ def _brownian_cells(lo, hi, lo_more, hi_more, pulse, step, rng):
     return vals[:lo.size], vals[lo.size:]
 
 
-def _continuation_cells(d, a, b, cell, lows, cuts):
+def _continuation_cells(more, d, a, cell, lows, cuts):
     """The windows pulses touch after their first one, as flat cells.
 
-    Arguments as for ``_add_cells``.  Returns (pulse, step, lo, hi) with one
-    entry per continuation cell: the pulse's index, the cell's offset from
-    the pulse's first cell and the cell's window (lo, hi] in pulse-local time,
-    cut at the pulse end.  A continuation window starts after the pulse does
-    and before it ends, so only its end needs the cut.  The cells of one
-    pulse are consecutive and in time order.
+    ``more`` indexes the pulses that outlive their first window; the other
+    arguments are as for ``_add_cells``.  Returns (pulse, step, lo, hi) with
+    one entry per continuation cell: the pulse's index, the cell's offset
+    from the pulse's first cell and the cell's window (lo, hi] in pulse-local
+    time, cut at the pulse end.  A continuation window starts after the
+    pulse does and before it ends, so only its end needs the cut.  The cells
+    of one pulse are consecutive and in time order.
     """
     nx = cuts.size
-    more = np.flatnonzero(d > b) if nx > 1 else np.empty(0, dtype=np.intp)
     first = cell[more] % nx
     u = lows[first] - a[more]
     # the window holding the pulse end is the count of cuts strictly before it
@@ -158,6 +158,18 @@ def _continuation_cells(d, a, b, cell, lows, cuts):
     return pulse, step, lows[window] - u, np.minimum(cuts[window] - u, d[pulse])
 
 
+def _add_sorted(out, cell, vals):
+    """out[c] += the sum of vals over cell == c, for nonempty nondecreasing cell.
+
+    One sum per run of equal cells, then one add on the distinct cells.
+    """
+    new = np.empty(cell.size, dtype=bool)
+    new[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    out[cell[starts]] += np.add.reduceat(vals, starts)
+
+
 def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
     """Add realized pulses' window increments into the flat (rep, window) array out.
 
@@ -165,25 +177,34 @@ def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
     touches the window whose flat index (rep * n_windows + window) is
     cell[i], and (a[i], b[i]] is that window in the pulse's local time, so
     a[i] < d[i] and b[i] > 0: the window starts before the pulse ends and
-    ends after it starts.  Window j covers global time (lows[j], cuts[j]].
+    ends after it starts.  ``cell`` must be nonempty and nondecreasing, as
+    the blocks of the path kernel build it: first-cell masses are added as
+    sums over runs of equal cells.  Window j covers global time
+    (lows[j], cuts[j]].
+
     A pulse is evaluated on its first window and, only when it outlives that
     window, on each later window up to the one holding its end, so it costs
     O(1 + windows touched).  Only the per-cell evaluation depends on the
     family.  Deterministic families add and free their first-cell masses
     before the continuation cells are built, which keeps the two sets of
-    arrays from being alive at once; Brownian pulses need both together for
-    their path values.
+    arrays from being alive at once, and stop there when no pulse outlives
+    its first window; Brownian pulses need both sets together for their
+    path values.
     """
     lo, hi = np.maximum(a, 0.0), np.minimum(b, d)
+    # a single window has no later one to continue into
+    more = np.flatnonzero(d > b) if cuts.size > 1 else np.empty(0, dtype=np.intp)
     if model.kind == "brownian":
-        pulse, step, lo_more, hi_more = _continuation_cells(d, a, b, cell, lows, cuts)
+        pulse, step, lo_more, hi_more = _continuation_cells(more, d, a, cell, lows, cuts)
         head, tail = _brownian_cells(lo, hi, lo_more, hi_more, pulse, step, rng)
-        out += np.bincount(cell, head, out.size)
+        _add_sorted(out, cell, head)
     else:
         mass = pl.KERNELS[model.kind].mass
-        out += np.bincount(cell, mass(m, lo, hi), out.size)
+        _add_sorted(out, cell, mass(m, lo, hi))
         del lo, hi
-        pulse, step, lo_more, hi_more = _continuation_cells(d, a, b, cell, lows, cuts)
+        if not more.size:
+            return
+        pulse, step, lo_more, hi_more = _continuation_cells(more, d, a, cell, lows, cuts)
         tail = mass(m[pulse], lo_more, hi_more)
     out += np.bincount(cell[pulse] + step, tail, out.size)
 
@@ -226,13 +247,14 @@ def _pulse_blocks(counts):
     share[i] pulses of entry entries.start + i; an entry may straddle blocks.
     """
     ends = np.cumsum(counts)
+    starts = ends - counts
     total = int(ends[-1])
     for p0 in range(0, total, PULSE_BLOCK):
         p1 = min(p0 + PULSE_BLOCK, total)
         # the first entry with a pulse at or after p0, the last with one before p1
         i0 = int(np.searchsorted(ends, p0, side="right"))
         i1 = int(np.searchsorted(ends, p1, side="left")) + 1
-        yield slice(i0, i1), np.diff(np.minimum(ends[i0:i1], p1), prepend=p0)
+        yield slice(i0, i1), np.minimum(ends[i0:i1], p1) - np.maximum(starts[i0:i1], p0)
 
 
 def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, n_rep: int, copies=1):
@@ -256,11 +278,13 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     blocks of ``PULSE_BLOCK`` pulses: a block rebuilds the first cells of its
     pulses from the counts, draws their positions, durations and marks, and
     adds their masses on the windows they touch (a cell's pulses may fall
-    into two blocks).  So the memory of one call is the output and the counts
-    plus temporaries of O(PULSE_BLOCK x windows touched per pulse), whatever
-    ``n_rep`` is, and the cost is O(pulses + cells touched), not
-    O(pulses * n_windows).  Brownian pulses go through the same cells and
-    carry their path value from one touched window to the next.
+    into two blocks); a block's first cells come out nondecreasing, so their
+    masses go in as one sum per run of equal cells.  So the memory of one
+    call is the output and the counts plus temporaries of O(PULSE_BLOCK x
+    windows touched per pulse), whatever ``n_rep`` is, and the cost is
+    O(pulses + cells touched), not O(pulses * n_windows).  Brownian pulses
+    go through the same cells and carry their path value from one touched
+    window to the next.
     """
     cuts = nm.strict_grid("cuts", cuts)
     if n_rep < 1:
@@ -287,7 +311,7 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
 
     # pulses arriving inside a cell, at offset s from its start; a block's
     # cells lie in replicates r0 <= r < r1, so it adds into that slice of out
-    # and its bincounts span the slice, not the whole output
+    # and its continuation bincounts span the slice, not the whole output
     cell_width = np.tile(widths, n_rep)
     for cells, share in _pulse_blocks(n_new):
         r0, r1 = cells.start // nx, (cells.stop - 1) // nx + 1

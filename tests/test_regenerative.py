@@ -647,6 +647,44 @@ def test_state_block_walk_matches_wave_loop_in_law(family, budget, monkeypatch):
         assert res.pvalue > 1e-3, (family, budget, res)
 
 
+@pytest.mark.parametrize("shape", [(108, 3), (2, 5000), (1, 7), (5, 0), (108, 1), (108, 2), (2, 2)], ids=lambda s: "%dx%d" % s)
+def test_running_sum_and_row_total_add_in_row_order(shape):
+    # both branches of the running sum, and the row total on one column and
+    # on many, against a plain row loop; heavy-tailed steps make the order of
+    # the additions show in the bits
+    rng = rng_for(f"running-sum/{shape}")
+    start = rng.pareto(0.7, shape[1])
+    steps = rng.pareto(0.7, shape)
+    want = np.empty(shape)
+    acc = start.copy()
+    for row in range(shape[0]):
+        acc = acc + steps[row]
+        want[row] = acc
+    assert np.array_equal(rg._running_sum(start, steps), want)
+    assert np.array_equal(rg._row_total(start, steps), want[-1])
+
+
+@pytest.mark.parametrize("budget", [None, 2000, 3], ids=["default-budget", "budget-2000", "budget-3"])
+@pytest.mark.parametrize("stationary", [True, False])
+def test_path_refined_cuts_keep_the_coarse_readings(stationary, budget, monkeypatch):
+    # blocks are sized from the last cut alone, so interior cuts change no
+    # draw and the path at the coarse cuts is the same under a finer grid.
+    # With three coarse cuts most lanes pass a block without reading any;
+    # a budget of 2000 cells gives 5 cycles per lane in the first pass, one
+    # of 3 cells a single cycle per lane and pass
+    if budget is not None:
+        monkeypatch.setattr(rg, "BLOCK_CELL_BUDGET", budget)
+    model = onoff_model()
+    coarse = np.array([3.0, 20.0, 60.0])
+    fine = np.union1d(coarse, np.linspace(0.5, 59.5, 119))
+    tag = f"path-refine/{stationary}/{budget}"
+
+    def path(cuts):
+        return np.cumsum(rg.integrated_path(model, cuts, rng_for(tag), 400, stationary), axis=1)
+
+    np.testing.assert_allclose(path(coarse), path(fine)[:, np.searchsorted(fine, coarse)], rtol=1e-12)
+
+
 def test_path_windows_tile_the_covariance():
     # empirical covariance of two separated windows against the quadrature grid
     model = onoff_model()

@@ -738,10 +738,12 @@ def test_path_kernel_matches_loop_kernel_in_law(monkeypatch, which, grid, case):
         assert res.pvalue > 1e-3, (PATH_SOURCE_IDS[which], grid, res)
 
 
-@pytest.mark.parametrize("grid", ["four", "narrow"])
+@pytest.mark.parametrize("grid", ["one", "four", "narrow"])
 def test_path_cells_match_dense_window_matrix(grid):
     # the touched-cell evaluation against every pulse on every window, on the
-    # same realized fresh and aged pulses of each deterministic family
+    # same realized fresh and aged pulses of each deterministic family: first
+    # with one pulse per replicate, then with pulses sharing replicates, so
+    # that cells hold several pulses and some cells none
     cuts = PATH_GRIDS[grid]
     lows = np.concatenate(([0.0], cuts[:-1]))
     rng = rng_for(f"path-cells/{grid}")
@@ -754,12 +756,39 @@ def test_path_cells_match_dense_window_matrix(grid):
         # arrivals spread over the grid, then pulses alive at time zero
         u = np.concatenate((rng.uniform(0.0, cuts[-1], k), -age))
         first = np.searchsorted(cuts, np.maximum(u, 0.0))
-        out = np.zeros(2 * k * cuts.size)
-        cell = np.arange(2 * k) * cuts.size + first
-        sn._add_cells(out, leaf, d, m, lows[first] - u, cuts[first] - u, cell, lows, cuts, rng)
-        got = out.reshape(2 * k, cuts.size)
         dense = np.column_stack([_window_mass(leaf, d, m, lo - u, hi - u) for lo, hi in zip(lows, cuts)])
-        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+        for rep in (np.arange(2 * k), rng.integers(0, 2 * k // 5, 2 * k)):
+            cell = rep * cuts.size + first
+            order = np.argsort(cell, kind="stable")
+            cell = cell[order]
+            n_rep = int(rep.max()) + 1
+            out = np.zeros(n_rep * cuts.size)
+            a, b = (lows[first] - u)[order], (cuts[first] - u)[order]
+            sn._add_cells(out, leaf, d[order], m[order], a, b, cell, lows, cuts, rng)
+            got = out.reshape(n_rep, cuts.size)
+            want = np.zeros_like(got)
+            np.add.at(want, rep, dense)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+        # the shared layout has runs of equal cells, long ones too, and skips cells
+        runs = np.diff(np.flatnonzero(np.diff(cell, prepend=-1, append=out.size)))
+        assert runs.max() >= 8 and np.any(np.diff(cell) > 1)
+
+
+def test_pulse_blocks_split_counts_exactly(monkeypatch):
+    # zero entries inside and at the ends, an entry of 16 pulses that spans
+    # three blocks of 7, and totals that fill their last block exactly
+    monkeypatch.setattr(sn, "PULSE_BLOCK", 7)
+    for counts in ([0, 3, 0, 0, 16, 2, 0, 0], [7, 0, 7, 0], [0, 0, 1], [20, 1, 0], [0, 0]):
+        counts = np.array(counts)
+        total = int(counts.sum())
+        back = np.zeros_like(counts)
+        sizes = []
+        for entries, share in sn._pulse_blocks(counts):
+            assert share.size == entries.stop - entries.start and np.all(share >= 0), (counts, share)
+            sizes.append(int(share.sum()))
+            back[entries] += share
+        assert sizes == [7] * (total // 7) + [total % 7] * (total % 7 > 0), counts
+        assert np.array_equal(back, counts)
 
 
 def test_path_window_means_and_light_tail_variance():
