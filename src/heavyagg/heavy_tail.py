@@ -126,9 +126,6 @@ class RegVaryingDist:
             return self.x_min * (u ** (-1.0 / self.alpha) - 1.0)
         return self._mixture_isf(u)
 
-    def ppf(self, q):
-        return self.isf(1.0 - np.asarray(q, dtype=float))
-
     def _mixture_isf(self, u):
         u_flat = np.atleast_1d(u).astype(float)
         hi_tail = self.x_min * (self.weight / np.minimum(u_flat, self.weight)) ** (1.0 / self.alpha)
@@ -227,27 +224,6 @@ class RegVaryingDist:
         u = np.maximum(u, np.finfo(float).tiny)
         return self.isf(u)
 
-    def sample_exceed(self, s: float, rng: np.random.Generator, size=None):
-        """Draw X conditioned on X > s (exact: isf(U * survival(s)) per component)."""
-        surv = float(self.survival(s))
-        if surv <= 0:
-            raise ValueError("conditioning event has probability zero")
-        if self.kind != "user-mixture":
-            u = rng.random(size)
-            u = np.maximum(u, np.finfo(float).tiny)
-            return self.isf(u * surv)
-        n = 1 if size is None else int(size)
-        sp = float(np.where(s < self.x_min, 1.0, (self.x_min / max(s, self.x_min)) ** self.alpha))
-        sb = float(np.clip(1.0 - max(s, 0.0) / self.bulk_high, 0.0, 1.0))
-        p_pareto = self.weight * sp / surv
-        pick = rng.random(n) < p_pareto
-        u = np.maximum(rng.random(n), np.finfo(float).tiny)
-        pareto = self.x_min * (u * sp) ** (-1.0 / self.alpha)
-        lo = max(s, 0.0)
-        bulk = lo + u * (self.bulk_high - lo) if sb > 0 else np.full(n, np.nan)
-        out = np.where(pick, pareto, bulk)
-        return float(out[0]) if size is None else out
-
     def sample_length_biased(self, rng: np.random.Generator, size=None):
         """Draw from the length-biased law, density x * f(x) / mean.
 
@@ -305,9 +281,6 @@ class ExponentialDist:
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 0.0, np.exp(-np.maximum(x, 0.0) / self.mean_value) / self.mean_value)
 
-    def isf(self, u):
-        return -self.mean_value * np.log(np.asarray(u, dtype=float))
-
     def mean(self) -> float:
         return self.mean_value
 
@@ -321,9 +294,6 @@ class ExponentialDist:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(self.mean_value, size)
-
-    def sample_exceed(self, s: float, rng: np.random.Generator, size=None):
-        return max(s, 0.0) + rng.exponential(self.mean_value, size)
 
     def sample_length_biased(self, rng: np.random.Generator, size=None):
         return rng.gamma(2.0, self.mean_value, size)

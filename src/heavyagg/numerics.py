@@ -85,8 +85,12 @@ def levy_duration_rule(rho: float, c: float, b: float, power: float, n_head: int
 
 
 def checked_quad(f, lo: float, hi: float, what: str) -> float:
-    """Adaptive ``quad`` of f over (lo, hi); RuntimeError above an error bound of max(1e-8, 1e-6 |value|)."""
-    val, err = integrate.quad(f, lo, hi, limit=400)
+    """Adaptive ``quad`` of f over (lo, hi); RuntimeError above an error bound of max(1e-8, 1e-6 |value|).
+
+    quad is asked for the same absolute bound: with its default of 1.49e-8
+    it would stop on values below 1.5e-2 whose error lies between the two.
+    """
+    val, err = integrate.quad(f, lo, hi, limit=400, epsabs=1e-8)
     if err > max(1e-8, 1e-6 * abs(val)):
         raise RuntimeError(f"{what} quadrature did not converge (error bound {err:.2e} for {val:.6e})")
     return val

@@ -11,9 +11,13 @@ classes: it draws fresh pulses and stationary pulses alive at time zero, and
 gives the exact window mass int_lo^hi w(t) dt and the point value w(s) in
 pulse-local time.  A realized deterministic pulse is an array pair (d, m):
 its duration and its one mark.  Brownian pulses draw durations only; the
-shot-noise sampler draws their path together with its window values.  The
-first and second pulse moments (mean mass, correlation kernel) feed the mean
-levels and the covariance oracles.
+shot-noise sampler draws their path together with its window values.
+
+The module also owns the pulse moments of every family, read by both input
+classes: the mean mass, the mean pulse E[W(t); t < D], the correlation
+kernel E[W(u) W(u+t)] and its integral over u, the covariance one pulse
+carries (shot noise scales it by the rate, a regenerative source divides it
+by the mean cycle length).  Each is a closed form or a ``checked_quad``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ __all__ = [
     "duration_dist",
     "duration_mean",
     "mean_mass",
+    "mean_pulse",
+    "cov_integral",
     "corr_kernel",
 ]
 
@@ -403,41 +409,140 @@ KERNELS = {
 
 
 # -- first and second pulse moments ---------------------------------------------------
+#
+# The flat families hold one random level over a support of random length, so
+# each moment is a moment of the level times the support's mean, survival or
+# integrated survival.  The others are closed forms or checked quadratures.
+
+
+def _flat(model):
+    """(level law, support law) of rect-indep, on-off and independent renewal rewards, else None."""
+    kind = model.kind
+    if kind == "rect-indep":
+        return model.A, model.R
+    if kind == "on-off":
+        return DegenerateDist(1.0), model.Zon
+    if kind == "renewal-reward" and model.reward.kind == "independent":
+        return model.reward.dist, model.Z
+    return None
+
+
+def _each(f, t: np.ndarray) -> np.ndarray:
+    """The scalar function f at every entry of t, in t's shape."""
+    return np.array([f(float(ti)) for ti in t.ravel()]).reshape(t.shape)
+
+
+def _cycle_quad(law, f, t: float, what: str) -> float:
+    """int_{z > t} f(z) law.pdf(z) dz for t >= 0, by adaptive quad.
+
+    Above b = max(t, x_min) (x_min = 1 for a law without one) it runs in
+    v = b / z on (0, 1], where a power tail of the density becomes an
+    integrable endpoint singularity at v = 0; a law whose support reaches
+    below b adds (t, b) as it stands.
+    """
+    b = max(t, getattr(law, "x_min", 1.0))
+    out = nm.checked_quad(lambda v: f(b / v) * float(law.pdf(b / v)) * b / (v * v), 0.0, 1.0, what)
+    if t < b and getattr(law, "kind", None) != "pareto-exact":
+        out += nm.checked_quad(lambda z: f(z) * float(law.pdf(z)), t, b, what)
+    return out
 
 
 def mean_mass(model) -> float:
     """E of the total pulse mass int_0^D w(t) dt (one full cycle for cycle families).
 
-    Closed form except for exp-damped pulses, where it is the time integral of
-    the mean pulse E[exp(-A t)] P(R > t), split where the survival kinks, and
-    for coupled renewal rewards, which integrate E[W | Z = z] z over the cycle law.
+    Closed form except for exp-damped pulses, where it is the time integral
+    of ``mean_pulse``, split where the survival kinks, and for coupled
+    renewal rewards, which integrate E[W | Z = z] z over the cycle law.
     """
+    flat = _flat(model)
+    if flat is not None:
+        return flat[0].mean() * flat[1].mean()
     kind = model.kind
-    if kind == "rect-indep":
-        return model.A.mean() * model.R.mean()
     if kind == "rect-coupled":
         return model.R.mean()
     if kind == "exp-damped":
-        def integrand(t):
-            return float(model.A.laplace(t)) * float(model.R.survival(t))
-
-        head = nm.checked_quad(integrand, 0.0, model.R.x_min, "exp-damped mean mass")
-        return head + nm.checked_quad(integrand, model.R.x_min, np.inf, "exp-damped mean mass")
+        xm = model.R.x_min
+        return sum(nm.checked_quad(lambda t: float(mean_pulse(model, t)), lo, hi, "exp-damped mean mass")
+                   for lo, hi in ((0.0, xm), (xm, np.inf)))
     if kind == "brownian":
         return 0.0
-    if kind == "on-off":
-        return model.Zon.mean()
     if kind == "workload":
         return 0.5 * model.Zon.moment(2.0)
     if kind == "renewal-reward":
-        if model.reward.kind == "independent":
-            return model.reward.dist.mean() * model.Z.mean()
-        lo = model.Z.x_min if getattr(model.Z, "kind", "") == "pareto-exact" else 0.0
-        return nm.checked_quad(lambda z: float(model.reward.cond_mean(z)) * z * float(model.Z.pdf(z)),
-                               lo, np.inf, "coupled-reward mean mass")
+        return _cycle_quad(model.Z, lambda z: float(model.reward.cond_mean(z)) * z, 0.0,
+                           "coupled-reward mean mass")
     if kind == "mixture":
         return float(sum(w * mean_mass(c) for w, c in zip(model.weights, model.components)))
     raise ValueError(f"unknown pulse family {kind!r}")
+
+
+def mean_pulse(model, t) -> np.ndarray:
+    """G1(t) = E[W(t); t < D], the mean pulse at pulse-local times t >= 0, elementwise.
+
+    Closed form except for coupled renewal rewards, which integrate
+    E[W | Z = z] against the cycle density over z > t.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = _flat(model)
+    if flat is not None:
+        return flat[0].mean() * _floats(flat[1].survival(t))
+    kind = model.kind
+    if kind == "rect-coupled":
+        return _each(lambda s: model.R.partial_moment(1.0 - model.p, s ** (1.0 / model.p)), t)
+    if kind == "exp-damped":
+        return _floats(model.A.laplace(t)) * _floats(model.R.survival(t))
+    if kind == "brownian":
+        return np.zeros(t.shape)
+    if kind == "workload":
+        return _floats(model.Zon.integrated_survival(t))
+    if kind == "renewal-reward":
+        return _each(lambda s: _cycle_quad(model.Z, lambda z: float(model.reward.cond_mean(z)), s,
+                                           "coupled-reward mean pulse"), t)
+    if kind == "mixture":
+        return sum(w * mean_pulse(c, t) for w, c in zip(model.weights, model.components))
+    raise ValueError(f"unknown pulse family {kind!r}")
+
+
+def _workload_cov(zon, t: float) -> float:
+    """int_0^inf E[(Z_on - u)(Z_on - u - t); Z_on > u + t] du from partial moments of Z_on."""
+    s = float(zon.survival(t))
+    pm1, pm2, pm3 = (zon.partial_moment(q, t) for q in (1.0, 2.0, 3.0))
+    cubic = pm3 - 3.0 * t * pm2 + 3.0 * t * t * pm1 - t**3 * s
+    square = pm2 - 2.0 * t * pm1 + t * t * s
+    return cubic / 3.0 + t * square / 2.0
+
+
+def cov_integral(model, t) -> np.ndarray:
+    """int_0^inf E[W(u) W(u+t)] du, the lag-t covariance one pulse carries, elementwise in t >= 0.
+
+    Flat families: the level's second moment times the integrated survival
+    of the support.  Workload pulses: a closed form in the busy leg's
+    partial moments up to order 3.  Coupled renewal rewards: int_{z > t}
+    E[W^2 | Z = z] (z - t) f_Z(z) dz.  Rect-coupled, exp-damped and Brownian
+    pulses: ``corr_kernel`` integrated over u, split where the duration
+    survival kinks.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = _flat(model)
+    if flat is not None:
+        return flat[0].moment(2.0) * _floats(flat[1].integrated_survival(t))
+    kind = model.kind
+    if kind == "workload":
+        return _each(lambda s: _workload_cov(model.Zon, s), t)
+    if kind == "renewal-reward":
+        return _each(lambda s: _cycle_quad(model.Z, lambda z: float(model.reward.cond_moment2(z)) * (z - s), s,
+                                           "coupled-reward covariance"), t)
+    if kind == "mixture":
+        return sum(w * cov_integral(c, t) for w, c in zip(model.weights, model.components))
+    if kind not in ("rect-coupled", "exp-damped", "brownian"):
+        raise ValueError(f"unknown pulse family {kind!r}")
+
+    def one(s):
+        cut = max(model.R.x_min - s, 0.0)
+        return sum(nm.checked_quad(lambda u: corr_kernel(model, u, s), lo, hi, "covariance")
+                   for lo, hi in ((0.0, cut), (cut, np.inf)) if hi > lo)
+
+    return _each(one, t)
 
 
 def corr_kernel(model, u: float, t: float) -> float:
@@ -445,27 +550,24 @@ def corr_kernel(model, u: float, t: float) -> float:
     if u <= 0:
         return 0.0
     s = u + t
+    flat = _flat(model)
+    if flat is not None:
+        return flat[0].moment(2.0) * float(flat[1].survival(s))
     kind = model.kind
-    if kind == "rect-indep":
-        return model.A.moment(2.0) * float(model.R.survival(s))
     if kind == "rect-coupled":
         return model.R.partial_moment(2.0 - 2.0 * model.p, s ** (1.0 / model.p))
     if kind == "exp-damped":
         return float(model.A.laplace(2.0 * u + t)) * float(model.R.survival(s))
     if kind == "brownian":
         return u * float(model.R.survival(s))
-    if kind == "on-off":
-        return float(model.Zon.survival(s))
     if kind == "workload":
         if model.Zon.alpha <= 2.0:
             raise ValueError("workload correlation kernel needs alpha > 2 (finite E Z_on^2)")
         return nm.checked_quad(lambda v: (2.0 * v - 2.0 * u - t) * float(model.Zon.survival(v)), s, np.inf,
                                "workload correlation kernel")
     if kind == "renewal-reward":
-        if model.reward.kind == "independent":
-            return model.reward.dist.moment(2.0) * float(model.Z.survival(s))
-        return nm.checked_quad(lambda z: float(model.reward.cond_moment2(np.array([z]))[0]) * float(model.Z.pdf(z)),
-                               s, np.inf, "coupled-reward correlation kernel")
+        return _cycle_quad(model.Z, lambda z: float(model.reward.cond_moment2(z)), s,
+                           "coupled-reward correlation kernel")
     if kind == "mixture":
         return float(sum(w * corr_kernel(c, u, t) for w, c in zip(model.weights, model.components)))
     raise ValueError(f"unknown pulse family {kind!r}")

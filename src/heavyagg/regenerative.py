@@ -15,9 +15,12 @@ Three groups of tools live here:
   and their centered versions; and M/G/1 busy periods (cycle-length laws
   that are only reachable by simulation);
 * a covariance decomposition Cov(t) = R(t) + h(t) on a uniform grid, where
-  R keeps the within-pulse part (exact per family) and h carries the
-  cycle-recurrence part through the renewal function of the cycle-length
-  law and the two boundary kernels of the pulse;
+  R keeps the within-pulse part and h carries the cycle-recurrence part
+  through the renewal function of the cycle-length law and the two
+  boundary kernels of the pulse.  The pulses module owns the per-family
+  moments it reads (R is ``pulses.cov_integral`` over the mean cycle
+  length, the start kernel G1 is ``pulses.mean_pulse``); only the end
+  kernel G0 and the cycle law are built here;
 * ``regime_of``: the family constants of the scaling table (cycle tail,
   covariance and jump tail constants, the critical-regime Telecom route),
   which the regimes module turns into the limit law for a source-count
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import signal
 
 from . import numerics as nm
 from . import pulses
@@ -425,31 +428,9 @@ def _conv_trap(kern: np.ndarray, dens: np.ndarray, step: float) -> np.ndarray:
     return step * (full - 0.5 * kern * dens[0] - 0.5 * kern[0] * dens)
 
 
-def _mean_pulse_grid(model: RegenModel, t: np.ndarray) -> np.ndarray:
-    """G1(t) = E[W(t); t < Z]: the pulse seen from the cycle start."""
-    p = model.pulse
-    if p.kind == "on-off":
-        return np.asarray(p.Zon.survival(t), dtype=float)
-    if p.kind == "workload":
-        return np.asarray(p.Zon.integrated_survival(t), dtype=float)
-    if p.kind == "renewal-reward":
-        if p.reward.kind == "independent":
-            return p.reward.dist.mean() * np.asarray(p.Z.survival(t), dtype=float)
-        lo_sup = p.Z.x_min if getattr(p.Z, "kind", "") == "pareto-exact" else 0.0
-
-        def one(ti):
-            val, _ = integrate.quad(
-                lambda zz: float(p.reward.cond_mean(zz)) * float(p.Z.pdf(zz)),
-                max(float(ti), lo_sup), np.inf, limit=200,
-            )
-            return val
-
-        return np.array([one(ti) for ti in t])
-    return np.asarray(p.A.laplace(t), dtype=float) * np.asarray(p.R.survival(t), dtype=float)
-
-
 def _end_pulse_grid(model: RegenModel, t: np.ndarray, step: float) -> np.ndarray:
-    """G0(t) = E[W(Z - t); t < Z]: the pulse seen from the cycle end."""
+    """G0(t) = E[W(Z - t); t < Z]: the pulse seen from the cycle end (not for
+    renewal rewards, whose constant mark makes G0 the mean pulse G1)."""
     p = model.pulse
     if p.kind in ("on-off", "workload"):
         f_off = np.asarray(p.Zoff.pdf(t), dtype=float)
@@ -458,22 +439,17 @@ def _end_pulse_grid(model: RegenModel, t: np.ndarray, step: float) -> np.ndarray
         else:
             kern = t * np.asarray(p.Zon.survival(t), dtype=float)
         return _conv_trap(kern, f_off, step)
-    if p.kind == "renewal-reward":
-        return _mean_pulse_grid(model, t)  # the mark is constant over its cycle
-    xm = p.R.x_min
 
     def one(ti):
-        cut = max(xm - float(ti), 0.0)
-
         def f(v):
-            return float(p.A.laplace(v)) * float(p.R.pdf(v + float(ti)))
+            return float(p.A.laplace(v)) * float(p.R.pdf(v + ti))
 
-        head, _ = integrate.quad(f, 0.0, cut + 1.0, limit=200,
-                                 points=[cut] if cut > 0.0 else None)
-        tail, _ = integrate.quad(f, cut + 1.0, np.inf, limit=200)
-        return head + tail
+        # split where the duration density jumps and one unit past it
+        cut = max(p.R.x_min - ti, 0.0)
+        edges = (0.0, cut, cut + 1.0, np.inf)[0 if cut > 0.0 else 1:]
+        return sum(nm.checked_quad(f, lo, hi, "exp-damped end pulse") for lo, hi in zip(edges, edges[1:]))
 
-    return np.array([one(ti) for ti in t])
+    return np.array([one(float(ti)) for ti in t])
 
 
 def _cycle_cdf_grid(model: RegenModel, t: np.ndarray, step: float) -> np.ndarray:
@@ -487,64 +463,12 @@ def _cycle_cdf_grid(model: RegenModel, t: np.ndarray, step: float) -> np.ndarray
     return np.asarray(p.R.cdf(t), dtype=float)
 
 
-def _within_pulse_grid(model: RegenModel, t: np.ndarray) -> np.ndarray:
-    """R(t): the covariance carried by a single pulse, exact per family.
-
-    R(t) is the cycle-average of E[W(u) W(u + t); u + t < Z] over u > 0.
-    """
-    p = model.pulse
-    mu = model.mu
-    if p.kind == "on-off":
-        return np.asarray(p.Zon.integrated_survival(t), dtype=float) / mu
-    if p.kind == "workload":
-        out = np.empty(t.size)
-        for i, ti in enumerate(t):
-            ti = float(ti)
-            s = float(p.Zon.survival(ti))
-            pm1 = p.Zon.partial_moment(1.0, ti)
-            pm2 = p.Zon.partial_moment(2.0, ti)
-            pm3 = p.Zon.partial_moment(3.0, ti)
-            cubic = pm3 - 3.0 * ti * pm2 + 3.0 * ti * ti * pm1 - ti**3 * s
-            square = pm2 - 2.0 * ti * pm1 + ti * ti * s
-            out[i] = cubic / 3.0 + ti * square / 2.0
-        return out / mu
-    if p.kind == "renewal-reward":
-        if p.reward.kind == "independent":
-            iso = np.asarray(p.Z.integrated_survival(t), dtype=float)
-            return p.reward.dist.moment(2.0) * iso / mu
-        lo_sup = p.Z.x_min if getattr(p.Z, "kind", "") == "pareto-exact" else 0.0
-
-        def one(ti):
-            val, _ = integrate.quad(
-                lambda zz: float(p.reward.cond_moment2(zz)) * (zz - float(ti)) * float(p.Z.pdf(zz)),
-                max(float(ti), lo_sup), np.inf, limit=200,
-            )
-            return val
-
-        return np.array([one(ti) for ti in t]) / mu
-    xm = p.R.x_min
-
-    def one(ti):
-        ti = float(ti)
-        cut = max(xm - ti, 0.0)
-
-        def f(u):
-            return float(p.A.laplace(2.0 * u + ti)) * float(p.R.survival(u + ti))
-
-        head, _ = integrate.quad(f, 0.0, cut + 1.0, limit=200,
-                                 points=[cut] if cut > 0.0 else None)
-        tail, _ = integrate.quad(f, cut + 1.0, np.inf, limit=200)
-        return head + tail
-
-    return np.array([one(ti) for ti in t]) / mu
-
-
 def _recurrence_grid(model: RegenModel, t_max: float, step: float):
     """One resolution of the renewal-convolution part: (t, U, z, G0, G1, h)."""
     n = int(round(t_max / step))
     t = np.arange(n + 1) * step
-    G1 = _mean_pulse_grid(model, t)
-    G0 = _end_pulse_grid(model, t, step)
+    G1 = pulses.mean_pulse(model.pulse, t)
+    G0 = G1 if model.kind == "renewal-reward" else _end_pulse_grid(model, t, step)
     z = _conv_trap(G0, G1, step)
     dF = np.clip(np.diff(_cycle_cdf_grid(model, t, step)), 0.0, None)
     U = _solve_renewal(dF)
@@ -576,11 +500,10 @@ def _cycle_tail(model: RegenModel):
 class CovDecomposition:
     """Stationary covariance Cov(t) = R(t) + h(t) on a uniform grid.
 
-    R carries the within-pulse part (exact per family).  h carries the
-    cycle-recurrence part, built from the renewal function U of the
-    cycle-length law and the boundary kernels G0 (pulse seen from the cycle
-    end) and G1 (pulse seen from the cycle start) through their convolution
-    z.  The h grid is solved at two resolutions with second-order trapezoid
+    R carries the within-pulse part.  h carries the cycle-recurrence part,
+    built from the renewal function U of the cycle-length law and the
+    boundary kernels G0 (pulse seen from the cycle end) and G1 (pulse seen
+    from the cycle start) through their convolution z.  The h grid is solved at two resolutions with second-order trapezoid
     rules and Richardson extrapolated; ``richardson_err`` records the size
     of the applied correction, a proxy for the remaining discretization
     error.
@@ -617,10 +540,12 @@ def cov_decomposition(model: RegenModel, t_max: float, dt: float) -> CovDecompos
 
     Grids run over [0, t_max] with spacing dt.  The recurrence part is
     solved at dt and dt/2 with trapezoid-weighted Riemann-Stieltjes rules
-    and Richardson extrapolated; the within-pulse part R is exact (closed
-    form or adaptive quadrature per family).  Two-leg families need a density on
-    the idle leg; the workload family needs a busy-leg tail index above 3
-    for its cubic partial moments.
+    and Richardson extrapolated.  The within-pulse part R =
+    ``pulses.cov_integral`` / mu and the kernels G1 = ``pulses.mean_pulse``
+    and G0 are exact at each grid point: closed form or adaptive quadrature
+    per family, and every quadrature raises above its error bound.  Two-leg
+    families need a density on the idle leg; the workload family needs a
+    busy-leg tail index above 3 for its cubic partial moments.
     """
     if not (dt > 0 and t_max >= 10 * dt):
         raise ValueError("need 0 < dt <= t_max / 10")
@@ -634,7 +559,7 @@ def cov_decomposition(model: RegenModel, t_max: float, dt: float) -> CovDecompos
     # the grid rules are second order, so the halved step removes 3/4 of the error
     h = (4.0 * hf[::2] - hc) / 3.0
     rich = float(np.max(np.abs(hf[::2] - hc))) / 3.0
-    R = _within_pulse_grid(model, tc)
+    R = pulses.cov_integral(p, tc) / model.mu
 
     mu = model.mu
     mu_w = pulses.mean_mass(p)

@@ -18,8 +18,9 @@ from window to window.  A single window (0, T] is the one-cut path
 
 It also carries the family constants of the scaling table (the critical
 growth exponent gamma0, the exponents and tail constants that the regimes
-module turns into the three limit laws), a quadrature oracle for the
-covariance function, and the characteristic function of the intermediate
+module turns into the three limit laws), the covariance function (the
+rate times the pulses module's per-family covariance integral), its time
+integral, and the characteristic function of the intermediate
 (critical-regime) limit field.  That chf runs every family on one fixed rule
 (shared duration nodes, a per-family arrival integral) at two orders and
 raises when they disagree; the Telecom field's chf in limit_fields is its
@@ -114,15 +115,17 @@ def _brownian_cells(lo, hi, lo_more, hi_more, pulse, step, rng):
     beta at the start of a stretch of length h, the integral over the stretch
     and the value at its end are jointly Gaussian: beta * h + h^1.5 (z1 / 2 +
     z2 / sqrt(12)) and beta + sqrt(h) z1.  One pair of normals per cell; the
-    value at a pulse's first start is N(0, lo), nonzero only for aged pulses,
-    and a segmented cumulative sum of the sqrt(h) z1 steps carries it over
-    the continuation cells.  Outside its support a pulse is zero, so cells it
-    does not touch need no draws.
+    value at a pulse's first start is N(0, lo), drawn only for aged pulses
+    (fresh ones start at lo = 0), and a segmented cumulative sum of the
+    sqrt(h) z1 steps carries it over the continuation cells.  Outside its
+    support a pulse is zero, so cells it does not touch need no draws.
     """
     h = np.concatenate((hi - lo, hi_more - lo_more))
     z1, z2 = rng.standard_normal((2, h.size))
     rise = np.sqrt(h) * z1
-    beta = np.sqrt(lo) * rng.standard_normal(lo.size)
+    beta = np.zeros(lo.size)
+    aged = np.flatnonzero(lo > 0.0)
+    beta[aged] = np.sqrt(lo[aged]) * rng.standard_normal(aged.size)
     # value at the start of a continuation cell: the end of the first cell
     # plus the rises of the pulse's earlier continuation cells
     more_rise = rise[lo.size:]
@@ -340,16 +343,7 @@ def covariance_oracle(src: ShotNoiseSource, t: float) -> float:
     """Cov(X(0), X(t)) = rate * int_0^inf E[W(u) W(u+t)] du, exact or quadrature."""
     if t < 0:
         raise ValueError("lag must be nonnegative")
-    return src.rate * _cov_kernel_integral(src.pulse, t)
-
-
-def _cov_kernel_integral(model, t: float) -> float:
-    kind = model.kind
-    if kind == "rect-indep":
-        return model.A.moment(2.0) * float(model.R.integrated_survival(t))
-    if kind == "mixture":
-        return float(sum(w * _cov_kernel_integral(c, t) for w, c in zip(model.weights, model.components)))
-    return nm.checked_quad(lambda u: pl.corr_kernel(model, u, t), 0, np.inf, "covariance")
+    return src.rate * float(pl.cov_integral(src.pulse, t))
 
 
 def integral_variance(src: ShotNoiseSource, T: float) -> float:

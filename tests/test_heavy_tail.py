@@ -101,22 +101,6 @@ def test_pareto_sampling_empirical_survival():
         assert abs(np.mean(x > level) - p) < 3 * se
 
 
-def test_sample_exceed_matches_conditional_law():
-    for d in (
-        ht.RegVaryingDist(1.5, 1.0),
-        ht.RegVaryingDist(1.5, 1.0, "pareto-shifted"),
-        ht.RegVaryingDist(1.5, 1.0, "user-mixture", weight=0.5, bulk_high=4.0),
-    ):
-        s = 2.0
-        x = d.sample_exceed(s, rng_for(f"ht/exceed-{d.kind}"), 200_000)
-        assert np.all(x > s - 1e-12)
-        base = float(d.survival(s))
-        for level in (2.5, 4.0, 8.0):
-            p = float(d.survival(level)) / base
-            se = math.sqrt(p * (1 - p) / x.size) + 1e-12
-            assert abs(np.mean(x > level) - p) < 3 * se, (d.kind, level)
-
-
 def test_length_biased_sampling_all_kinds():
     n = 200_000
     for d in (

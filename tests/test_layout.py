@@ -3,10 +3,12 @@
 Every module under ``src/heavyagg`` is parsed; importing an underscore-prefixed
 name from a sibling (``from .x import _name``) or reading one through a
 sibling module (``x._name``) fails the test.  Dunder names are public.  No
-module reads the process environment.  Every ``__all__`` entry must exist,
-the benchmark's span tracer must still find every entry point it wraps, every
-script that ``pyproject.toml`` declares must resolve, and the benchmark's
-Telecom point count must match the sampler.
+module reads the process environment, and only ``numerics`` calls scipy's
+adaptive ``quad`` (inside ``checked_quad``, which keeps its error bound).
+Every ``__all__`` entry must exist, the benchmark's span tracer must still
+find every entry point it wraps, every script that ``pyproject.toml``
+declares must resolve, and the benchmark's Telecom point count must match
+the sampler.
 """
 
 import ast
@@ -93,6 +95,36 @@ def test_no_module_reads_the_environment(tmp_path):
     probe.write_text("import os\nfrom os import getenv\nos.environ.get('X')\n")
     assert environment_reads(probe) == ["mod.py:2 imports os.getenv", "mod.py:3 reads .environ"]
     found = [use for path in sorted(PACKAGE.glob("*.py")) for use in environment_reads(path)]
+    assert not found, found
+
+
+def quad_calls(path: Path) -> list[str]:
+    """Lines of ``path`` that import or read ``quad`` from ``scipy.integrate``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate":
+            found += [f"{path.name}:{node.lineno} imports quad" for a in node.names if a.name == "quad"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "quad"
+              and "integrate" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))):
+            found.append(f"{path.name}:{node.lineno} reads integrate.quad")
+    return found
+
+
+def test_only_numerics_calls_quad(tmp_path):
+    # numerics.checked_quad raises above its error bound; a bare quad call
+    # would drop that bound without a trace
+    probe = tmp_path / "mod.py"
+    probe.write_text("from scipy.integrate import quad\nimport scipy.integrate\n"
+                     "integrate.quad(f, 0, 1)\nscipy.integrate.quad(f, 0, 1)\n")
+    assert quad_calls(probe) == ["mod.py:1 imports quad", "mod.py:3 reads integrate.quad",
+                                 "mod.py:4 reads integrate.quad"]
+    numerics = PACKAGE / "numerics.py"
+    checked = next(node for node in ast.parse(numerics.read_text()).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "checked_quad")
+    lines = [int(use.split(":")[1].split()[0]) for use in quad_calls(numerics)]
+    assert len(lines) == 1 and checked.lineno <= lines[0] <= checked.end_lineno
+    found = [use for path in sorted(PACKAGE.glob("*.py")) if path.stem != "numerics" for use in quad_calls(path)]
     assert not found, found
 
 

@@ -3,7 +3,8 @@
 The kernel table is checked against window closed forms, additivity, total
 masses and the quadrature of its own point values; its samplers against the
 aged-pulse and length-biased laws; Brownian pulses through the shot-noise
-touched-cell sampler, for exact-law marginals; and the moment kernels against
+touched-cell sampler, for exact-law marginals; and the moments (mean mass,
+mean pulse, correlation kernel, covariance integral) against closed forms,
 brute-force quadrature and Monte Carlo over kernel draws.
 """
 
@@ -52,6 +53,23 @@ DETERMINISTIC = {
     "renewal-reward": pulses.RenewalReward(
         pareto(), pulses.RewardLaw("independent", dist=ht.UniformDist(0.0, 1.0))
     ),
+}
+
+
+# one model per family for the moment integrals, the mixture included; the
+# workload covariance integral needs a busy-leg tail index above 3
+MOMENT_MODELS = {
+    **DETERMINISTIC,
+    "workload": pulses.Workload(pareto(5.0), ht.ExponentialDist(1.0)),
+    "brownian": pulses.BrownianPulse(pareto(2.6)),
+    "coupled-reward": pulses.RenewalReward(
+        pareto(), pulses.RewardLaw("coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z))
+    ),
+    "coupled-reward-exp": pulses.RenewalReward(
+        ht.ExponentialDist(1.0), pulses.RewardLaw("coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z))
+    ),
+    "mixture": pulses.MixturePulse((pulses.RectIndep(ht.DegenerateDist(1.0), pareto()),
+                                    pulses.ExpDamped(ht.LowTailPowerDist(0.4), pareto())), (0.3, 0.7)),
 }
 
 
@@ -169,7 +187,8 @@ def test_mean_mass_quadratures_raise_on_a_large_error_bound(monkeypatch):
 
 
 def test_kernel_and_moment_quadratures_raise_when_they_do_not_converge(monkeypatch):
-    # the workload and coupled-reward correlation kernels, partial moments of
+    # the workload and coupled-reward correlation kernels, the coupled-reward
+    # mean pulse, the quadrature covariance integrals, partial moments of
     # non-Pareto laws and uniform expectations keep quad's error bound: an
     # integrand oscillating far faster than quad's subdivision limit resolves
     # makes each of them raise
@@ -178,12 +197,16 @@ def test_kernel_and_moment_quadratures_raise_when_they_do_not_converge(monkeypat
 
     monkeypatch.setattr(ht.RegVaryingDist, "survival", wild)
     monkeypatch.setattr(ht.RegVaryingDist, "pdf", wild)
+    monkeypatch.setattr(pulses.RewardLaw, "cond_mean", lambda self, z: np.ones_like(z))
     monkeypatch.setattr(pulses.RewardLaw, "cond_moment2", lambda self, z: np.ones_like(z))
     cases = [
         ("workload correlation kernel",
          lambda: pulses.corr_kernel(pulses.Workload(pareto(2.5), ht.ExponentialDist(1.0)), 0.5, 0.3)),
         ("coupled-reward correlation kernel",
          lambda: pulses.corr_kernel(pulses.RenewalReward(pareto(3.5), pulses.vanishing_reward(0.5)), 0.5, 0.3)),
+        ("coupled-reward mean pulse", lambda: pulses.mean_pulse(MOMENT_MODELS["coupled-reward"], 0.5)),
+        ("coupled-reward covariance", lambda: pulses.cov_integral(MOMENT_MODELS["coupled-reward"], 0.5)),
+        ("covariance", lambda: pulses.cov_integral(DETERMINISTIC["exp-damped"], 0.5)),
         ("partial moment", lambda: ht.RegVaryingDist(1.5, 1.0, "pareto-shifted").partial_moment(0.5, 0.2)),
         ("uniform expectation", lambda: ht.UniformDist(0.0, 1.0).expect(lambda w: math.sin(1e5 * w))),
     ]
@@ -254,6 +277,7 @@ def test_corr_kernel_against_monte_carlo():
         (pulses.BrownianPulse(pareto(2.6)), 0.8, 1.1),
         (pulses.OnOff(pareto(), ht.ExponentialDist(1.0)), 0.8, 1.1),
         (pulses.Workload(pareto(5.0), ht.ExponentialDist(1.0)), 0.6, 0.8),
+        (MOMENT_MODELS["coupled-reward"], 0.3, 0.9),
     ]
     for model, u, t in cases:
         kind = model.kind
@@ -362,6 +386,69 @@ def test_vanishing_reward_default():
     w = law.sample_given_z(np.full(200_000, 2.0), rng)
     assert np.all(np.abs(w) <= 3.0**-0.5 + 1e-12)
     assert abs(np.mean(w)) < 3 * np.std(w) / math.sqrt(w.size)
+
+
+def brute_quad(f, lo):
+    """int_lo^inf f by plain quad, split at 1 (every duration law here starts there)."""
+    edges = [lo, max(lo, 1.0), np.inf]
+    return sum(integrate.quad(f, a, b, limit=400)[0] for a, b in zip(edges, edges[1:]) if b > a)
+
+
+def cov_brute(model, t):
+    """int_0^inf E[W(u) W(u+t)] du by plain quad.
+
+    Where the correlation kernel is itself a quadrature (workload pulses,
+    coupled rewards), the integral runs over the cycle length z instead,
+    against the within-cycle product integrated in closed form.
+    """
+    if model.kind == "workload":
+        zon = model.Zon
+        return brute_quad(lambda z: ((z - t) ** 3 / 3.0 + t * (z - t) ** 2 / 2.0) * float(zon.pdf(z)), t)
+    if model.kind == "renewal-reward" and model.reward.kind == "coupled":
+        # E[g(z, U)**2] = E(2U - 1)**4 / (1 + z)**2 = 1 / (5 (1 + z)**2)
+        return brute_quad(lambda z: (z - t) / (5.0 * (1.0 + z) ** 2) * float(model.Z.pdf(z)), t)
+    return brute_quad(lambda u: pulses.corr_kernel(model, u, t), 0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(set(MOMENT_MODELS) - {"coupled-reward", "coupled-reward-exp"}))
+def test_mean_pulse_integrates_to_mean_mass(kind):
+    model = MOMENT_MODELS[kind]
+    total = brute_quad(lambda t: float(pulses.mean_pulse(model, t)), 0.0)
+    assert total == pytest.approx(pulses.mean_mass(model), rel=1e-7, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["coupled-reward", "coupled-reward-exp"])
+def test_coupled_reward_mean_pulse_matches_plain_quadrature(kind):
+    # G1(t) = E[E[W | Z]; Z > t] with E[W | Z = z] = 1 / (3 (1 + z)); each
+    # value is a quadrature itself, so it is checked pointwise
+    model = MOMENT_MODELS[kind]
+    t = np.array([0.0, 0.4, 1.0, 2.5])
+    brute = [brute_quad(lambda z: float(model.Z.pdf(z)) / (3.0 * (1.0 + z)), s) for s in t]
+    assert np.allclose(pulses.mean_pulse(model, t), brute, rtol=1e-8, atol=0.0)
+    mass = brute_quad(lambda z: z * float(model.Z.pdf(z)) / (3.0 * (1.0 + z)), 0.0)
+    assert pulses.mean_mass(model) == pytest.approx(mass, rel=1e-8)
+
+
+@pytest.mark.parametrize("kind", sorted(MOMENT_MODELS))
+def test_cov_integral_matches_brute_quadrature(kind):
+    model = MOMENT_MODELS[kind]
+    lags = np.array([[0.0, 0.4], [1.0, 2.5]])
+    got = pulses.cov_integral(model, lags)
+    assert got.shape == lags.shape
+    for t, value in zip(lags.ravel(), got.ravel()):
+        assert value == pytest.approx(cov_brute(model, t), rel=1e-7), t
+
+
+def test_mean_pulse_closed_forms():
+    t = np.array([0.5, 2.0])
+    # rect-indep: E[A] P(R > t); on-off: P(Z_on > t); workload: int_t^inf P(Z_on > s) ds
+    assert np.allclose(pulses.mean_pulse(DETERMINISTIC["rect-indep"], t), 1.25 * np.array([1.0, 2.0**-1.5]))
+    assert np.allclose(pulses.mean_pulse(DETERMINISTIC["on-off"], t), [1.0, 2.0**-1.5])
+    assert np.allclose(pulses.mean_pulse(DETERMINISTIC["workload"], t), [0.5 + 1.0 / 1.5, 2.0**-1.5 / 1.5])
+    # rect-coupled: E[R^(1-p); R^p > t] = alpha t**((1-p-alpha)/p) / (alpha - 1 + p) past x_min
+    want = 1.5 * 2.0 ** ((1.0 - 0.6 - 1.5) / 0.6) / (1.5 - 1.0 + 0.6)
+    assert float(pulses.mean_pulse(DETERMINISTIC["rect-coupled"], 2.0)) == pytest.approx(want, rel=1e-12)
+    assert np.all(pulses.mean_pulse(MOMENT_MODELS["brownian"], t) == 0.0)
 
 
 def test_mixture_pulse_moments():

@@ -4,16 +4,19 @@ Covers the busy-period sampler, the stationary cycle samplers (window
 integrals, state paths, centered cycle masses), the covariance decomposition
 Cov = R + h with its renewal-function solver, and the scaling table.  Grid
 numerics are checked against closed forms (exponential and uniform cycle
-laws, the on-off and renewal-reward worked examples); the samplers are
-checked against the grids by Monte Carlo with 4-sigma bands, and the block
-cycle walk behind both path samplers against reference wave loops by
-two-sample KS tests.
+laws, the on-off and renewal-reward worked examples) and, for a coupled
+reward, whose moments are quadratures, against a brute-force double
+integral; the per-family moments themselves are tested in test_pulses.  The
+samplers are checked against the grids by Monte Carlo with 4-sigma bands,
+and the block cycle walk behind both path samplers against reference wave
+loops by two-sample KS tests.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sp_stats
 
 from heavyagg import heavy_tail as ht
@@ -328,6 +331,20 @@ def test_renewal_reward_decomposition_worked_example():
     assert dec.h_asymptote == pytest.approx(-0.1)
     assert dec.h[-1] * 50.0**1.5 == pytest.approx(-0.1, rel=0.01)
     assert dec.cov[-1] * 50.0**1.5 == pytest.approx(1.0 / 30.0, rel=0.01)
+
+
+def test_coupled_reward_decomposition():
+    # reward (2u - 1)**2 / (1 + z) on Pareto(3/2, 1) cycles has a nonzero
+    # mean: R(0) mu = E[W**2 Z], the recurrence part starts at -(E X)**2, and
+    # the lagged state covariance follows the grid
+    reward = pulses.RewardLaw("coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z), bound=1.0)
+    model = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), reward))
+    dec = rg.cov_decomposition(model, 1.0, 0.05)
+    brute, err = integrate.dblquad(lambda u, z: reward.g(z, u) ** 2 * z * 1.5 * z**-2.5, 1.0, np.inf, 0.0, 1.0)
+    assert dec.R[0] * dec.mu == pytest.approx(brute, abs=err)
+    assert dec.mean_rate > 0.05
+    assert dec.cov[0] == dec.R[0] - dec.mean_rate**2
+    _lagged_cov_check(model, [0.5], dec, "rg/state-coupled", 120000)
 
 
 def test_decomposition_grid_bookkeeping():
