@@ -68,6 +68,8 @@ class RewardLaw:
     the law must be bounded (|W| <= bound).  kind "coupled": W = g(Z, U) with U
     uniform on (0,1) and g bounded by ``bound``; ``limit_dist`` is the law of
     the large-Z limit of g(Z, U) when one exists (None means the limit is 0).
+    ``g`` must be elementwise on arrays: it receives z and u as arrays of one
+    shape and returns that shape, both when sampling and in the u averages.
     """
 
     kind: str
@@ -94,9 +96,14 @@ class RewardLaw:
         return np.asarray(self.g(z, u), dtype=float)
 
     def _u_average(self, z, power: int):
-        """E[g(z, U)^power] over U uniform on (0, 1), by 24-node Gauss-Legendre in u."""
+        """E[g(z, U)^power] over U uniform on (0, 1), by 24-node Gauss-Legendre in u.
+
+        ``g`` runs once, on ``(24,) + z.shape`` arrays of z and the nodes.
+        """
         u, weights = nm.gauss_legendre_panels((0.0, 1.0), 24)
-        vals = np.array([np.asarray(self.g(z, np.full(z.shape, ui))) ** power for ui in u[0]])
+        shape = u[0].shape + z.shape
+        nodes = u[0].reshape((-1,) + (1,) * z.ndim)
+        vals = np.asarray(self.g(np.broadcast_to(z, shape), np.broadcast_to(nodes, shape))) ** power
         return np.tensordot(weights[0], vals, axes=1)
 
     def cond_mean(self, z):

@@ -1,12 +1,16 @@
-"""Deterministic, counter-based random streams.
+"""Deterministic, keyed random streams.
 
 Every replicate (or fixed-size batch of replicates) of every experiment draws
-its randomness from a Philox generator keyed by ``(seed, tag, index)``.  Philox
-is counter based, so distinct keys yield statistically independent streams and
-the mapping from key to output is stable across platforms, processes, and
-worker counts.  Workers can therefore claim batches in any order and still
-produce bit-identical results: the stream belongs to the batch index, not to
-the worker.
+its randomness from a PCG64DXSM generator keyed by ``(seed, tag, index)``.  The
+key is hashed into two 64-bit words, and ``SeedSequence`` expands those words
+into the generator's 128-bit state, so distinct keys give statistically
+independent streams.  The map from key to output depends on nothing else, so it
+is stable across platforms, processes and worker counts.  Workers can therefore
+claim batches in any order and still produce bit-identical results: the stream
+belongs to the batch index, not to the worker.
+
+This is the only module that builds a random source; every other module takes
+the ``numpy.random.Generator`` it returns.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 
 def key_words(seed: int, tag: str, index: int = 0) -> np.ndarray:
-    """Hash (seed, tag, index) into the two 64-bit key words Philox accepts."""
+    """Hash (seed, tag, index) into two 64-bit words, the entropy of one stream."""
     h = hashlib.blake2b(digest_size=16)
     h.update(int(seed).to_bytes(8, "little", signed=False))
     h.update(int(index).to_bytes(8, "little", signed=False))
@@ -41,6 +45,7 @@ def stream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     Returns
     -------
     numpy.random.Generator
-        Generator backed by Philox with a key derived from the arguments.
+        Generator backed by PCG64DXSM, seeded by ``SeedSequence`` from
+        :func:`key_words` of the arguments.
     """
-    return np.random.Generator(np.random.Philox(key=key_words(seed, tag, index)))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(key_words(seed, tag, index))))

@@ -5,6 +5,7 @@ name from a sibling (``from .x import _name``) or reading one through a
 sibling module (``x._name``) fails the test.  Dunder names are public.  No
 module reads the process environment, and only ``numerics`` calls scipy's
 adaptive ``quad`` (inside ``checked_quad``, which keeps its error bound).
+Only ``streams`` builds a random source, in the package and in these tests.
 Every ``__all__`` entry must exist, the benchmark's span tracer must still
 find every entry point it wraps, every script that ``pyproject.toml``
 declares must resolve, and the benchmark's Telecom point count must match
@@ -126,6 +127,63 @@ def test_only_numerics_calls_quad(tmp_path):
     assert len(lines) == 1 and checked.lineno <= lines[0] <= checked.end_lineno
     found = [use for path in sorted(PACKAGE.glob("*.py")) if path.stem != "numerics" for use in quad_calls(path)]
     assert not found, found
+
+
+RANDOM_SOURCES = ("default_rng", "SeedSequence", "RandomState", "BitGenerator",
+                  "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64")
+NUMPY_NAMES = ("np", "numpy")
+
+
+def random_sources(path: Path) -> list[str]:
+    """Lines of ``path`` that build a random source other than through ``streams``.
+
+    Seen: any name in ``RANDOM_SOURCES`` (read, called or imported), any
+    ``np.random.<name>`` or ``from numpy.random import <name>`` other than the
+    ``Generator`` type, and ``import numpy.random``.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in sorted(ast.walk(tree), key=lambda n: (getattr(n, "lineno", 0), getattr(n, "col_offset", 0))):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            found += [f"{path.name}:{node.lineno} imports numpy.random.{a.name}" for a in node.names
+                      if a.name != "Generator"]
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
+                      if a.name in RANDOM_SOURCES]
+        elif isinstance(node, ast.Import):
+            found += [f"{path.name}:{node.lineno} imports numpy.random" for a in node.names
+                      if a.name == "numpy.random"]
+        elif isinstance(node, ast.Attribute) and node.attr in RANDOM_SOURCES:
+            found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+        elif (isinstance(node, ast.Attribute) and node.attr != "Generator"
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "random"
+              and getattr(node.value.value, "id", None) in NUMPY_NAMES):
+            found.append(f"{path.name}:{node.lineno} reads np.random.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in RANDOM_SOURCES:
+            found.append(f"{path.name}:{node.lineno} names {node.id}")
+    return found
+
+
+def test_only_streams_builds_a_random_source(tmp_path):
+    # every draw comes from a stream keyed by (seed, tag, index); a generator
+    # built anywhere else would tie results to its own seed and bit generator
+    probe = tmp_path / "mod.py"
+    probe.write_text("import numpy as np\nimport numpy.random\nfrom numpy.random import default_rng\n"
+                     "from numpy.random import Generator\nnp.random.default_rng(1)\n"
+                     "np.random.Generator(np.random.Philox(1))\nnp.random.normal(size=3)\n"
+                     "numpy.random.seed(0)\nrng = np.random.RandomState(0)\n"
+                     "SeedSequence(5)\nrng: np.random.Generator\n")
+    assert random_sources(probe) == [
+        "mod.py:2 imports numpy.random", "mod.py:3 imports numpy.random.default_rng",
+        "mod.py:5 reads .default_rng", "mod.py:6 reads .Philox", "mod.py:7 reads np.random.normal",
+        "mod.py:8 reads np.random.seed", "mod.py:9 reads .RandomState", "mod.py:10 names SeedSequence",
+    ]
+    tests = Path(__file__).resolve().parent
+    scanned = sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py"))
+    assert PACKAGE / "streams.py" in scanned and Path(__file__).resolve() in scanned
+    found = [use for path in scanned if path != PACKAGE / "streams.py" for use in random_sources(path)]
+    assert not found, found
+    assert "Philox" not in "".join(path.read_text() for path in PACKAGE.glob("*.py"))
 
 
 def test_every_public_name_exists():
