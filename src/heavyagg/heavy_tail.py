@@ -10,6 +10,8 @@ steady state.
 Conventions
 -----------
 * ``survival(x)`` is P(X > x); all distribution methods are vectorized.
+* Every sampler takes the generator and a draw count ``size`` and returns
+  an array of that many draws; there is no scalar form.
 * Stable laws use the parameterization in which the log characteristic
   function of X ~ (alpha, sigma, beta) is
   ``-sigma**alpha * |t|**alpha * (1 - i*beta*sign(t)*tan(pi*alpha/2))``,
@@ -204,18 +206,16 @@ class RegVaryingDist:
 
     # -- sampling ----------------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Exact draw(s) by inverse-CDF (components mixed exactly for the mixture kind)."""
+    def sample(self, rng: np.random.Generator, size):
+        """Exact draws by inverse-CDF (components mixed exactly for the mixture kind)."""
         if self.kind == "user-mixture":
-            n = 1 if size is None else int(size)
-            pick = rng.random(n) < self.weight
-            u = rng.random(n)
+            pick = rng.random(size) < self.weight
+            u = rng.random(size)
             pareto = self.x_min * u ** (-1.0 / self.alpha)
             bulk = u * self.bulk_high
-            out = np.where(pick, pareto, bulk)
-            return float(out[0]) if size is None else out
+            return np.where(pick, pareto, bulk)
         u = rng.random(size)
-        if self.kind == "pareto-exact" and size is not None:
+        if self.kind == "pareto-exact":
             # 1 - U lies in (0, 1], so the isf needs neither a floor nor a range check
             np.subtract(1.0, u, out=u)
             np.power(u, -1.0 / self.alpha, out=u)
@@ -224,8 +224,8 @@ class RegVaryingDist:
         u = np.maximum(u, np.finfo(float).tiny)
         return self.isf(u)
 
-    def sample_length_biased(self, rng: np.random.Generator, size=None):
-        """Draw from the length-biased law, density x * f(x) / mean.
+    def sample_length_biased(self, rng: np.random.Generator, size):
+        """Draws from the length-biased law, density x * f(x) / mean.
 
         pareto-exact(alpha) length-biases to pareto-exact(alpha - 1) exactly.
         The Lomax kind uses an exact rejection step (acceptance rate 1/alpha)
@@ -238,26 +238,23 @@ class RegVaryingDist:
         if self.kind == "pareto-exact":
             return RegVaryingDist(a - 1.0, xm, "pareto-exact").sample(rng, size)
         if self.kind == "pareto-shifted":
-            n = 1 if size is None else int(size)
-            out = np.empty(n)
-            todo = np.arange(n)
+            out = np.empty(size)
+            todo = np.arange(size)
             while todo.size:
                 # propose x_min + Y with Y length-biased exact-Pareto, accept w.p. y/(y + x_min)
                 y = xm * (rng.random(todo.size) ** (-1.0 / (a - 1.0)) - 1.0)
                 keep = rng.random(todo.size) * (y + xm) < y
                 out[todo[keep]] = y[keep]
                 todo = todo[~keep]
-            return float(out[0]) if size is None else out
-        n = 1 if size is None else int(size)
+            return out
         mu_p = a * xm / (a - 1.0)
         mu_b = self.bulk_high / 2.0
         p_pareto = self.weight * mu_p / (self.weight * mu_p + (1.0 - self.weight) * mu_b)
-        pick = rng.random(n) < p_pareto
-        u = np.maximum(rng.random(n), np.finfo(float).tiny)
+        pick = rng.random(size) < p_pareto
+        u = np.maximum(rng.random(size), np.finfo(float).tiny)
         pareto = xm * u ** (-1.0 / (a - 1.0))
         bulk = self.bulk_high * np.sqrt(u)
-        out = np.where(pick, pareto, bulk)
-        return float(out[0]) if size is None else out
+        return np.where(pick, pareto, bulk)
 
 
 @dataclass(frozen=True)
@@ -292,10 +289,10 @@ class ExponentialDist:
         core = self.mean_value * np.exp(-np.maximum(t, 0.0) / self.mean_value)
         return np.where(t < 0, core - t, core)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         return rng.exponential(self.mean_value, size)
 
-    def sample_length_biased(self, rng: np.random.Generator, size=None):
+    def sample_length_biased(self, rng: np.random.Generator, size):
         return rng.gamma(2.0, self.mean_value, size)
 
 
@@ -318,10 +315,10 @@ class DegenerateDist:
     def moment(self, q: float) -> float:
         return self.value**q
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.value if size is None else np.full(int(size), self.value)
+    def sample(self, rng: np.random.Generator, size):
+        return np.full(size, self.value)
 
-    def sample_length_biased(self, rng: np.random.Generator, size=None):
+    def sample_length_biased(self, rng: np.random.Generator, size):
         return self.sample(rng, size)
 
 
@@ -350,7 +347,7 @@ class UniformDist:
     def expect(self, func) -> float:
         return nm.checked_quad(func, self.lo, self.hi, "uniform expectation") / (self.hi - self.lo)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         return rng.uniform(self.lo, self.hi, size)
 
 
@@ -396,7 +393,7 @@ class LowTailPowerDist:
             * special.gammainc(self.kappa, safe * self.upper)
         return np.where(s < 1e-12, 1.0 - s * self.mean(), val)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         u = rng.random(size)
         u = np.maximum(u, np.finfo(float).tiny)
         return (u / self.c) ** (1.0 / self.kappa)
@@ -454,8 +451,8 @@ def stable_params_from_tails(alpha: float, c_plus: float, c_minus: float) -> Sta
     return StableParams(alpha, sigma_alpha ** (1.0 / alpha), beta)
 
 
-def sample_stable(params: StableParams, rng: np.random.Generator, size=None):
-    """Chambers-Mallows-Stuck draw(s) from a stable law with zero mean.
+def sample_stable(params: StableParams, rng: np.random.Generator, size):
+    """Chambers-Mallows-Stuck draws from a stable law with zero mean.
 
     Uses the standard polar construction: with V uniform on (-pi/2, pi/2) and
     W standard exponential,
@@ -466,19 +463,16 @@ def sample_stable(params: StableParams, rng: np.random.Generator, size=None):
     sigma scales the result.
     """
     a, beta, sigma = params.alpha, params.beta, params.sigma
-    n = 1 if size is None else int(size)
     if sigma == 0.0:
-        out = np.zeros(n)
-        return float(out[0]) if size is None else out
-    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    w = rng.exponential(1.0, n)
+        return np.zeros(size)
+    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
+    w = rng.exponential(1.0, size)
     t = math.tan(math.pi * a / 2.0)
     b = math.atan(beta * t) / a
     s = (1.0 + beta * beta * t * t) ** (1.0 / (2.0 * a))
     core = s * np.sin(a * (v + b)) / np.cos(v) ** (1.0 / a) \
         * (np.cos(v - a * (v + b)) / w) ** ((1.0 - a) / a)
-    out = sigma * core
-    return float(out[0]) if size is None else out
+    return sigma * core
 
 
 # -- estimation and steady-state sampling ------------------------------------------
@@ -505,8 +499,8 @@ def hill_estimate(samples, k: int | None = None) -> float:
     return k / float(np.sum(np.log(top / threshold)))
 
 
-def sample_length_biased_pair(dist, rng: np.random.Generator, size=None):
-    """Stationary (age, residual, total) triple(s) for cycles with law ``dist``.
+def sample_length_biased_pair(dist, rng: np.random.Generator, size):
+    """Stationary (age, residual, total) arrays for cycles with law ``dist``.
 
     The total is a length-biased draw and the age is uniform on (0, total);
     marginally both age and residual then follow the stationary excess law
@@ -516,6 +510,4 @@ def sample_length_biased_pair(dist, rng: np.random.Generator, size=None):
     u = rng.random(size)
     age = u * total
     residual = total - age
-    if size is None:
-        return float(age), float(residual), float(total)
     return age, residual, total

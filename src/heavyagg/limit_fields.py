@@ -110,7 +110,7 @@ def _fbm_cholesky(h1: float, x: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(cov + jitter * np.eye(x.size))
 
 
-def sample_fbs_grid(spec: FbsSpec, x_grid, y_grid, rng: np.random.Generator, n_rep: int | None = None):
+def sample_fbs_grid(spec: FbsSpec, x_grid, y_grid, rng: np.random.Generator, n_rep: int):
     """Draw the sheet on the product grid; shape (n_rep, n_x, n_y).
 
     The x-covariance matrix is factorized once; the y-direction uses exact
@@ -119,21 +119,21 @@ def sample_fbs_grid(spec: FbsSpec, x_grid, y_grid, rng: np.random.Generator, n_r
     """
     x = nm.strict_grid("x_grid", x_grid)
     y = nm.strict_grid("y_grid", y_grid)
-    reps = 1 if n_rep is None else int(n_rep)
+    if n_rep < 1:
+        raise ValueError("n_rep must be at least 1")
     chol = _fbm_cholesky(spec.h1, x)
     dy = np.diff(y, prepend=0.0)
-    noise = rng.standard_normal((reps, y.size, x.size))
+    noise = rng.standard_normal((n_rep, y.size, x.size))
     correlated = noise @ chol.T
     field = spec.c_w * np.cumsum(correlated * np.sqrt(dy)[None, :, None], axis=1)
-    field = np.swapaxes(field, 1, 2)
-    return field[0] if n_rep is None else field
+    return np.swapaxes(field, 1, 2)
 
 
 # -- stable Levy sheet --------------------------------------------------------------
 
 
-def sample_stable_sheet(params: StableParams, x_grid, y_grid, rng: np.random.Generator, n_rep: int | None = None):
-    """Draw the independently scattered stable sheet on the product grid.
+def sample_stable_sheet(params: StableParams, x_grid, y_grid, rng: np.random.Generator, n_rep: int):
+    """Draw the independently scattered stable sheet on the product grid; shape (n_rep, n_x, n_y).
 
     Cell increments over the rectangles between consecutive grid lines (with
     an implicit 0 line on each axis) are independent stable draws with scale
@@ -141,14 +141,14 @@ def sample_stable_sheet(params: StableParams, x_grid, y_grid, rng: np.random.Gen
     """
     x = nm.strict_grid("x_grid", x_grid)
     y = nm.strict_grid("y_grid", y_grid)
-    reps = 1 if n_rep is None else int(n_rep)
+    if n_rep < 1:
+        raise ValueError("n_rep must be at least 1")
     dx = np.diff(x, prepend=0.0)
     dy = np.diff(y, prepend=0.0)
     area = dx[:, None] * dy[None, :]
-    cells = sample_stable(params, rng, size=reps * x.size * y.size).reshape(reps, x.size, y.size)
+    cells = sample_stable(params, rng, size=n_rep * x.size * y.size).reshape(n_rep, x.size, y.size)
     cells = cells * area[None, :, :] ** (1.0 / params.alpha)
-    field = np.cumsum(np.cumsum(cells, axis=1), axis=2)
-    return field[0] if n_rep is None else field
+    return np.cumsum(np.cumsum(cells, axis=1), axis=2)
 
 
 # -- Telecom random field -----------------------------------------------------------
@@ -223,7 +223,7 @@ def sample_telecom(
     x_grid,
     y_max: float,
     rng: np.random.Generator,
-    n_rep: int | None = None,
+    n_rep: int,
 ):
     """Field values at (x, y_max) for every x in x_grid; shape (n_rep, n_x).
 
@@ -241,7 +241,6 @@ def sample_telecom(
     x = nm.strict_grid("x_grid", x_grid)
     if not y_max > 0:
         raise ValueError("y_max must be positive")
-    reps = 1 if n_rep is None else int(n_rep)
     if spec.var_tol is not None:
         bound = small_jump_variance(spec, float(x[-1]), y_max)
         if bound > spec.var_tol:
@@ -252,9 +251,9 @@ def sample_telecom(
 
     pulse = RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, spec.eps))
     src = shot_noise.ShotNoiseSource(pulse, rate=y_max * spec.c * spec.eps**-spec.alpha)
-    out = np.cumsum(shot_noise.integrated_path_batch(src, x, rng, reps), axis=1)
+    out = np.cumsum(shot_noise.integrated_path_batch(src, x, rng, n_rep), axis=1)
     out -= x * src.mean_level()
-    return out[0] if n_rep is None else out
+    return out
 
 
 # -- Telecom characteristic function ------------------------------------------------

@@ -152,7 +152,11 @@ def vanishing_reward(delta: float) -> RewardLaw:
 
 @dataclass(frozen=True)
 class RectIndep:
-    """W(t) = A * 1(0 < t <= R) with amplitude A independent of the duration R."""
+    """W(t) = A * 1(0 < t <= R) with amplitude A independent of the duration R.
+
+    With unit amplitude, shot noise of these pulses counts the busy servers of
+    an M/G/infinity queue: each arrival holds one server for its duration R.
+    """
 
     A: object
     R: RegVaryingDist
@@ -195,7 +199,12 @@ class BrownianPulse:
 
 @dataclass(frozen=True)
 class OnOff:
-    """Cycle Z = Z_on + Z_off, W(t) = 1(t < Z_on): the ON indicator comes first."""
+    """Cycle Z = Z_on + Z_off, W(t) = 1(t < Z_on): the ON indicator comes first.
+
+    With an Exp(1) idle leg this is the busy indicator of an M/G/1/0 queue at
+    unit arrival rate: arrivals during service are lost, so the idle leg is
+    the exponential wait for the next arrival.
+    """
 
     Zon: RegVaryingDist
     Zoff: object

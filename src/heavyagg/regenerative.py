@@ -11,8 +11,8 @@ Three groups of tools live here:
 
 * exact-in-law samplers: the windowed integrals of the stationary source
   (``integrated_path``) and its state along a path (``state_sample``), both
-  read off one block walk over the cycles of every lane; full-cycle masses
-  and their centered versions; and M/G/1 busy periods (cycle-length laws
+  read off one block walk over the cycles of every lane; fresh cycle lengths
+  and masses (``cycle_sample``); and M/G/1 busy periods (cycle-length laws
   that are only reachable by simulation);
 * a covariance decomposition Cov(t) = R(t) + h(t) on a uniform grid, where
   R keeps the within-pulse part and h carries the cycle-recurrence part
@@ -48,7 +48,6 @@ __all__ = [
     "CovDecomposition",
     "sample_busy_period",
     "cycle_sample",
-    "tilde_mass_sample",
     "integrated_path",
     "state_sample",
     "renewal_function",
@@ -72,8 +71,8 @@ BLOCK_MARGIN = 1.25
 # -- busy periods -----------------------------------------------------------------
 
 
-def sample_busy_period(service, rng: np.random.Generator, size=None, cap: int = 100_000_000):
-    """Busy period(s) of an M/G/1 queue with unit-rate Poisson arrivals.
+def sample_busy_period(service, rng: np.random.Generator, size, cap: int = 100_000_000):
+    """``size`` busy periods of an M/G/1 queue with unit-rate Poisson arrivals.
 
     The first customer opens the period and new arrivals pile on while it
     drains.  With iid exp(1) gaps T_1, T_2, ... and service draws S_1, S_2,
@@ -85,11 +84,9 @@ def sample_busy_period(service, rng: np.random.Generator, size=None, cap: int = 
     """
     if not service.mean() < 1.0:
         raise ValueError("busy periods need mean service below the unit arrival rate")
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    total = np.zeros(n)
-    walk = np.zeros(n)
-    active = np.arange(n)
+    total = np.zeros(size)
+    walk = np.zeros(size)
+    active = np.arange(size)
     drawn = 0
     while active.size:
         drawn += active.size
@@ -103,7 +100,7 @@ def sample_busy_period(service, rng: np.random.Generator, size=None, cap: int = 
         total[active] += s
         walk[active] += s - gaps
         active = active[walk[active] > 0.0]
-    return float(total[0]) if scalar else total
+    return total
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ class BusyPeriodLaw:
         es = self.service.mean()
         return self.service.tail_constant() / (1.0 - es) ** (1.0 + self.service.alpha)
 
-    def sample(self, rng: np.random.Generator, size=None, cap: int = 100_000_000):
+    def sample(self, rng: np.random.Generator, size, cap: int = 100_000_000):
         return sample_busy_period(self.service, rng, size, cap)
 
 
@@ -197,30 +194,17 @@ class RegenModel:
 # -- cycle-level samplers -----------------------------------------------------------
 
 
-def cycle_sample(model: RegenModel, rng: np.random.Generator, size=None):
-    """(cycle length, integrated cycle mass) from fresh cycles."""
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    kern = pulses.KERNELS[model.kind]
-    z, aux = kern.fresh(model.pulse, rng, n)
-    mass = kern.mass(aux, 0.0, z)
-    if scalar:
-        return float(z[0]), float(mass[0])
-    return z, mass
+def cycle_sample(model: RegenModel, rng: np.random.Generator, size):
+    """(cycle lengths z, integrated cycle masses) of ``size`` fresh cycles.
 
-
-def tilde_mass_sample(model: RegenModel, rng: np.random.Generator, size=None):
-    """Centered cycle masses: integrated mass minus mean rate times cycle length.
-
-    These are the per-cycle jumps behind the slow-growth stable limit; their
-    two tails carry the constants reported by the scaling table.
+    The centered masses ``mass - model.mean_rate * z`` are the per-cycle
+    jumps behind the slow-growth stable limit; their two tails carry the
+    constants reported by the scaling table.
     """
-    scalar = size is None
-    n = 1 if scalar else int(size)
     kern = pulses.KERNELS[model.kind]
-    z, aux = kern.fresh(model.pulse, rng, n)
-    out = kern.mass(aux, 0.0, z) - model.mean_rate * z
-    return float(out[0]) if scalar else out
+    z, aux = kern.fresh(model.pulse, rng, size)
+    mass = kern.mass(aux, 0.0, z)
+    return z, mass
 
 
 def _running_sum(start, steps):
@@ -357,29 +341,27 @@ def integrated_path(
     return np.diff(path, axis=1, prepend=0.0)
 
 
-def state_sample(model: RegenModel, times, rng: np.random.Generator, n_rep=None):
+def state_sample(model: RegenModel, times, rng: np.random.Generator, n_rep: int):
     """Stationary state values X(t_k) along one path per replicate.
 
     ``times`` must be nondecreasing and nonnegative.  Returns shape
-    (n_rep, len(times)), or (len(times),) for the default single replicate.
-    Within a lane the values come from one consistent path, so lagged
-    products estimate the covariance function.  The cycles are those of the
-    block cycle walk behind ``integrated_path``.
+    (n_rep, len(times)).  Within a lane the values come from one consistent
+    path, so lagged products estimate the covariance function.  The cycles
+    are those of the block cycle walk behind ``integrated_path``.
     """
     tq = np.asarray(times, dtype=float)
     if tq.ndim != 1 or tq.size == 0:
         raise ValueError("times must be a nonempty 1-d array")
     if not (np.all(np.isfinite(tq)) and tq[0] >= 0 and np.all(np.diff(tq) >= 0)):
         raise ValueError("times must be finite, nondecreasing and nonnegative")
-    if n_rep is not None and n_rep < 1:
+    if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
     value = pulses.KERNELS[model.kind].value
 
     def point(m, z, lo, s, before):
         return value(m, s)
 
-    vals = _walk_cycles(model, tq, rng, 1 if n_rep is None else int(n_rep), True, point)
-    return vals[0] if n_rep is None else vals
+    return _walk_cycles(model, tq, rng, n_rep, True, point)
 
 
 # -- renewal function and covariance decomposition ----------------------------------
@@ -598,9 +580,9 @@ def cov_decomposition(model: RegenModel, t_max: float, dt: float) -> CovDecompos
 def regime_of(model: RegenModel, gamma: float) -> RegimeSpec:
     """Scaling-table entry for the aggregated source at count-growth exponent gamma.
 
-    The constants sit on the per-cycle centered masses (see
-    ``tilde_mass_sample``): their tails c_plus and c_minus, divided by the
-    mean cycle length, parametrize the slow-regime stable sheet; the
+    The constants sit on the per-cycle centered masses (``mass - mean_rate
+    * z`` from ``cycle_sample``): their tails c_plus and c_minus, divided by
+    the mean cycle length, parametrize the slow-regime stable sheet; the
     covariance tail constant c_X drives the fast-regime fractional Brownian
     sheet; and at the critical exponent gamma0 = alpha - 1 the limit is the
     intermediate field with log characteristic function

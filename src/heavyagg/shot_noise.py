@@ -1,4 +1,4 @@
-"""Poisson shot noise: stationary superposition of pulses at unit-rate arrivals.
+"""Poisson shot noise: stationary superposition of pulses at Poisson arrivals of any rate.
 
 The input process is X(t) = sum_j W_j(t - T_j) over a stationary Poisson
 arrival stream.  Its one path sampler, ``integrated_path_batch``, draws
@@ -355,8 +355,13 @@ def integral_variance(src: ShotNoiseSource, T: float) -> float:
 
 
 def regime_of(src: ShotNoiseSource, gamma: float) -> RegimeSpec:
-    """The family's scaling table entry at source-count growth exponent gamma."""
-    model = src.pulse
+    """The family's scaling table entry at source-count growth exponent gamma.
+
+    The driving Levy measure is ``src.rate`` times the unit-rate one, so the
+    tail constants c_X, c_plus and c_minus, the intermediate log chf and its
+    ``nu_scale`` all scale by the rate; H, gamma0 and the limit kind do not.
+    """
+    model, rate = src.pulse, src.rate
     kind = model.kind
     if kind == "rect-indep":
         rho = model.R.alpha
@@ -422,13 +427,14 @@ def regime_of(src: ShotNoiseSource, gamma: float) -> RegimeSpec:
     else:
         raise ValueError(f"no scaling table for pulse family {kind!r}")
 
+    c_x, c_plus, c_minus = rate * c_x, rate * c_plus, rate * c_minus
     constants = {"c_X": c_x, "H1": h1, "c_plus": c_plus, "c_minus": c_minus}
 
     def intermediate():
         # intermediate_logchf is looked up at each evaluation, so a patched
         # module attribute (bench/layers.py traces it) sees every call
-        return ({"nu_scale": model.R.tail_constant()},
-                lambda theta, x=1.0, y=1.0: intermediate_logchf(model, theta, x, y))
+        return ({"nu_scale": rate * model.R.tail_constant()},
+                lambda theta, x=1.0, y=1.0: intermediate_logchf(model, theta, x, rate * y))
 
     return build_regime(gamma, gamma0, alpha, constants, (c_plus, c_minus), intermediate)
 

@@ -6,6 +6,7 @@ sibling module (``x._name``) fails the test.  Dunder names are public.  No
 module reads the process environment, and only ``numerics`` calls scipy's
 adaptive ``quad`` (inside ``checked_quad``, which keeps its error bound).
 Only ``streams`` builds a random source, in the package and in these tests.
+No function gives a draw count (``size`` or ``n_rep``) a None default.
 Every ``__all__`` entry must exist, the benchmark's span tracer must still
 find every entry point it wraps, every script that ``pyproject.toml``
 declares must resolve, and the benchmark's Telecom point count must match
@@ -184,6 +185,41 @@ def test_only_streams_builds_a_random_source(tmp_path):
     found = [use for path in scanned if path != PACKAGE / "streams.py" for use in random_sources(path)]
     assert not found, found
     assert "Philox" not in "".join(path.read_text() for path in PACKAGE.glob("*.py"))
+
+
+COUNT_PARAMETERS = ("size", "n_rep")
+
+
+def optional_counts(path: Path) -> list[str]:
+    """Lines of ``path`` where a function gives a draw-count parameter a None default.
+
+    Seen: positional parameters (defaults align with the last of them) and
+    keyword-only ones, in functions, methods and lambdas.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        found += [f"{path.name}:{a.lineno} {a.arg}=None" for a, d in pairs
+                  if a.arg in COUNT_PARAMETERS and isinstance(d, ast.Constant) and d.value is None]
+    return found
+
+
+def test_no_sampler_takes_an_optional_count(tmp_path):
+    # every sampler takes its draw count and returns arrays: a None default
+    # would bring back a scalar mode that drops the draw or replicate axis
+    probe = tmp_path / "mod.py"
+    probe.write_text("def f(rng, size=None):\n    pass\n"
+                     "def g(rng, *, n_rep=None, cap=None):\n    pass\n"
+                     "def h(rng, size, n_rep=1, *, other=None):\n    pass\n")
+    assert optional_counts(probe) == ["mod.py:1 size=None", "mod.py:3 n_rep=None"]
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in optional_counts(path)]
+    assert not found, found
 
 
 def test_every_public_name_exists():

@@ -52,9 +52,9 @@ def test_fbs_grid_rejects_bad_grids():
     rng = rng_for("fbs-bad")
     for grid in BAD_GRIDS:
         with pytest.raises(ValueError, match="x_grid"):
-            lf.sample_fbs_grid(spec, grid, [1.0], rng)
+            lf.sample_fbs_grid(spec, grid, [1.0], rng, 1)
         with pytest.raises(ValueError, match="y_grid"):
-            lf.sample_fbs_grid(spec, [1.0], grid, rng)
+            lf.sample_fbs_grid(spec, [1.0], grid, rng, 1)
 
 
 def test_stable_sheet_and_telecom_reject_bad_grids():
@@ -63,11 +63,11 @@ def test_stable_sheet_and_telecom_reject_bad_grids():
     rng = rng_for("grid-bad")
     for grid in BAD_GRIDS:
         with pytest.raises(ValueError, match="x_grid"):
-            lf.sample_stable_sheet(params, grid, [1.0], rng)
+            lf.sample_stable_sheet(params, grid, [1.0], rng, 1)
         with pytest.raises(ValueError, match="y_grid"):
-            lf.sample_stable_sheet(params, [1.0], grid, rng)
+            lf.sample_stable_sheet(params, [1.0], grid, rng, 1)
         with pytest.raises(ValueError, match="x_grid"):
-            lf.sample_telecom(spec, grid, 1.0, rng)
+            lf.sample_telecom(spec, grid, 1.0, rng, 1)
 
 
 def test_fbs_covariance_closed_form_anchor():
@@ -108,10 +108,26 @@ def test_fbs_mean_zero_and_gaussian_marginal():
     assert stats.kstest(z, "norm").pvalue > 0.01
 
 
-def test_fbs_single_draw_shape():
-    spec = lf.FbsSpec(h1=0.9)
-    one = lf.sample_fbs_grid(spec, [1.0, 2.0], [1.0, 2.0, 3.0], rng_for("fbs-shape"))
-    assert one.shape == (2, 3)
+LIMIT_SAMPLERS = {
+    "fbs": lambda rng, n_rep: lf.sample_fbs_grid(lf.FbsSpec(h1=0.9), [1.0, 2.0], [1.0, 2.0, 3.0], rng, n_rep),
+    "stable-sheet": lambda rng, n_rep: lf.sample_stable_sheet(StableParams(1.5, 1.0, 0.0), [1.0, 2.0],
+                                                              [1.0, 2.0, 3.0], rng, n_rep),
+    "telecom": lambda rng, n_rep: lf.sample_telecom(lf.TelecomSpec(alpha=1.5, eps=0.1), [1.0, 2.0], 1.0, rng, n_rep),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_SAMPLERS))
+def test_limit_sampler_replicate_count(name):
+    # every limit sampler refuses a count below one and keeps the replicate
+    # axis for a single replicate: (n_rep, nx, ny), or (n_rep, nx) for Telecom
+    draw = LIMIT_SAMPLERS[name]
+    rng = rng_for(f"nrep-{name}")
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="n_rep must be at least 1"):
+            draw(rng, bad)
+    shape = (2, 3) if name != "telecom" else (2,)
+    for n_rep in (1, 3):
+        assert draw(rng, n_rep).shape == (n_rep, *shape)
 
 
 # -- stable Levy sheet ---------------------------------------------------------------

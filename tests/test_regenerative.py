@@ -1,8 +1,9 @@
 """Tests for regenerative sources.
 
 Covers the busy-period sampler, the stationary cycle samplers (window
-integrals, state paths, centered cycle masses), the covariance decomposition
-Cov = R + h with its renewal-function solver, and the scaling table.  Grid
+integrals, state paths, fresh cycles and their centered masses), the
+covariance decomposition Cov = R + h with its renewal-function solver, and
+the scaling table.  Grid
 numerics are checked against closed forms (exponential and uniform cycle
 laws, the on-off and renewal-reward worked examples) and, for a coupled
 reward, whose moments are quadratures, against a brute-force double
@@ -42,12 +43,18 @@ def exp_damped_model():
     return rg.RegenModel(pulses.ExpDamped(ht.LowTailPowerDist(0.5, 1.0), ht.RegVaryingDist(1.5, 1.0)))
 
 
+def centered_masses(model, rng, size):
+    """Cycle mass minus mean rate times cycle length, over fresh cycles."""
+    z, mass = rg.cycle_sample(model, rng, size)
+    return mass - model.mean_rate * z
+
+
 # -- busy periods ---------------------------------------------------------------------
 
 
 def test_busy_period_requires_subcritical_service():
     with pytest.raises(ValueError):
-        rg.sample_busy_period(ht.ExponentialDist(1.0), rng_for("rg/busy-bad"))
+        rg.sample_busy_period(ht.ExponentialDist(1.0), rng_for("rg/busy-bad"), 1)
     with pytest.raises(ValueError):
         rg.BusyPeriodLaw(ht.RegVaryingDist(1.5, 0.5))
 
@@ -77,11 +84,6 @@ def test_busy_period_cap_guard():
     service = ht.RegVaryingDist(1.5, 1.0 / 6.0)
     with pytest.raises(RuntimeError):
         rg.sample_busy_period(service, rng_for("rg/busy-cap"), size=1000, cap=10)
-
-
-def test_busy_period_scalar_draw():
-    b = rg.sample_busy_period(ht.DegenerateDist(0.5), rng_for("rg/busy-scalar"))
-    assert isinstance(b, float) and b >= 0.5
 
 
 # -- model wrapper --------------------------------------------------------------------
@@ -130,9 +132,6 @@ def test_exp_damped_mass_mean_matches_double_integral():
 
 def test_cycle_sample_shapes():
     model = onoff_model()
-    z, mass = rg.cycle_sample(model, rng_for("rg/shapes"))
-    assert isinstance(z, float) and isinstance(mass, float)
-    assert 0.0 <= mass <= z
     zv, mv = rg.cycle_sample(model, rng_for("rg/shapes", 1), size=50)
     assert zv.shape == mv.shape == (50,)
     assert np.all(mv <= zv) and np.all(mv >= 0.0)
@@ -150,7 +149,7 @@ def test_coupled_reward_mass_mean_matches_mc():
 
 def test_tilde_mass_is_centered():
     model = onoff_model(alpha=2.5)  # finite variance, so the plain mean converges
-    td = rg.tilde_mass_sample(model, rng_for("rg/tilde-centered"), size=150000)
+    td = centered_masses(model, rng_for("rg/tilde-centered"), 150000)
     sem = td.std(ddof=1) / math.sqrt(td.size)
     assert td.mean() == pytest.approx(0.0, abs=4 * sem)
 
@@ -158,7 +157,7 @@ def test_tilde_mass_is_centered():
 def test_tilde_mass_tail_routes_on_off():
     # busy leg heavy: the positive side carries the cycle tail index, the
     # negative side is capped by the exponential idle leg
-    td = rg.tilde_mass_sample(onoff_model(), rng_for("rg/tilde-mg1"), size=250000)
+    td = centered_masses(onoff_model(), rng_for("rg/tilde-mg1"), 250000)
     assert ht.hill_estimate(td[td > 0]) == pytest.approx(1.5, abs=0.25)
     assert td.max() > 100.0
     assert -td.min() < 30.0
@@ -171,7 +170,7 @@ def test_tilde_mass_tail_routes_exp_damped():
     # the Hill estimates over keyed streams spread ~0.03 (negative side) and
     # ~0.045 (positive side), 4.5+ spreads inside the +-0.25 bounds; 200k
     # draws and k = 200 missed them on a few keys in 60
-    td = rg.tilde_mass_sample(exp_damped_model(), rng_for("rg/tilde-ed"), size=2_000_000)
+    td = centered_masses(exp_damped_model(), rng_for("rg/tilde-ed"), 2_000_000)
     assert ht.hill_estimate(-td[td < 0], 2000) == pytest.approx(1.5, abs=0.25)
     assert ht.hill_estimate(td[td > 0], 2000) == pytest.approx(2.0, abs=0.25)
 
@@ -206,7 +205,7 @@ def test_state_sample_validation():
     rng = rng_for("rg/state-bad")
     for times in ([], [[0.0, 1.0]], [-1.0, 0.0], [2.0, 1.0], [0.0, np.inf], [np.nan]):
         with pytest.raises(ValueError):
-            rg.state_sample(model, times, rng)
+            rg.state_sample(model, times, rng, 1)
     for n_rep in (0, -3):
         with pytest.raises(ValueError, match="n_rep"):
             rg.state_sample(model, [0.0, 1.0], rng, n_rep)

@@ -260,6 +260,32 @@ def test_regime_h_continuous_at_gamma0():
         assert abs(at.H - above.H) <= 1e-9
 
 
+@pytest.mark.parametrize("gamma, kind", [(1.0, "FBS"), (0.5, "Intermediate"), (0.2, "StableSheet")])
+def test_regime_scales_with_rate(gamma, kind):
+    # the driving Levy measure of a rate-4 source is 4 times the unit-rate
+    # one, so every entry's log chf and tail constants are 4 times as large
+    one = sn.regime_of(rect_unit_source(), gamma)
+    four = sn.regime_of(replace(rect_unit_source(), rate=4.0), gamma)
+    assert one.limit_kind == four.limit_kind == kind
+    assert (four.H, four.gamma0, four.alpha) == (one.H, one.gamma0, one.alpha)
+    for name in ("c_X", "c_plus", "c_minus"):
+        assert four.constants[name] == pytest.approx(4.0 * one.constants[name], rel=1e-15)
+    for theta, x, y in ((0.7, 1.0, 1.0), (-1.3, 2.0, 0.5)):
+        assert four.logchf(theta, x, y) == pytest.approx(4.0 * one.logchf(theta, x, y), rel=1e-12)
+
+
+def test_regime_fbs_variance_matches_prelimit_at_rate_4():
+    # Var V(1, 1) = floor(lam**gamma) * Var(int_0^lam X) / lam**(2H) at
+    # lam = 1e4 against the FBS entry's -2 Re logchf(1); the pre-limit value
+    # sits 0.6 % below the limit at either rate
+    src = replace(rect_unit_source(), rate=4.0)
+    spec = sn.regime_of(src, gamma=1.0)
+    lam = 1e4
+    prelimit = math.floor(lam**spec.gamma) * sn.integral_variance(src, lam) / lam ** (2.0 * spec.H)
+    limit = -2.0 * spec.logchf(1.0, 1.0, 1.0).real
+    assert prelimit == pytest.approx(limit, rel=0.01)
+
+
 def test_regime_window_rejections():
     with pytest.raises(ValueError, match="duration tail"):
         sn.regime_of(rect_unit_source(alpha=2.5), gamma=1.0)
