@@ -11,7 +11,14 @@ Conventions
 -----------
 * ``survival(x)`` is P(X > x); all distribution methods are vectorized.
 * Every sampler takes the generator and a draw count ``size`` and returns
-  an array of that many draws; there is no scalar form.
+  a float64 array of that many draws; there is no scalar form.
+* A law may also sum its own draws.  ``sum_sample(rng, k, size)`` returns
+  ``size`` sums of ``k`` independent draws, and ``split_sum(rng, totals,
+  k)`` draws, given those sums, the ``k`` draws behind each one as a
+  ``(k, totals.size)`` array.  Together they give the law of ``k`` draws and
+  their sum; a caller that needs the draws only for some sums splits only
+  those.  The exponential and degenerate laws have both; callers test for
+  them with ``hasattr``.
 * Stable laws use the parameterization in which the log characteristic
   function of X ~ (alpha, sigma, beta) is
   ``-sigma**alpha * |t|**alpha * (1 - i*beta*sign(t)*tan(pi*alpha/2))``,
@@ -295,6 +302,29 @@ class ExponentialDist:
     def sample_length_biased(self, rng: np.random.Generator, size):
         return rng.gamma(2.0, self.mean_value, size)
 
+    def sum_sample(self, rng: np.random.Generator, k: int, size):
+        """``size`` sums of ``k`` draws: Gamma(k, mean), one draw per sum.
+
+        Gamma(1) is the exponential law itself, whose sampler is faster.
+        """
+        sums = rng.standard_exponential(size) if k == 1 else rng.standard_gamma(k, size)
+        sums *= self.mean_value
+        return sums
+
+    def split_sum(self, rng: np.random.Generator, totals, k: int):
+        """The ``k`` draws behind each of ``totals``, shape (k, totals.size).
+
+        Given their sum G, k iid exponentials are G times a flat Dirichlet
+        vector, independent of G, which normalised standard exponentials
+        draw (Devroye 1986, *Non-Uniform Random Variate Generation*, ch. V).
+        One draw is its sum, so ``k == 1`` takes nothing from ``rng``.
+        """
+        if k == 1:
+            return totals[None, :]
+        legs = rng.standard_exponential((k, totals.size))
+        legs *= totals / legs.sum(axis=0)
+        return legs
+
 
 @dataclass(frozen=True)
 class DegenerateDist:
@@ -316,10 +346,18 @@ class DegenerateDist:
         return self.value**q
 
     def sample(self, rng: np.random.Generator, size):
-        return np.full(size, self.value)
+        return np.full(size, self.value, dtype=float)
 
     def sample_length_biased(self, rng: np.random.Generator, size):
         return self.sample(rng, size)
+
+    def sum_sample(self, rng: np.random.Generator, k: int, size):
+        """``size`` sums of ``k`` draws, ``k * value`` each; takes nothing from ``rng``."""
+        return np.full(size, k * self.value, dtype=float)
+
+    def split_sum(self, rng: np.random.Generator, totals, k: int):
+        """Every draw is ``value`` whatever the sum; shape (k, totals.size)."""
+        return np.full((k, totals.size), self.value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -506,7 +544,7 @@ def sample_length_biased_pair(dist, rng: np.random.Generator, size):
     marginally both age and residual then follow the stationary excess law
     with survival ``integrated_survival(t) / mean``.
     """
-    total = np.asarray(dist.sample_length_biased(rng, size), dtype=float)
+    total = dist.sample_length_biased(rng, size)
     u = rng.random(size)
     age = u * total
     residual = total - age

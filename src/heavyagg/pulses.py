@@ -91,7 +91,7 @@ class RewardLaw:
     def sample_given_z(self, z, rng: np.random.Generator):
         z = np.asarray(z, dtype=float)
         if self.kind == "independent":
-            return np.asarray(self.dist.sample(rng, z.size)).reshape(z.shape)
+            return self.dist.sample(rng, z.size).reshape(z.shape)
         u = rng.random(z.shape)
         return np.asarray(self.g(z, u), dtype=float)
 
@@ -292,22 +292,18 @@ def duration_mean(model) -> float:
 # have no mark (m is None).  Each sampler keeps its family's draw order.
 
 
-def _floats(x):
-    return np.asarray(x, dtype=float)
-
-
 def _fresh_duration_mark(model, rng, n):
     """Duration R, then the mark A (rect-indep, exp-damped)."""
-    return _floats(model.R.sample(rng, n)), _floats(model.A.sample(rng, n))
+    return model.R.sample(rng, n), model.A.sample(rng, n)
 
 
 def _aged_duration_mark(model, rng, n):
     age, _, r = sample_length_biased_pair(model.R, rng, n)
-    return age, r, _floats(model.A.sample(rng, n))
+    return age, r, model.A.sample(rng, n)
 
 
 def _fresh_coupled(model, rng, n):
-    r = _floats(model.R.sample(rng, n))
+    r = model.R.sample(rng, n)
     return r**model.p, r ** (1.0 - model.p)
 
 
@@ -320,7 +316,7 @@ def _aged_coupled(model, rng, n):
 
 
 def _fresh_brownian(model, rng, n):
-    return _floats(model.R.sample(rng, n)), None
+    return model.R.sample(rng, n), None
 
 
 def _aged_brownian(model, rng, n):
@@ -330,8 +326,8 @@ def _aged_brownian(model, rng, n):
 
 def _fresh_two_leg(model, rng, n):
     """Busy leg, then idle leg (on-off, workload); the mark is the busy length."""
-    z_on = _floats(model.Zon.sample(rng, n))
-    return z_on + _floats(model.Zoff.sample(rng, n)), z_on
+    z_on = model.Zon.sample(rng, n)
+    return z_on + model.Zoff.sample(rng, n), z_on
 
 
 def _aged_two_leg(model, rng, n):
@@ -344,23 +340,23 @@ def _aged_two_leg(model, rng, n):
     mu_on, mu_off = model.Zon.mean(), model.Zoff.mean()
     pick = rng.random(n) * (mu_on + mu_off) < mu_on
     z_on = np.where(
-        pick, _floats(model.Zon.sample_length_biased(rng, n)), _floats(model.Zon.sample(rng, n))
+        pick, model.Zon.sample_length_biased(rng, n), model.Zon.sample(rng, n)
     )
     z_off = np.where(
-        pick, _floats(model.Zoff.sample(rng, n)), _floats(model.Zoff.sample_length_biased(rng, n))
+        pick, model.Zoff.sample(rng, n), model.Zoff.sample_length_biased(rng, n)
     )
     z = z_on + z_off
     return rng.random(n) * z, z, z_on
 
 
 def _fresh_reward(model, rng, n):
-    z = _floats(model.Z.sample(rng, n))
-    return z, _floats(model.reward.sample_given_z(z, rng))
+    z = model.Z.sample(rng, n)
+    return z, model.reward.sample_given_z(z, rng)
 
 
 def _aged_reward(model, rng, n):
     age, _, z = sample_length_biased_pair(model.Z, rng, n)
-    return age, z, _floats(model.reward.sample_given_z(z, rng))
+    return age, z, model.reward.sample_given_z(z, rng)
 
 
 def _flat_mass(m, lo, hi):
@@ -501,16 +497,16 @@ def mean_pulse(model, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     flat = _flat(model)
     if flat is not None:
-        return flat[0].mean() * _floats(flat[1].survival(t))
+        return flat[0].mean() * flat[1].survival(t)
     kind = model.kind
     if kind == "rect-coupled":
         return _each(lambda s: model.R.partial_moment(1.0 - model.p, s ** (1.0 / model.p)), t)
     if kind == "exp-damped":
-        return _floats(model.A.laplace(t)) * _floats(model.R.survival(t))
+        return model.A.laplace(t) * model.R.survival(t)
     if kind == "brownian":
         return np.zeros(t.shape)
     if kind == "workload":
-        return _floats(model.Zon.integrated_survival(t))
+        return model.Zon.integrated_survival(t)
     if kind == "renewal-reward":
         return _each(lambda s: _cycle_quad(model.Z, lambda z: float(model.reward.cond_mean(z)), s,
                                            "coupled-reward mean pulse"), t)
@@ -541,7 +537,7 @@ def cov_integral(model, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     flat = _flat(model)
     if flat is not None:
-        return flat[0].moment(2.0) * _floats(flat[1].integrated_survival(t))
+        return flat[0].moment(2.0) * flat[1].integrated_survival(t)
     kind = model.kind
     if kind == "workload":
         return _each(lambda s: _workload_cov(model.Zon, s), t)

@@ -11,9 +11,11 @@ Three groups of tools live here:
 
 * exact-in-law samplers: the windowed integrals of the stationary source
   (``integrated_path``) and its state along a path (``state_sample``), both
-  read off one block walk over the cycles of every lane; fresh cycle lengths
-  and masses (``cycle_sample``); and M/G/1 busy periods (cycle-length laws
-  that are only reachable by simulation);
+  read off one block walk over the cycles of every lane, which draws an idle
+  leg that can sum its own draws (exponential, degenerate) as one sum per
+  lane and block and splits it only where the block is read; fresh cycle
+  lengths and masses (``cycle_sample``); and M/G/1 busy periods
+  (cycle-length laws that are only reachable by simulation);
 * a covariance decomposition Cov(t) = R(t) + h(t) on a uniform grid, where
   R keeps the within-pulse part and h carries the cycle-recurrence part
   through the renewal function of the cycle-length law and the two
@@ -58,9 +60,10 @@ __all__ = [
 _FAMILIES = ("on-off", "workload", "renewal-reward", "exp-damped")
 
 # per-pass working set of integrated_path in cycle cells (lanes times block
-# length).  On on-off traffic with 300 lanes of about 44k cycles each (2-vCPU
-# x86 host), 1 << 13 cells ran 1.3x slower than this and 1 << 17 was no
-# faster (1.03x-1.07x the time) for 5.5 MB more traced peak memory
+# length).  On on-off traffic with exponential idle legs and 300 lanes of
+# about 44k cycles each (2-vCPU x86 host, 15 interleaved rounds), 1 << 13
+# cells ran 1.5x slower than this (1.1x-1.9x per round) and 1 << 17 1.25x
+# slower (1.1x-1.4x) for 6 MB more traced peak memory
 BLOCK_CELL_BUDGET = 1 << 15
 # cycles drawn per lane and pass, relative to the expected number still needed:
 # heavy-tailed cycle sums fall short of their mean more often than not, so a
@@ -95,7 +98,7 @@ def sample_busy_period(service, rng: np.random.Generator, size, cap: int = 100_0
                 f"busy-period simulation exceeded cap={cap} service draws before all "
                 "periods closed; raise cap only if the wait is acceptable"
             )
-        s = np.asarray(service.sample(rng, active.size), dtype=float)
+        s = service.sample(rng, active.size)
         gaps = rng.exponential(1.0, active.size)
         total[active] += s
         walk[active] += s - gaps
@@ -257,14 +260,24 @@ def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator,
     number still needed and capped at ``BLOCK_CELL_BUDGET`` // lanes (but at
     least one).  Row-order totals of the block give each lane's end and
     integrated path after it; only lanes whose block passes their first
-    unread time are read, and only their blocks get running sums, which
-    place the cycle ends and the integrated path at them.  The totals add in
-    the running sums' order, so a lane's state does not depend on whether
-    it was read.  Cycles ending past the last time are discarded, which
-    leaves the law exact because fresh cycles are iid and independent of the
-    path so far.
+    unread time (the hit lanes) are read, and only their blocks get running
+    sums, which place the cycle ends and the integrated path at them.
+    Cycles ending past the last time are discarded, which leaves the law
+    exact because fresh cycles are iid and independent of the path so far.
+
+    When the idle leg of a two-leg family can sum its own draws
+    (``sum_sample``), a pass draws the K busy legs of every lane but only
+    one idle-leg sum per lane: a fresh cycle's mass is read off its busy
+    leg alone, and a lane that is not read needs only the sum.  Hit lanes
+    get their K idle legs back from the law's ``split_sum`` given the sum,
+    which is exact in law, and no other lane draws them.  Either way a hit
+    lane carries on from the last row of its running sums, so its state is
+    the one its readings saw; a lane that is not read carries on from its
+    row totals, which add in the running sums' order.
     """
     kern = pulses.KERNELS[model.kind]
+    idle = getattr(model.pulse, "Zoff", None)
+    summed = hasattr(idle, "sum_sample")
     horizon = times[-1]
     out = np.zeros((n_lanes, times.size))
     # lane state: the end of the last placed cycle and the integrated path there
@@ -283,15 +296,25 @@ def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator,
     while active.size:
         need = (horizon - end[active].min()) / model.mu
         k = max(1, min(math.ceil(BLOCK_MARGIN * need), BLOCK_CELL_BUDGET // active.size))
-        z, aux = kern.fresh(model.pulse, rng, k * active.size)
         # row i holds the i-th new cycle of every active lane
-        z, aux = z.reshape(k, active.size), aux.reshape(k, active.size)
-        m = kern.mass(aux, 0.0, z)
-        last, last_mass = _row_total(end[active], z), _row_total(mass[active], m)
+        if summed:
+            # the mark is the busy leg, and a cycle's mass ends with it
+            aux = model.pulse.Zon.sample(rng, k * active.size).reshape(k, active.size)
+            m = kern.mass(aux, 0.0, aux)
+            idle_sums = idle.sum_sample(rng, k, active.size)
+            last = _row_total(end[active], aux)
+            last += idle_sums
+        else:
+            z, aux = kern.fresh(model.pulse, rng, k * active.size)
+            z, aux = z.reshape(k, active.size), aux.reshape(k, active.size)
+            m = kern.mass(aux, 0.0, z)
+            last = _row_total(end[active], z)
+        last_mass = _row_total(mass[active], m)
         # only lanes whose block passes their first unread time have times to read
         hit = np.flatnonzero(last > next_time[filled[active]])
         lanes = active[hit]
-        ends, masses = _running_sum(end[lanes], z[:, hit]), _running_sum(mass[lanes], m[:, hit])
+        z_hit = aux[:, hit] + idle.split_sum(rng, idle_sums[hit], k) if summed else z[:, hit]
+        ends, masses = _running_sum(end[lanes], z_hit), _running_sum(mass[lanes], m[:, hit])
         # cycle i of hit lane c covers the times with indices in [lo[i, c], hi[i, c])
         hi = np.searchsorted(times, ends)
         lo = np.vstack((filled[lanes], hi[:-1]))
@@ -302,9 +325,10 @@ def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator,
         j = lo[i, c] + np.arange(first.size) - first
         start = np.where(i > 0, ends[i - 1, c], end[lanes[c]])
         before = np.where(i > 0, masses[i - 1, c], mass[lanes[c]])
-        col = hit[c]
-        out[lanes[c], j] = read(aux[i, col], z[i, col], 0.0, times[j] - start, before)
+        out[lanes[c], j] = read(aux[i, hit[c]], z_hit[i, c], 0.0, times[j] - start, before)
         filled[lanes] = hi[-1]
+        # a hit lane carries on from the cycle ends its readings saw
+        last[hit] = ends[-1]
         end[active], mass[active] = last, last_mass
         active = active[last <= horizon]
     return out

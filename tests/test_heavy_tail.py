@@ -3,7 +3,7 @@
 Closed-form values are checked against independent quadrature oracles where
 one exists (tail-integral route to the stable parameters, integrated survival,
 Laplace transform of the low-tail power law); Monte Carlo checks use three
-standard errors.
+standard errors, five for the summed and split exponential draws.
 """
 
 import math
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from heavyagg import heavy_tail as ht
+from heavyagg import regenerative
 from heavyagg import streams
 
 
@@ -134,6 +135,76 @@ def test_exponential_length_biased_is_gamma2():
     d = ht.ExponentialDist(1.3)
     x = d.sample_length_biased(rng_for("ht/lb-exp"), 50_000)
     assert stats.kstest(x, lambda t: stats.gamma.cdf(t, a=2.0, scale=1.3)).pvalue > 0.01
+
+
+# 109 legs is the block length of the regen-slow benchmark's first pass
+@pytest.mark.parametrize("k", [2, 109])
+def test_exponential_sum_has_gamma_moments(k):
+    d = ht.ExponentialDist(1.7)
+    n = 200_000
+    g = d.sum_sample(rng_for(f"ht/exp-sum/{k}"), k, n)
+    m = d.mean()
+    assert abs(g.mean() - k * m) <= 5 * g.std() / math.sqrt(n)
+    dev = g - g.mean()
+    var = float(np.mean(dev**2))
+    se_var = math.sqrt((np.mean(dev**4) - var**2) / n)
+    assert abs(var - k * m * m) <= 5 * se_var
+
+
+@pytest.mark.parametrize("k", [2, 109])
+def test_exponential_split_is_flat_dirichlet_given_the_sum(k):
+    d = ht.ExponentialDist(1.7)
+    rng = rng_for(f"ht/exp-split/{k}")
+    totals = d.sum_sample(rng, k, 50_000)
+    legs = d.split_sum(rng, totals, k)
+    assert legs.shape == (k, totals.size) and np.all(legs > 0)
+    np.testing.assert_allclose(legs.sum(axis=0), totals, rtol=1e-12)
+    # one coordinate of a flat Dirichlet vector in k parts is Beta(1, k - 1)
+    assert stats.kstest(legs[0] / totals, stats.beta(1.0, k - 1.0).cdf).pvalue > 1e-3
+
+
+def test_exponential_split_of_one_leg_draws_nothing():
+    d = ht.ExponentialDist(1.7)
+    rng = rng_for("ht/exp-split-one")
+    totals = d.sum_sample(rng, 1, 10)
+    state = rng.bit_generator.state
+    legs = d.split_sum(rng, totals, 1)
+    assert rng.bit_generator.state == state
+    assert np.array_equal(legs, totals[None, :])
+
+
+def test_degenerate_sum_and_split_are_exact():
+    d = ht.DegenerateDist(0.75)
+    rng = rng_for("ht/degenerate-sum")
+    state = rng.bit_generator.state
+    g = d.sum_sample(rng, 4, 3)
+    legs = d.split_sum(rng, g, 4)
+    assert rng.bit_generator.state == state
+    assert np.array_equal(g, [3.0, 3.0, 3.0])
+    assert np.array_equal(legs, np.full((4, 3), 0.75))
+
+
+def test_every_law_draws_float64():
+    # an integer point mass included: draws are floats whatever the parameters
+    laws = (
+        ht.RegVaryingDist(1.5, 1.0),
+        ht.RegVaryingDist(1.5, 1.0, "pareto-shifted"),
+        ht.RegVaryingDist(1.5, 1.0, "user-mixture", weight=0.5, bulk_high=2.0),
+        ht.ExponentialDist(2.0),
+        ht.DegenerateDist(1),
+        ht.UniformDist(0, 1),
+        ht.LowTailPowerDist(0.5),
+        regenerative.BusyPeriodLaw(ht.RegVaryingDist(2.5, 0.3)),
+    )
+    rng = rng_for("ht/float64")
+    for law in laws:
+        draws = [law.sample(rng, 5)]
+        if hasattr(law, "sample_length_biased"):
+            draws.append(law.sample_length_biased(rng, 5))
+        if hasattr(law, "sum_sample"):
+            draws.append(law.sum_sample(rng, 3, 5))
+        for x in draws:
+            assert x.dtype == np.float64 and x.shape == (5,), law
 
 
 def test_low_tail_power_law():

@@ -10,7 +10,8 @@ reward, whose moments are quadratures, against a brute-force double
 integral; the per-family moments themselves are tested in test_pulses.  The
 samplers are checked against the grids by Monte Carlo with 4-sigma bands,
 and the block cycle walk behind both path samplers against reference wave
-loops by two-sample KS tests.
+loops by two-sample KS tests, against itself under refined cut grids, and
+against the busy fraction of the M/G/1/0 queue.
 """
 
 import math
@@ -683,25 +684,59 @@ def test_running_sum_and_row_total_add_in_row_order(shape):
     assert np.array_equal(rg._row_total(start, steps), want[-1])
 
 
+REFINE_COARSE = np.array([3.0, 20.0, 60.0])
+REFINE_FINE = np.union1d(REFINE_COARSE, np.linspace(0.5, 59.5, 119))
+
+
+def _refined_paths(model, stationary, budget, tags, calls, monkeypatch):
+    """The path at the coarse cuts over ``calls`` calls of 400 lanes each.
+
+    Returns the readings under the coarse grid, drawn from the streams of
+    ``tags[0]``, and under the fine grid, drawn from those of ``tags[1]``.
+    A budget of 2000 cells gives 5 cycles per lane in the first pass, one of
+    3 cells a single cycle per lane and pass.
+    """
+    if budget is not None:
+        monkeypatch.setattr(rg, "BLOCK_CELL_BUDGET", budget)
+
+    def path(cuts, tag):
+        return np.concatenate([
+            np.cumsum(rg.integrated_path(model, cuts, rng_for(tag, c), 400, stationary), axis=1)
+            for c in range(calls)
+        ])
+
+    fine = path(REFINE_FINE, tags[1])[:, np.searchsorted(REFINE_FINE, REFINE_COARSE)]
+    return path(REFINE_COARSE, tags[0]), fine
+
+
 @pytest.mark.parametrize("budget", [None, 2000, 3], ids=["default-budget", "budget-2000", "budget-3"])
 @pytest.mark.parametrize("stationary", [True, False])
 def test_path_refined_cuts_keep_the_coarse_readings(stationary, budget, monkeypatch):
-    # blocks are sized from the last cut alone, so interior cuts change no
-    # draw and the path at the coarse cuts is the same under a finer grid.
-    # With three coarse cuts most lanes pass a block without reading any;
-    # a budget of 2000 cells gives 5 cycles per lane in the first pass, one
-    # of 3 cells a single cycle per lane and pass
-    if budget is not None:
-        monkeypatch.setattr(rg, "BLOCK_CELL_BUDGET", budget)
-    model = onoff_model()
-    coarse = np.array([3.0, 20.0, 60.0])
-    fine = np.union1d(coarse, np.linspace(0.5, 59.5, 119))
+    # blocks are sized from the last cut alone, and an idle leg without a
+    # summed draw takes the same draws whichever lanes are read, so interior
+    # cuts change no draw and the path at the coarse cuts is the same under
+    # a finer grid.  With three coarse cuts most lanes pass a block without
+    # reading any, so this guards the hit-local read indexing
+    model = rg.RegenModel(pulses.OnOff(ht.RegVaryingDist(1.5, 1.0), ht.RegVaryingDist(3.0, 1.0)))
     tag = f"path-refine/{stationary}/{budget}"
+    coarse, fine = _refined_paths(model, stationary, budget, (tag, tag), 1, monkeypatch)
+    np.testing.assert_allclose(coarse, fine, rtol=1e-12)
 
-    def path(cuts):
-        return np.cumsum(rg.integrated_path(model, cuts, rng_for(tag), 400, stationary), axis=1)
 
-    np.testing.assert_allclose(path(coarse), path(fine)[:, np.searchsorted(fine, coarse)], rtol=1e-12)
+@pytest.mark.parametrize("budget", [None, 2000, 3], ids=["default-budget", "budget-2000", "budget-3"])
+@pytest.mark.parametrize("stationary", [True, False])
+def test_path_refined_cuts_keep_the_coarse_law_with_summed_idle_legs(stationary, budget, monkeypatch):
+    # exponential idle legs are split only for the lanes a block reads, so
+    # interior cuts change later draws; the coarse readings keep their law
+    tag = f"path-refine-law/{stationary}/{budget}"
+    calls = 40
+    coarse, fine = _refined_paths(onoff_model(), stationary, budget, (tag, tag + "/fine"), calls, monkeypatch)
+    n = 400 * calls
+    for a, b in zip(coarse.T, fine.T):
+        assert abs(a.mean() - b.mean()) <= 5 * math.sqrt((a.var() + b.var()) / n)
+        dev_a, dev_b = a - a.mean(), b - b.mean()
+        se2 = sum((np.mean(d**4) - np.mean(d**2) ** 2) / n for d in (dev_a, dev_b))
+        assert abs(a.var() - b.var()) <= 5 * math.sqrt(se2)
 
 
 def test_path_windows_tile_the_covariance():
@@ -749,6 +784,45 @@ def test_path_cut_at_a_cycle_end(monkeypatch):
     model = rg.RegenModel(pulses.OnOff(ht.DegenerateDist(1.0), ht.DegenerateDist(1.0)))
     got = rg.integrated_path(model, [1.5, 2.0, 4.0, 6.0], rng_for("path-tie"), 3, stationary=False)
     np.testing.assert_array_equal(got, [[1.0, 0.0, 1.0, 1.0]] * 3)
+
+
+def test_walk_draws_busy_legs_per_active_lane_and_sums_idle_legs(monkeypatch):
+    # the regen-slow source at a small lam: every pass draws the busy legs
+    # of all active lanes in one call (the benchmark tracer counts passes by
+    # these calls) and one idle-leg sum per lane; single exponential legs are
+    # drawn only for the stationary start
+    model = rg.RegenModel(pulses.OnOff(ht.RegVaryingDist(1.4, 1.0), ht.ExponentialDist(1.0)))
+    calls = []
+    for cls, name in ((ht.RegVaryingDist, "sample"), (ht.ExponentialDist, "sample"),
+                      (ht.ExponentialDist, "sum_sample")):
+        def spy(self, rng, *args, _name=name, _original=getattr(cls, name)):
+            calls.append((_name, self, args))
+            return _original(self, rng, *args)
+
+        monkeypatch.setattr(cls, name, spy)
+    n = 300
+    rg.integrated_path(model, 200.0 * np.array([0.25, 0.5, 0.75, 1.0]), rng_for("draw-contract"), n)
+    first = [c[0] for c in calls].index("sum_sample") - 1
+    start, passes = calls[:first], calls[first:]
+    assert [c[2] for c in start if c[1] is model.pulse.Zoff] == [(n,)]
+    assert len(passes) % 2 == 0 and len(passes) > 2
+    active = []
+    for (busy, leg, (size,)), (summed, idle, (k, lanes)) in zip(passes[::2], passes[1::2]):
+        assert (busy, leg, summed, idle) == ("sample", model.pulse.Zon, "sum_sample", model.pulse.Zoff)
+        assert size == k * lanes
+        active.append(lanes)
+    assert active[0] <= n and active == sorted(active, reverse=True)
+
+
+def test_mg10_busy_fraction_is_erlang_loss():
+    # M/G/1/0 at unit arrival rate: Pareto(1.5) service, arrivals during
+    # service are lost, Exp(1) waits for the next one; the long-run busy
+    # fraction is E S / (1 + E S) = 3 / 4.  Times over [0, 200] with 4000
+    # lanes read multi-row blocks with summed idle legs
+    model = rg.RegenModel(pulses.OnOff(ht.RegVaryingDist(1.5, 1.0), ht.ExponentialDist(1.0)))
+    n = 4000
+    busy = rg.state_sample(model, np.linspace(0.0, 200.0, 81), rng_for("mg10"), n).mean(axis=1)
+    assert abs(busy.mean() - 0.75) <= 5 * busy.std() / math.sqrt(n)
 
 
 def test_path_validation():
