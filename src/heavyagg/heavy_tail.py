@@ -1,11 +1,11 @@
 """Heavy-tailed building blocks.
 
-This module is the probabilistic bedrock of the lab: regularly varying
-distributions with exact inverse-CDF samplers, totally and partially skewed
-stable laws with the Chambers-Mallows-Stuck sampler, the tail-constant to
-stable-parameter map, the Hill tail-index estimator, and exact length-biased
-(stationary age / residual) sampling used to start regenerative processes in
-steady state.
+This module is the probabilistic bedrock of the lab: the exact Pareto law
+that every heavy-tailed leg and duration follows, with an exact inverse-CDF
+sampler; totally and partially skewed stable laws with the
+Chambers-Mallows-Stuck sampler, the tail-constant to stable-parameter map,
+the Hill tail-index estimator, and exact length-biased (stationary age /
+residual) sampling used to start regenerative processes in steady state.
 
 Conventions
 -----------
@@ -23,8 +23,8 @@ Conventions
   function of X ~ (alpha, sigma, beta) is
   ``-sigma**alpha * |t|**alpha * (1 - i*beta*sign(t)*tan(pi*alpha/2))``,
   so for alpha in (1, 2) the law is centered (zero mean).
-* "Tail constant" c means survival(x) ~ c * x**(-alpha) as x -> infinity,
-  with equality beyond the threshold for the exact-Pareto kind.
+* "Tail constant" c means survival(x) ~ c * x**(-alpha) as x -> infinity;
+  for ``RegVaryingDist`` equality holds beyond ``x_min``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import numerics as nm
 
@@ -50,12 +50,13 @@ __all__ = [
     "sample_length_biased_pair",
 ]
 
-_KINDS = ("pareto-exact", "pareto-shifted", "user-mixture")
-
 
 @dataclass(frozen=True)
 class RegVaryingDist:
-    """A positive law whose survival function is regularly varying of index -alpha.
+    """The exact Pareto law: P(X > x) = (x_min / x)**alpha for x >= x_min.
+
+    Its survival function is regularly varying of index -alpha, with tail
+    constant x_min**alpha holding exactly beyond x_min.
 
     Parameters
     ----------
@@ -63,134 +64,66 @@ class RegVaryingDist:
         Tail index, > 0.  Most of the lab lives in (1, 2), but larger values
         are allowed (e.g. pulse-length laws with finite variance).
     x_min : float
-        Scale parameter, > 0.
-    kind : str
-        ``"pareto-exact"``   : P(X > x) = (x_min / x)**alpha for x >= x_min.
-        ``"pareto-shifted"`` : Lomax law, P(X > x) = (x_min / (x_min + x))**alpha
-        on x >= 0; same tail constant x_min**alpha, but support touching zero.
-        ``"user-mixture"``   : weight * pareto-exact + (1 - weight) * U(0, bulk_high);
-        a rough-bulk stress test with the pure power tail intact.
-    weight, bulk_high : float
-        Mixture parameters, used only by ``"user-mixture"``.
+        Scale parameter and lower end of the support, > 0.
     """
 
     alpha: float
     x_min: float
-    kind: str = "pareto-exact"
-    weight: float = 0.5
-    bulk_high: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not self.x_min > 0:
             raise ValueError(f"x_min must be positive, got {self.x_min}")
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind == "user-mixture":
-            if not 0 < self.weight <= 1:
-                raise ValueError("mixture weight must lie in (0, 1]")
-            if not self.bulk_high > 0:
-                raise ValueError("bulk_high must be positive")
 
     # -- distribution function ------------------------------------------------
 
     def survival(self, x):
         """P(X > x), elementwise."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "pareto-exact":
-            return np.where(x < self.x_min, 1.0, (self.x_min / np.maximum(x, self.x_min)) ** self.alpha)
-        if self.kind == "pareto-shifted":
-            xp = np.maximum(x, 0.0)
-            return np.where(x < 0, 1.0, (self.x_min / (self.x_min + xp)) ** self.alpha)
-        pareto = np.where(x < self.x_min, 1.0, (self.x_min / np.maximum(x, self.x_min)) ** self.alpha)
-        bulk = np.clip(1.0 - x / self.bulk_high, 0.0, 1.0)
-        bulk = np.where(x < 0, 1.0, bulk)
-        return self.weight * pareto + (1.0 - self.weight) * bulk
+        return np.where(x < self.x_min, 1.0, (self.x_min / np.maximum(x, self.x_min)) ** self.alpha)
 
     def cdf(self, x):
         return 1.0 - self.survival(x)
 
     def pdf(self, x):
-        """Density, elementwise (the mixture kind has an atomless density too)."""
+        """Density, elementwise."""
         x = np.asarray(x, dtype=float)
         a, xm = self.alpha, self.x_min
-        if self.kind == "pareto-exact":
-            return np.where(x < xm, 0.0, a * xm**a * np.maximum(x, xm) ** (-a - 1.0))
-        if self.kind == "pareto-shifted":
-            xp = np.maximum(x, 0.0)
-            return np.where(x < 0, 0.0, (a / xm) * (1.0 + xp / xm) ** (-a - 1.0))
-        pareto = np.where(x < xm, 0.0, a * xm**a * np.maximum(x, xm) ** (-a - 1.0))
-        bulk = np.where((x >= 0) & (x < self.bulk_high), 1.0 / self.bulk_high, 0.0)
-        return self.weight * pareto + (1.0 - self.weight) * bulk
+        return np.where(x < xm, 0.0, a * xm**a * np.maximum(x, xm) ** (-a - 1.0))
 
     def isf(self, u):
         """Inverse survival function: the x with survival(x) = u, u in (0, 1]."""
         u = np.asarray(u, dtype=float)
         if np.any(u <= 0) or np.any(u > 1):
             raise ValueError("isf argument must lie in (0, 1]")
-        if self.kind == "pareto-exact":
-            return self.x_min * u ** (-1.0 / self.alpha)
-        if self.kind == "pareto-shifted":
-            return self.x_min * (u ** (-1.0 / self.alpha) - 1.0)
-        return self._mixture_isf(u)
-
-    def _mixture_isf(self, u):
-        u_flat = np.atleast_1d(u).astype(float)
-        hi_tail = self.x_min * (self.weight / np.minimum(u_flat, self.weight)) ** (1.0 / self.alpha)
-        out = np.empty_like(u_flat)
-        for i, (ui, hi) in enumerate(zip(u_flat, hi_tail)):
-            if ui == 1.0:
-                out[i] = 0.0
-                continue
-            bracket_hi = max(hi, self.bulk_high, self.x_min) + 1.0
-            out[i] = optimize.brentq(lambda x: self.survival(x) - ui, 0.0, bracket_hi, xtol=1e-13, rtol=1e-14)
-        return out.reshape(np.shape(u)) if np.ndim(u) else float(out[0])
+        return self.x_min * u ** (-1.0 / self.alpha)
 
     # -- moments ----------------------------------------------------------------
 
     def mean(self) -> float:
         if self.alpha <= 1:
             raise ValueError("mean is infinite for alpha <= 1")
-        if self.kind == "pareto-exact":
-            return self.alpha * self.x_min / (self.alpha - 1.0)
-        if self.kind == "pareto-shifted":
-            return self.x_min / (self.alpha - 1.0)
-        pareto = self.alpha * self.x_min / (self.alpha - 1.0)
-        return self.weight * pareto + (1.0 - self.weight) * self.bulk_high / 2.0
+        return self.alpha * self.x_min / (self.alpha - 1.0)
 
     def moment(self, q: float) -> float:
-        """E[X**q] for 0 < q < alpha (closed form for every kind)."""
+        """E[X**q] for 0 < q < alpha."""
         if not 0 < q < self.alpha:
             raise ValueError(f"moment of order {q} is infinite or undefined for alpha={self.alpha}")
-        if self.kind == "pareto-exact":
-            return self.alpha * self.x_min**q / (self.alpha - q)
-        if self.kind == "pareto-shifted":
-            return self.x_min**q * special.gamma(q + 1.0) * special.gamma(self.alpha - q) / special.gamma(self.alpha)
-        pareto = self.alpha * self.x_min**q / (self.alpha - q)
-        return self.weight * pareto + (1.0 - self.weight) * self.bulk_high**q / (q + 1.0)
+        return self.alpha * self.x_min**q / (self.alpha - q)
 
     def tail_constant(self) -> float:
-        """c with survival(x) ~ c * x**(-alpha); exact past the threshold for pareto-exact."""
-        if self.kind == "user-mixture":
-            return self.weight * self.x_min**self.alpha
+        """c = x_min**alpha, with survival(x) = c * x**(-alpha) for x >= x_min."""
         return self.x_min**self.alpha
 
     def partial_moment(self, q: float, m: float) -> float:
-        """E[X**q; X > m] for q < alpha (closed form for pareto-exact, quadrature otherwise)."""
+        """E[X**q; X > m] for q < alpha, in closed form."""
         if not q < self.alpha:
             raise ValueError(f"partial moment of order {q} diverges for alpha={self.alpha}")
         if q == 0.0:
             return float(self.survival(max(m, 0.0)))
-        if self.kind == "pareto-exact":
-            lo = max(m, self.x_min)
-            return self.alpha * self.x_min**self.alpha * lo ** (q - self.alpha) / (self.alpha - q)
-        # integration by parts: E[X^q; X>m] = m^q S(m) + q * int_m^inf x^(q-1) S(x) dx
-        m = max(m, 0.0)
-        tail = nm.checked_quad(lambda x: x ** (q - 1.0) * float(self.survival(x)), max(m, 1e-300), np.inf,
-                               "partial moment")
-        head = m**q * float(self.survival(m)) if m > 0 else 0.0
-        return head + q * tail
+        lo = max(m, self.x_min)
+        return self.alpha * self.x_min**self.alpha * lo ** (q - self.alpha) / (self.alpha - q)
 
     def integrated_survival(self, t):
         """Integral of the survival function over (t, infinity)."""
@@ -198,70 +131,28 @@ class RegVaryingDist:
             raise ValueError("integrated survival diverges for alpha <= 1")
         t = np.asarray(t, dtype=float)
         a, xm = self.alpha, self.x_min
-        if self.kind == "pareto-exact":
-            above = xm**a * np.maximum(t, xm) ** (1.0 - a) / (a - 1.0)
-            return np.where(t < xm, (xm - t) + xm / (a - 1.0), above)
-        if self.kind == "pareto-shifted":
-            tp = np.maximum(t, 0.0)
-            core = xm**a * (xm + tp) ** (1.0 - a) / (a - 1.0)
-            return np.where(t < 0, core - t, core)
-        exact = RegVaryingDist(a, xm, "pareto-exact").integrated_survival(np.maximum(t, 0.0))
-        b = self.bulk_high
-        bulk = np.where(t < b, (b - np.clip(t, 0.0, b)) ** 2 / (2.0 * b), 0.0)
-        both = self.weight * exact + (1.0 - self.weight) * bulk
-        return np.where(t < 0, both - t, both)
+        above = xm**a * np.maximum(t, xm) ** (1.0 - a) / (a - 1.0)
+        return np.where(t < xm, (xm - t) + xm / (a - 1.0), above)
 
     # -- sampling ----------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size):
-        """Exact draws by inverse-CDF (components mixed exactly for the mixture kind)."""
-        if self.kind == "user-mixture":
-            pick = rng.random(size) < self.weight
-            u = rng.random(size)
-            pareto = self.x_min * u ** (-1.0 / self.alpha)
-            bulk = u * self.bulk_high
-            return np.where(pick, pareto, bulk)
+        """Exact draws by inverse-CDF."""
         u = rng.random(size)
-        if self.kind == "pareto-exact":
-            # 1 - U lies in (0, 1], so the isf needs neither a floor nor a range check
-            np.subtract(1.0, u, out=u)
-            np.power(u, -1.0 / self.alpha, out=u)
-            u *= self.x_min
-            return u
-        u = np.maximum(u, np.finfo(float).tiny)
-        return self.isf(u)
+        # 1 - U lies in (0, 1], so the isf needs neither a floor nor a range check
+        np.subtract(1.0, u, out=u)
+        np.power(u, -1.0 / self.alpha, out=u)
+        u *= self.x_min
+        return u
 
     def sample_length_biased(self, rng: np.random.Generator, size):
         """Draws from the length-biased law, density x * f(x) / mean.
 
-        pareto-exact(alpha) length-biases to pareto-exact(alpha - 1) exactly.
-        The Lomax kind uses an exact rejection step (acceptance rate 1/alpha)
-        and the mixture mixes its components' exact length-biased laws with
-        weights proportional to their mean contributions.
+        Pareto(alpha, x_min) length-biases to Pareto(alpha - 1, x_min) exactly.
         """
         if self.alpha <= 1:
             raise ValueError("length-biased law undefined for alpha <= 1 (infinite mean)")
-        a, xm = self.alpha, self.x_min
-        if self.kind == "pareto-exact":
-            return RegVaryingDist(a - 1.0, xm, "pareto-exact").sample(rng, size)
-        if self.kind == "pareto-shifted":
-            out = np.empty(size)
-            todo = np.arange(size)
-            while todo.size:
-                # propose x_min + Y with Y length-biased exact-Pareto, accept w.p. y/(y + x_min)
-                y = xm * (rng.random(todo.size) ** (-1.0 / (a - 1.0)) - 1.0)
-                keep = rng.random(todo.size) * (y + xm) < y
-                out[todo[keep]] = y[keep]
-                todo = todo[~keep]
-            return out
-        mu_p = a * xm / (a - 1.0)
-        mu_b = self.bulk_high / 2.0
-        p_pareto = self.weight * mu_p / (self.weight * mu_p + (1.0 - self.weight) * mu_b)
-        pick = rng.random(size) < p_pareto
-        u = np.maximum(rng.random(size), np.finfo(float).tiny)
-        pareto = xm * u ** (-1.0 / (a - 1.0))
-        bulk = self.bulk_high * np.sqrt(u)
-        return np.where(pick, pareto, bulk)
+        return RegVaryingDist(self.alpha - 1.0, self.x_min).sample(rng, size)
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,11 @@ __all__ = [
 class RewardLaw:
     """Bounded reward attached to a renewal cycle.
 
-    kind "independent": draw W from ``dist`` independently of the cycle length;
-    the law must be bounded (|W| <= bound).  kind "coupled": W = g(Z, U) with U
-    uniform on (0,1) and g bounded by ``bound``; ``limit_dist`` is the law of
-    the large-Z limit of g(Z, U) when one exists (None means the limit is 0).
+    kind "independent": draw W from ``dist`` independently of the cycle length.
+    kind "coupled": W = g(Z, U) with U uniform on (0,1); ``limit_dist`` is the
+    law of the large-Z limit of g(Z, U) when one exists (None means the limit
+    is 0).  Either way the reward must be bounded, as the scaling table
+    assumes; nothing here checks it.
     ``g`` must be elementwise on arrays: it receives z and u as arrays of one
     shape and returns that shape, both when sampling and in the u averages.
     """
@@ -75,7 +76,6 @@ class RewardLaw:
     kind: str
     dist: object | None = None
     g: object | None = None
-    bound: float = 1.0
     limit_dist: object | None = None
 
     def __post_init__(self) -> None:
@@ -85,8 +85,6 @@ class RewardLaw:
             raise ValueError("independent reward needs a dist")
         if self.kind == "coupled" and self.g is None:
             raise ValueError("coupled reward needs a function g(z, u)")
-        if not self.bound > 0:
-            raise ValueError("bound must be positive")
 
     def sample_given_z(self, z, rng: np.random.Generator):
         z = np.asarray(z, dtype=float)
@@ -142,7 +140,6 @@ def vanishing_reward(delta: float) -> RewardLaw:
     return RewardLaw(
         kind="coupled",
         g=lambda z, u: (1.0 + z) ** (-delta) * (2.0 * u - 1.0),
-        bound=1.0,
         limit_dist=None,
     )
 
@@ -254,7 +251,7 @@ class MixturePulse:
 def duration_dist(model):
     """The law of the pulse duration D (cycle length for cycle families).
 
-    Closed form for every family: rect-coupled durations R^p are again exact
+    Closed form for every family: rect-coupled durations R^p are again
     Pareto with index alpha/p and scale x_min^p; mixtures and two-part cycles
     have no single RegVaryingDist and return None.
     """
@@ -262,9 +259,7 @@ def duration_dist(model):
     if kind in ("rect-indep", "exp-damped", "brownian"):
         return model.R
     if kind == "rect-coupled":
-        if model.R.kind != "pareto-exact":
-            return None
-        return RegVaryingDist(model.R.alpha / model.p, model.R.x_min**model.p, "pareto-exact")
+        return RegVaryingDist(model.R.alpha / model.p, model.R.x_min**model.p)
     if kind == "renewal-reward":
         return model.Z
     return None
@@ -308,10 +303,7 @@ def _fresh_coupled(model, rng, n):
 
 
 def _aged_coupled(model, rng, n):
-    law = duration_dist(model)
-    if law is None:
-        raise ValueError("stationary sampling of rect-coupled needs a pareto-exact duration")
-    age, _, d = sample_length_biased_pair(law, rng, n)
+    age, _, d = sample_length_biased_pair(duration_dist(model), rng, n)
     return age, d, d ** ((1.0 - model.p) / model.p)
 
 
@@ -449,12 +441,12 @@ def _cycle_quad(law, f, t: float, what: str) -> float:
 
     Above b = max(t, x_min) (x_min = 1 for a law without one) it runs in
     v = b / z on (0, 1], where a power tail of the density becomes an
-    integrable endpoint singularity at v = 0; a law whose support reaches
-    below b adds (t, b) as it stands.
+    integrable endpoint singularity at v = 0.  A Pareto law has no mass
+    below b; any other law adds (t, b) as it stands.
     """
     b = max(t, getattr(law, "x_min", 1.0))
     out = nm.checked_quad(lambda v: f(b / v) * float(law.pdf(b / v)) * b / (v * v), 0.0, 1.0, what)
-    if t < b and getattr(law, "kind", None) != "pareto-exact":
+    if t < b and not isinstance(law, RegVaryingDist):
         out += nm.checked_quad(lambda z: f(z) * float(law.pdf(z)), t, b, what)
     return out
 

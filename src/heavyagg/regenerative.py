@@ -3,9 +3,10 @@
 A regenerative source restarts from scratch at renewal epochs: within each
 cycle of length Z the process follows a reward kernel W(t) (an indicator, a
 draining workload, a constant mark, an exponential decay) and the next cycle
-begins when the current one ends.  The stationary version starts inside a
-length-biased cycle at a uniform age.  Cycles are drawn and integrated by the
-per-family kernels of the pulses module, the same ones shot noise uses.
+begins when the current one ends.  The path samplers start it in steady
+state, inside a length-biased cycle at a uniform age.  Cycles are drawn and
+integrated by the per-family kernels of the pulses module, the same ones
+shot noise uses.
 
 Three groups of tools live here:
 
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from . import numerics as nm
 from . import pulses
@@ -244,16 +244,19 @@ def _row_total(start, steps):
 
 
 def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator, n_lanes: int,
-                 stationary: bool, read) -> np.ndarray:
+                 read) -> np.ndarray:
     """Read every lane's covering cycle at every time; shape (n_lanes, times.size).
 
     ``times`` are nondecreasing and nonnegative.  The cycle covering time t
     is the one with start <= t < end, so a time equal to a cycle end belongs
     to the next cycle.  ``read(m, z, lo, s, before)`` gets, per (lane, time),
     the mark m and length z of the covering cycle, the cycle-local time lo
-    at which the lane entered it (the age for the stationary start, else 0),
-    the cycle-local time s of the point, and the integrated path at entry;
-    it returns the values to store.
+    at which the lane entered it (its age at time 0 for the cycle covering
+    time 0, else 0), the cycle-local time s of the point, and the integrated
+    path at entry; it returns the values to store.
+
+    Every lane starts stationary: inside a length-biased cycle at a uniform
+    age, drawn by the family's ``aged`` kernel.
 
     Cycles are drawn in blocks.  Each pass gives every lane that has not yet
     passed the last time K fresh cycles, with K sized from the expected
@@ -281,15 +284,11 @@ def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator,
     horizon = times[-1]
     out = np.zeros((n_lanes, times.size))
     # lane state: the end of the last placed cycle and the integrated path there
-    if stationary:
-        age, z, aux = kern.aged(model.pulse, rng, n_lanes)
-        end = z - age
-        mass = kern.mass(aux, age, z)
-        lane, j = np.nonzero(times < end[:, None])
-        out[lane, j] = read(aux[lane], z[lane], age[lane], times[j] + age[lane], 0.0)
-    else:
-        end = np.zeros(n_lanes)
-        mass = np.zeros(n_lanes)
+    age, z, aux = kern.aged(model.pulse, rng, n_lanes)
+    end = z - age
+    mass = kern.mass(aux, age, z)
+    lane, j = np.nonzero(times < end[:, None])
+    out[lane, j] = read(aux[lane], z[lane], age[lane], times[j] + age[lane], 0.0)
     next_time = np.append(times, np.inf)  # next_time[filled]: a lane's first unread time
     filled = np.searchsorted(times, end)
     active = np.flatnonzero(end <= horizon)
@@ -334,21 +333,14 @@ def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator,
     return out
 
 
-def integrated_path(
-    model: RegenModel,
-    cuts,
-    rng: np.random.Generator,
-    n_lanes: int,
-    stationary: bool = True,
-):
-    """Window increments of the integrated source along one path per lane.
+def integrated_path(model: RegenModel, cuts, rng: np.random.Generator, n_lanes: int):
+    """Window increments of the integrated stationary source along one path per lane.
 
     ``cuts`` are strictly increasing, positive, finite times; window j covers
     (cuts[j-1], cuts[j]] with the first window opening at 0.  Returns shape
     (n_lanes, len(cuts)).  All windows of a lane are slices of the same cycle
-    sequence, so cumulative row sums form a consistent integrated path.
-    ``stationary`` starts inside a length-biased cycle at a uniform age;
-    switching it off starts at a renewal epoch.
+    sequence, so cumulative row sums form a consistent integrated path.  Each
+    lane starts inside a length-biased cycle at a uniform age.
 
     The path at a cut is the mass of the cycles ending before it plus the
     partial mass of the cycle that covers it, read off the block cycle walk.
@@ -361,7 +353,7 @@ def integrated_path(
     def partial(m, z, lo, s, before):
         return before + mass(m, lo, np.minimum(s, z))
 
-    path = _walk_cycles(model, cuts, rng, n_lanes, stationary, partial)
+    path = _walk_cycles(model, cuts, rng, n_lanes, partial)
     return np.diff(path, axis=1, prepend=0.0)
 
 
@@ -385,7 +377,7 @@ def state_sample(model: RegenModel, times, rng: np.random.Generator, n_rep: int)
     def point(m, z, lo, s, before):
         return value(m, s)
 
-    return _walk_cycles(model, tq, rng, n_rep, True, point)
+    return _walk_cycles(model, tq, rng, n_rep, point)
 
 
 # -- renewal function and covariance decomposition ----------------------------------
@@ -430,7 +422,7 @@ def renewal_function(cycle_cdf, t_max: float, dt: float):
 
 def _conv_trap(kern: np.ndarray, dens: np.ndarray, step: float) -> np.ndarray:
     """Trapezoid-rule grid convolution int_0^t kern(t - s) dens(s) ds."""
-    full = signal.fftconvolve(kern, dens)[: kern.size]
+    full = np.convolve(kern, dens)[: kern.size]
     return step * (full - 0.5 * kern * dens[0] - 0.5 * kern[0] * dens)
 
 
@@ -480,7 +472,7 @@ def _recurrence_grid(model: RegenModel, t_max: float, step: float):
     U = _solve_renewal(dF)
     dU = np.diff(U)
     # trapezoid pairing of the U increments with the two bracketing z values
-    conv = signal.fftconvolve(z, dU)[: n + 1]
+    conv = np.convolve(z, dU)[: n + 1]
     inner = 0.5 * (np.concatenate(([0.0], conv[:n])) + np.concatenate(([0.0], conv[1:])))
     ex = model.mean_rate
     h = (z + inner) / model.mu - ex * ex

@@ -5,6 +5,7 @@ name from a sibling (``from .x import _name``) or reading one through a
 sibling module (``x._name``) fails the test.  Dunder names are public.  No
 module reads the process environment, and only ``numerics`` calls scipy's
 adaptive ``quad`` (inside ``checked_quad``, which keeps its error bound).
+The package imports only ``special`` and ``integrate`` from scipy.
 Only ``streams`` builds a random source, in the package and in these tests.
 No function gives a draw count (``size`` or ``n_rep``) a None default.
 Every ``__all__`` entry must exist, the benchmark's span tracer must still
@@ -127,6 +128,37 @@ def test_only_numerics_calls_quad(tmp_path):
     lines = [int(use.split(":")[1].split()[0]) for use in quad_calls(numerics)]
     assert len(lines) == 1 and checked.lineno <= lines[0] <= checked.end_lineno
     found = [use for path in sorted(PACKAGE.glob("*.py")) if path.stem != "numerics" for use in quad_calls(path)]
+    assert not found, found
+
+
+SCIPY_ALLOWED = ("special", "integrate")
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """Lines of ``path`` that import a scipy subpackage other than ``SCIPY_ALLOWED``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "scipy":
+            subs = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.startswith("scipy."):
+            subs = [node.module.split(".")[1]]
+        elif isinstance(node, ast.Import):
+            subs = [a.name.partition(".")[2].split(".")[0] for a in node.names if a.name.split(".")[0] == "scipy"]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} imports scipy.{sub}" for sub in subs if sub not in SCIPY_ALLOWED]
+    return found
+
+
+def test_package_imports_only_special_and_integrate_from_scipy(tmp_path):
+    # every other scipy subpackage adds import time and memory to each run
+    probe = tmp_path / "mod.py"
+    probe.write_text("from scipy import signal\nimport scipy.optimize\nfrom scipy.signal import fftconvolve\n"
+                     "from scipy import integrate, special\nimport scipy.special\n")
+    assert scipy_imports(probe) == ["mod.py:1 imports scipy.signal", "mod.py:2 imports scipy.optimize",
+                                    "mod.py:3 imports scipy.signal"]
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in scipy_imports(path)]
     assert not found, found
 
 

@@ -207,7 +207,6 @@ def test_kernel_and_moment_quadratures_raise_when_they_do_not_converge(monkeypat
         ("coupled-reward mean pulse", lambda: pulses.mean_pulse(MOMENT_MODELS["coupled-reward"], 0.5)),
         ("coupled-reward covariance", lambda: pulses.cov_integral(MOMENT_MODELS["coupled-reward"], 0.5)),
         ("covariance", lambda: pulses.cov_integral(DETERMINISTIC["exp-damped"], 0.5)),
-        ("partial moment", lambda: ht.RegVaryingDist(1.5, 1.0, "pareto-shifted").partial_moment(0.5, 0.2)),
         ("uniform expectation", lambda: ht.UniformDist(0.0, 1.0).expect(lambda w: math.sin(1e5 * w))),
     ]
     with warnings.catch_warnings():

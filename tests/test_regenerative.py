@@ -140,7 +140,7 @@ def test_cycle_sample_shapes():
 
 def test_coupled_reward_mass_mean_matches_mc():
     reward = pulses.RewardLaw(
-        "coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z), bound=1.0, limit_dist=None
+        "coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z), limit_dist=None
     )
     model = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), reward))
     _, mass = rg.cycle_sample(model, rng_for("rg/mass-coupled"), size=120000)
@@ -197,8 +197,6 @@ def test_integrated_sample_validation_and_flags():
         rg.integrated_path(model, [0.0], rng_for("rg/int-bad"), 1)
     one = rg.integrated_path(model, [2.0], rng_for("rg/int-scalar"), 1)
     assert one.shape == (1, 1) and 0.0 <= one[0, 0] <= 2.0
-    fresh = rg.integrated_path(model, [2.0], rng_for("rg/int-fresh"), 200, stationary=False)
-    assert fresh.shape == (200, 1) and np.all((fresh >= 0.0) & (fresh <= 2.0))
 
 
 def test_state_sample_validation():
@@ -340,7 +338,7 @@ def test_coupled_reward_decomposition():
     # reward (2u - 1)**2 / (1 + z) on Pareto(3/2, 1) cycles has a nonzero
     # mean: R(0) mu = E[W**2 Z], the recurrence part starts at -(E X)**2, and
     # the lagged state covariance follows the grid
-    reward = pulses.RewardLaw("coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z), bound=1.0)
+    reward = pulses.RewardLaw("coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z))
     model = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), reward))
     dec = rg.cov_decomposition(model, 1.0, 0.05)
     brute, err = integrate.dblquad(lambda u, z: reward.g(z, u) ** 2 * z * 1.5 * z**-2.5, 1.0, np.inf, 0.0, 1.0)
@@ -459,7 +457,7 @@ def test_renewal_reward_regimes():
     assert spec.logchf(3.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     uncentered = pulses.RewardLaw(
-        "coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z), bound=1.0, limit_dist=None
+        "coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z), limit_dist=None
     )
     model = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), uncentered))
     spec2 = rg.regime_of(model, 0.5)
@@ -546,19 +544,15 @@ def test_regime_validation():
 # -- multi-window path sampler ----------------------------------------------------------
 
 
-def _wave_path(model, cuts, rng, n_lanes, stationary):
+def _wave_path(model, cuts, rng, n_lanes):
     """Reference sampler: the per-cycle wave loop that the block sampler replaced.
 
-    Window by window, every lane still short of the window's end draws its
-    next cycle per pass.
+    Lanes start from the family's ``aged`` kernel.  Window by window, every
+    lane still short of the window's end draws its next cycle per pass.
     """
     kern = pulses.KERNELS[model.kind]
     out = np.zeros((n_lanes, len(cuts)))
-    if stationary:
-        loc, z, aux = kern.aged(model.pulse, rng, n_lanes)
-    else:
-        z, aux = kern.fresh(model.pulse, rng, n_lanes)
-        loc = np.zeros(n_lanes)
+    loc, z, aux = kern.aged(model.pulse, rng, n_lanes)
     for j, w in enumerate(np.diff(cuts, prepend=0.0)):
         rem = np.full(n_lanes, w)
         hi = np.minimum(loc + rem, z)
@@ -587,12 +581,30 @@ PATH_MODELS = {
 PATH_CUTS = [0.5, 4.0, 20.0]
 
 
-def _assert_block_matches_waves(family, stationary, tag, calls, lanes):
+def _renewal_start(kind, monkeypatch):
+    """Start every lane of family ``kind`` at a renewal epoch, not stationary.
+
+    The family's ``aged`` kernel then draws a fresh cycle at age 0.  The
+    block walk and the wave loop both start from that kernel, and each is
+    exact in law from any start independent of the cycles after it.
+    """
+    kern = pulses.KERNELS[kind]
+
+    def renewal(pulse, rng, n):
+        z, aux = kern.fresh(pulse, rng, n)
+        return np.zeros(n), z, aux
+
+    monkeypatch.setitem(pulses.KERNELS, kind, kern._replace(aged=renewal))
+
+
+def _assert_block_matches_waves(family, stationary, tag, calls, lanes, monkeypatch):
     model = PATH_MODELS[family]()
+    if not stationary:
+        _renewal_start(family, monkeypatch)
     block = np.concatenate([
-        rg.integrated_path(model, PATH_CUTS, rng_for(tag, c), lanes, stationary) for c in range(calls)
+        rg.integrated_path(model, PATH_CUTS, rng_for(tag, c), lanes) for c in range(calls)
     ])
-    wave = _wave_path(model, PATH_CUTS, rng_for(tag + "/wave"), calls * lanes, stationary)
+    wave = _wave_path(model, PATH_CUTS, rng_for(tag + "/wave"), calls * lanes)
     assert block.shape == wave.shape
     for j in range(len(PATH_CUTS)):
         # on-off and workload windows have atoms at 0 and at the window width;
@@ -603,9 +615,9 @@ def _assert_block_matches_waves(family, stationary, tag, calls, lanes):
 
 @pytest.mark.parametrize("stationary", [True, False])
 @pytest.mark.parametrize("family", sorted(PATH_MODELS))
-def test_path_block_sampler_matches_wave_sampler_in_law(family, stationary):
+def test_path_block_sampler_matches_wave_sampler_in_law(family, stationary, monkeypatch):
     # 1000 lanes per call keep the default cell budget from capping blocks at one cycle
-    _assert_block_matches_waves(family, stationary, f"path-law/{family}/{stationary}", 12, 1000)
+    _assert_block_matches_waves(family, stationary, f"path-law/{family}/{stationary}", 12, 1000, monkeypatch)
 
 
 @pytest.mark.parametrize("stationary", [True, False])
@@ -614,7 +626,7 @@ def test_path_forced_multi_pass_matches_wave_sampler_in_law(family, stationary, 
     # a budget of a few cells leaves one or two cycles per lane and pass, so
     # nearly every lane overruns its block and carries its state forward
     monkeypatch.setattr(rg, "BLOCK_CELL_BUDGET", 3)
-    _assert_block_matches_waves(family, stationary, f"path-passes/{family}/{stationary}", 1, 6000)
+    _assert_block_matches_waves(family, stationary, f"path-passes/{family}/{stationary}", 1, 6000, monkeypatch)
 
 
 def _wave_states(model, times, rng, n_rep):
@@ -698,10 +710,12 @@ def _refined_paths(model, stationary, budget, tags, calls, monkeypatch):
     """
     if budget is not None:
         monkeypatch.setattr(rg, "BLOCK_CELL_BUDGET", budget)
+    if not stationary:
+        _renewal_start(model.kind, monkeypatch)
 
     def path(cuts, tag):
         return np.concatenate([
-            np.cumsum(rg.integrated_path(model, cuts, rng_for(tag, c), 400, stationary), axis=1)
+            np.cumsum(rg.integrated_path(model, cuts, rng_for(tag, c), 400), axis=1)
             for c in range(calls)
         ])
 
@@ -776,13 +790,16 @@ def test_path_row_sums_match_integrated_law():
 
 
 def test_path_cut_at_a_cycle_end(monkeypatch):
-    # unit on and off legs from a renewal epoch: cycles end at exactly 2, 4
-    # and 6, so every cut but 1.5 sits on a cycle end, where the ending and
-    # the starting cycle give the same path; with no block margin the first
-    # block ends exactly at the last cut, which is then read in a second pass
+    # unit on and off legs, and a start at age 0 of the first cycle: cycles
+    # end at exactly 2, 4 and 6, so every cut but 1.5 sits on a cycle end,
+    # where the ending and the starting cycle give the same path; with no
+    # block margin the first block ends exactly at the last cut, which is
+    # then read in a second pass
     monkeypatch.setattr(rg, "BLOCK_MARGIN", 1.0)
+    monkeypatch.setitem(pulses.KERNELS, "on-off", pulses.KERNELS["on-off"]._replace(
+        aged=lambda pulse, rng, n: (np.zeros(n), np.full(n, 2.0), np.ones(n))))
     model = rg.RegenModel(pulses.OnOff(ht.DegenerateDist(1.0), ht.DegenerateDist(1.0)))
-    got = rg.integrated_path(model, [1.5, 2.0, 4.0, 6.0], rng_for("path-tie"), 3, stationary=False)
+    got = rg.integrated_path(model, [1.5, 2.0, 4.0, 6.0], rng_for("path-tie"), 3)
     np.testing.assert_array_equal(got, [[1.0, 0.0, 1.0, 1.0]] * 3)
 
 
