@@ -177,8 +177,10 @@ def rect_increment(sample: AggregateSample, x0: float, x1: float, y0: float, y1:
 
     Corners must sit on the sample's grids; 0 is always a valid coordinate
     because the centered field vanishes on the axes.  A degenerate rectangle
-    returns exact zeros.
+    (x0 == x1 or y0 == y1) returns exact zeros; reversed corners raise.
     """
+    if x0 > x1 or y0 > y1:
+        raise ValueError(f"need x0 <= x1 and y0 <= y1, got ({x0}, {x1}] x ({y0}, {y1}]")
     ix0 = _corner_index(sample.x_grid, x0, "x0")
     ix1 = _corner_index(sample.x_grid, x1, "x1")
     iy0 = _corner_index(sample.y_grid, y0, "y0")

@@ -3,9 +3,9 @@
 This module is the probabilistic bedrock of the lab: the exact Pareto law
 that every heavy-tailed leg and duration follows, with an exact inverse-CDF
 sampler; totally and partially skewed stable laws with the
-Chambers-Mallows-Stuck sampler, the tail-constant to stable-parameter map,
-the Hill tail-index estimator, and exact length-biased (stationary age /
-residual) sampling used to start regenerative processes in steady state.
+Chambers-Mallows-Stuck sampler and the tail-constant to stable-parameter
+map; and exact length-biased (stationary age / residual) sampling used to
+start regenerative processes in steady state.
 
 Conventions
 -----------
@@ -46,7 +46,6 @@ __all__ = [
     "StableParams",
     "stable_params_from_tails",
     "sample_stable",
-    "hill_estimate",
     "sample_length_biased_pair",
 ]
 
@@ -92,13 +91,6 @@ class RegVaryingDist:
         a, xm = self.alpha, self.x_min
         return np.where(x < xm, 0.0, a * xm**a * np.maximum(x, xm) ** (-a - 1.0))
 
-    def isf(self, u):
-        """Inverse survival function: the x with survival(x) = u, u in (0, 1]."""
-        u = np.asarray(u, dtype=float)
-        if np.any(u <= 0) or np.any(u > 1):
-            raise ValueError("isf argument must lie in (0, 1]")
-        return self.x_min * u ** (-1.0 / self.alpha)
-
     # -- moments ----------------------------------------------------------------
 
     def mean(self) -> float:
@@ -137,9 +129,9 @@ class RegVaryingDist:
     # -- sampling ----------------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size):
-        """Exact draws by inverse-CDF."""
+        """Exact draws by inverse-CDF: x_min * (1 - U)**(-1/alpha)."""
         u = rng.random(size)
-        # 1 - U lies in (0, 1], so the isf needs neither a floor nor a range check
+        # 1 - U lies in (0, 1], so its power needs neither a floor nor a range check
         np.subtract(1.0, u, out=u)
         np.power(u, -1.0 / self.alpha, out=u)
         u *= self.x_min
@@ -353,9 +345,6 @@ class StableParams:
         skew = 1.0 - 1j * self.beta * np.sign(th) * math.tan(math.pi * self.alpha / 2.0)
         return -(self.sigma**self.alpha) * np.abs(th) ** self.alpha * skew
 
-    def chf(self, theta):
-        return np.exp(self.logchf(theta))
-
 
 def stable_params_from_tails(alpha: float, c_plus: float, c_minus: float) -> StableParams:
     """Stable parameters whose law has tail constants (c_plus, c_minus).
@@ -404,28 +393,7 @@ def sample_stable(params: StableParams, rng: np.random.Generator, size):
     return sigma * core
 
 
-# -- estimation and steady-state sampling ------------------------------------------
-
-
-def hill_estimate(samples, k: int | None = None) -> float:
-    """Hill estimator of the tail index from the k largest order statistics.
-
-    alpha_hat = k / sum_{i=1..k} log(x_(n-i+1) / x_(n-k)); k defaults to
-    ceil(n**0.6).  Samples must be positive; k must satisfy 1 <= k < n.
-    """
-    x = np.sort(np.asarray(samples, dtype=float))
-    n = x.size
-    if n < 2:
-        raise ValueError("need at least two samples")
-    if np.any(x <= 0):
-        raise ValueError("samples must be positive")
-    if k is None:
-        k = math.ceil(n**0.6)
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    top = x[n - k:]
-    threshold = x[n - k - 1]
-    return k / float(np.sum(np.log(top / threshold)))
+# -- steady-state sampling ---------------------------------------------------------
 
 
 def sample_length_biased_pair(dist, rng: np.random.Generator, size):

@@ -5,10 +5,9 @@ limit objects: a fractional Brownian sheet (Gaussian branch), an alpha-stable
 Levy sheet (independent-increment branch), or the Telecom random field at the
 critical growth exponent.  This module provides exact finite-dimensional
 samplers for all three, closed-form or fixed-rule oracles for their
-characteristic functions and variances, a fourth field (the kappa-stable
+characteristic functions and variances, and a fourth field (the kappa-stable
 field driven by a product power measure on amplitude and duration) used as a
-counterexample oracle, and a checker for the small/large-scale asymptotic
-self-similarity of the Telecom field.
+counterexample oracle.
 
 The Telecom field is the critical limit of unit rectangular shot noise, so
 both its sampler and its chf run on the shot-noise module.  Cut at durations
@@ -30,13 +29,12 @@ import numpy as np
 
 from . import numerics as nm
 from . import shot_noise
-from .heavy_tail import DegenerateDist, RegVaryingDist, StableParams, sample_stable, stable_params_from_tails
+from .heavy_tail import DegenerateDist, RegVaryingDist, StableParams, sample_stable
 from .pulses import RectIndep
 
 __all__ = [
     "FbsSpec",
     "TelecomSpec",
-    "SsReport",
     "fbs_covariance",
     "sample_fbs_grid",
     "sample_stable_sheet",
@@ -47,23 +45,7 @@ __all__ = [
     "telecom_logchf",
     "telecom_field_logchf",
     "intermediate_kappa_field_chf",
-    "asymptotic_ss_check",
-    "hurst_range_ok",
-    "DEFAULT_THETA_GRID",
 ]
-
-
-def hurst_range_ok(gamma: float, h: float) -> bool:
-    """True when the scaling exponent H is admissible at source growth gamma.
-
-    Every limit attainable by aggregation satisfies 0 <= H <= 1 + gamma and
-    0 <= H - gamma/2 <= 1 (the count direction carries exactly gamma/2 in the
-    Gaussian regime and at most gamma overall).
-    """
-    return 0.0 <= h <= 1.0 + gamma and 0.0 <= h - 0.5 * gamma <= 1.0
-
-
-DEFAULT_THETA_GRID = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 # -- fractional Brownian sheet -----------------------------------------------------
@@ -160,14 +142,13 @@ class TelecomSpec:
 
     The driving measure is du * dv * alpha * c * r^(-alpha-1) dr.  ``eps``
     truncates durations from below for simulation, the only cut the sampler
-    makes.  ``var_tol``, when set, makes the sampler warn if the variance of
-    the dropped durations at the requested window exceeds it.
+    makes; ``small_jump_variance`` gives the variance of the dropped
+    durations in closed form.
     """
 
     alpha: float
     c: float = 1.0
     eps: float = 1e-3
-    var_tol: float | None = None
 
     def __post_init__(self) -> None:
         if not 1.0 < self.alpha < 2.0:
@@ -184,9 +165,6 @@ class TelecomSpec:
         Kept only because bench/workloads.py reads it; delete it with that use.
         """
         return math.inf
-
-    def hurst(self) -> float:
-        return (3.0 - self.alpha) / 2.0
 
 
 def telecom_variance(alpha: float, c: float, x: float, y: float = 1.0) -> float:
@@ -241,13 +219,6 @@ def sample_telecom(
     x = nm.strict_grid("x_grid", x_grid)
     if not y_max > 0:
         raise ValueError("y_max must be positive")
-    if spec.var_tol is not None:
-        bound = small_jump_variance(spec, float(x[-1]), y_max)
-        if bound > spec.var_tol:
-            warnings.warn(
-                f"truncation variance bound {bound:.3e} exceeds var_tol={spec.var_tol:.3e}; decrease eps",
-                stacklevel=2,
-            )
 
     pulse = RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, spec.eps))
     src = shot_noise.ShotNoiseSource(pulse, rate=y_max * spec.c * spec.eps**-spec.alpha)
@@ -439,107 +410,3 @@ def intermediate_kappa_field_chf(theta_vec, points, kappa: float, rho: float, c_
     if not err <= KAPPA_RTOL * abs(value):
         raise RuntimeError(f"kappa-field rule did not converge (error bound {err:.2e} for {value:.6e})")
     return value
-
-
-# -- asymptotic self-similarity of the Telecom field ----------------------------------
-
-
-@dataclass(frozen=True)
-class SsReport:
-    """Ladder of distances between the rescaled field and its scaling limit.
-
-    ``exact_dist`` is deterministic (quadrature ch.f. against the limit
-    ch.f.); ``empirical_dist`` is the Monte Carlo counterpart with standard
-    errors.  ``sampler_consistent`` states whether the empirical ch.f. stayed
-    within three standard errors (plus the truncation allowance) of the exact
-    one at every rung; non-monotone empirical ladders are flagged rather than
-    failed, since the deterministic ladder is the assertable object.
-    """
-
-    direction: str
-    lambdas: tuple
-    theta_grid: tuple
-    exact_dist: tuple
-    empirical_dist: tuple
-    empirical_se: tuple
-    exact_monotone: bool
-    sampler_consistent: bool
-    flags: tuple
-
-
-def asymptotic_ss_check(
-    spec: TelecomSpec,
-    direction: str,
-    lambdas,
-    n_rep: int,
-    rng: np.random.Generator,
-    theta_grid=DEFAULT_THETA_GRID,
-    x: float = 1.0,
-) -> SsReport:
-    """Compare rescaled-field ch.f.s against the Gaussian or stable limit.
-
-    direction "small": lam -> 0, lam^{-h1} J(lam x) against the fractional
-    Brownian marginal; direction "large": lam -> infinity, lam^{-1/alpha}
-    J(lam x) against the one-sided stable law.  n_rep = 0 skips sampling.
-    """
-    if direction not in ("small", "large"):
-        raise ValueError("direction must be 'small' or 'large'")
-    lams = [float(v) for v in lambdas]
-    if any(v <= 0 for v in lams):
-        raise ValueError("lambdas must be positive")
-    a, c = spec.alpha, spec.c
-    h1 = spec.hurst()
-    var_limit = telecom_variance(a, c, 1.0, 1.0)
-    # one-sided stable law with the duration tail constant as its right tail
-    stable = stable_params_from_tails(a, c, 0.0)
-
-    def oracle_logchf(theta: float) -> complex:
-        if direction == "small":
-            return complex(-0.5 * theta * theta * var_limit * x ** (2.0 * h1), 0.0)
-        return x * complex(stable.logchf(theta))
-
-    exponent = -h1 if direction == "small" else -1.0 / a
-    exact_dist = []
-    emp_dist = []
-    emp_se = []
-    flags = []
-    consistent = True
-    for lam in lams:
-        scale = lam**exponent
-        exact = {
-            th: cmath.exp(telecom_logchf(-th * scale, lam * x, a, c, 1.0)) for th in theta_grid
-        }
-        target = {th: cmath.exp(oracle_logchf(th)) for th in theta_grid}
-        exact_dist.append(max(abs(exact[th] - target[th]) for th in theta_grid))
-        if n_rep > 0:
-            draws = sample_telecom(spec, [lam * x], 1.0, rng, n_rep=n_rep)[:, 0] * scale
-            slack_var = small_jump_variance(spec, lam * x, 1.0)
-            dists = []
-            ses = []
-            for th in theta_grid:
-                z = np.exp(1j * th * draws)
-                emp = complex(np.mean(z))
-                se = math.sqrt((np.var(z.real) + np.var(z.imag)) / n_rep)
-                allowance = 0.5 * th * th * scale * scale * slack_var
-                if abs(emp - exact[th]) > 3.0 * se + allowance:
-                    consistent = False
-                dists.append(abs(emp - target[th]))
-                ses.append(se)
-            emp_dist.append(max(dists))
-            emp_se.append(max(ses))
-    exact_monotone = all(b <= a_ for a_, b in zip(exact_dist, exact_dist[1:]))
-    if n_rep > 0 and not all(b <= a_ for a_, b in zip(emp_dist, emp_dist[1:])):
-        flags.append("empirical distances not monotone along the ladder")
-    if not exact_monotone:
-        flags.append("exact distances not monotone along the ladder")
-    return SsReport(
-        direction=direction,
-        lambdas=tuple(lams),
-        theta_grid=tuple(theta_grid),
-        exact_dist=tuple(exact_dist),
-        empirical_dist=tuple(emp_dist),
-        empirical_se=tuple(emp_se),
-        exact_monotone=exact_monotone,
-        sampler_consistent=consistent,
-        flags=tuple(flags),
-    )

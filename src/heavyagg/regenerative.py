@@ -52,7 +52,6 @@ __all__ = [
     "cycle_sample",
     "integrated_path",
     "state_sample",
-    "renewal_function",
     "cov_decomposition",
     "regime_of",
 ]
@@ -400,24 +399,6 @@ def _solve_renewal(dF: np.ndarray) -> np.ndarray:
         left = float(np.dot(dFr[n - i: n - 1], U[1:i]))
         U[i] = (1.0 + 0.5 * (right + left)) / den
     return U
-
-
-def renewal_function(cycle_cdf, t_max: float, dt: float):
-    """Expected renewal count U(t), counting the renewal at time zero.
-
-    Solves U = 1 + F * U on a uniform grid with a trapezoid-weighted
-    Riemann-Stieltjes rule (second order in dt).  ``cycle_cdf`` maps a time
-    grid to cdf values.  U(0) = 1, and exp(1) cycles give U(t) = 1 + t.
-
-    Returns (t, U).
-    """
-    if not (dt > 0 and t_max >= dt):
-        raise ValueError("need 0 < dt <= t_max")
-    n = int(round(t_max / dt))
-    t = np.arange(n + 1) * dt
-    F = np.clip(np.asarray(cycle_cdf(t), dtype=float), 0.0, 1.0)
-    dF = np.clip(np.diff(F), 0.0, None)
-    return t, _solve_renewal(dF)
 
 
 def _conv_trap(kern: np.ndarray, dens: np.ndarray, step: float) -> np.ndarray:

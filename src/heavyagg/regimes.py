@@ -38,10 +38,6 @@ class RegimeSpec:
     constants: dict
     logchf: object = field(default=None, repr=False, compare=False)
 
-    @property
-    def H1(self) -> float:
-        return self.H - self.gamma / 2.0 if self.limit_kind == "FBS" else self.constants.get("H1", float("nan"))
-
 
 def build_regime(
     gamma: float, gamma0: float, alpha: float, constants: dict, stable_tails, intermediate

@@ -19,6 +19,8 @@ import hashlib
 
 import numpy as np
 
+__all__ = ["key_words", "stream"]
+
 
 def key_words(seed: int, tag: str, index: int = 0) -> np.ndarray:
     """Hash (seed, tag, index) into two 64-bit words, the entropy of one stream."""

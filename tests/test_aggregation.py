@@ -97,6 +97,11 @@ def test_rect_increment_degenerate_and_full_rectangles():
     assert np.array_equal(ag.rect_increment(s, 0.0, 1.0, 0.0, 0.5), s.values[:, 2, 0])
     with pytest.raises(ValueError, match="grid point"):
         ag.rect_increment(s, 0.3, 1.0, 0.0, 1.0)
+    # reversed corners bound an empty rectangle, not the negated increment of another
+    with pytest.raises(ValueError, match="x0 <= x1"):
+        ag.rect_increment(s, 1.0, 0.5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="y0 <= y1"):
+        ag.rect_increment(s, 0.5, 1.0, 1.0, 0.5)
 
 
 def count_path_calls(monkeypatch):

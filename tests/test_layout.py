@@ -8,8 +8,11 @@ adaptive ``quad`` (inside ``checked_quad``, which keeps its error bound).
 The package imports only ``special`` and ``integrate`` from scipy.
 Only ``streams`` builds a random source, in the package and in these tests.
 No function gives a draw count (``size`` or ``n_rep``) a None default.
-Every ``__all__`` entry must exist, the benchmark's span tracer must still
-find every entry point it wraps, every script that ``pyproject.toml``
+Every ``__all__`` entry must exist.  Every module but ``__init__`` declares
+``__all__`` and lists each public top-level function and class in it, and
+every listed name is read somewhere in the package or the benchmark, or
+sits on ``TEST_ONLY_NAMES`` with its reason.  The benchmark's span tracer
+must still find every entry point it wraps, every script that ``pyproject.toml``
 declares must resolve, and the benchmark's Telecom point count must match
 the sampler.
 """
@@ -261,6 +264,79 @@ def test_every_public_name_exists():
         module = importlib.import_module(f"heavyagg.{name}")
         missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, missing
+
+
+# public names that no package or benchmark code reads, each kept on purpose
+TEST_ONLY_NAMES = {
+    "aggregation.rect_increment": "rectangle increments of a field sample, which tests of V's increments read",
+    "limit_fields.fbs_covariance": "covariance of the FBS limit, the oracle for Cov V in the Gaussian regime",
+    "limit_fields.sample_fbs_grid": "exact draws of the FBS limit, a two-sample reference for V above gamma0",
+    "limit_fields.sample_stable_sheet": "exact draws of the stable sheet, a two-sample reference for V below gamma0",
+    "limit_fields.telecom_variance": "closed-form variance of the Telecom limit, the oracle of its sampler",
+    "regenerative.cycle_sample": "fresh cycle lengths and masses, the reference of the cycle-tail tests",
+    "regenerative.state_sample": "stationary states along a path, the Monte Carlo side of the covariance tests",
+    "regenerative.cov_decomposition": "Cov = R + h on a grid, the covariance oracle of regenerative sources",
+    "pulses.vanishing_reward": "the model's bounded coupled reward with limit 0, a renewal-reward input",
+    "pulses.RectCoupled": "pulse family: model vocabulary that sources are built from",
+    "pulses.ExpDamped": "pulse family: model vocabulary that sources are built from",
+    "pulses.BrownianPulse": "pulse family: model vocabulary that sources are built from",
+    "pulses.Workload": "pulse family: model vocabulary that sources are built from",
+    "pulses.RenewalReward": "pulse family: model vocabulary that sources are built from",
+    "pulses.MixturePulse": "pulse family: model vocabulary that sources are built from",
+}
+
+
+def exports(path: Path) -> tuple[list[str] | None, list[str]]:
+    """(``__all__`` of ``path``, or None without one; its public top-level defs and classes not listed)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    listed = None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            listed = list(ast.literal_eval(node.value))
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not _private(node.name)]
+    return listed, [name for name in defined if name not in (listed or ())]
+
+
+def referenced(paths) -> set[str]:
+    """Every name that ``paths`` read: ``Name`` ids, ``Attribute`` attrs and imported names."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def unreferenced_exports(modules, scanned) -> list[str]:
+    """``module.name`` for each ``__all__`` entry of ``modules`` that no file in ``scanned`` reads."""
+    names = referenced(scanned)
+    return [f"{path.stem}.{name}" for path in modules for name in exports(path)[0] or () if name not in names]
+
+
+def test_every_public_name_has_a_package_caller(tmp_path):
+    # a name only tests call is a decision to keep code the program never
+    # runs: it either gets a caller or goes on TEST_ONLY_NAMES with a reason
+    probe = tmp_path / "mod.py"
+    probe.write_text('__all__ = ["used", "unused"]\n\n\ndef used():\n    pass\n\n\n'
+                     'def unused():\n    return used()\n\n\ndef unlisted():\n    pass\n')
+    assert exports(probe) == (["used", "unused"], ["unlisted"])
+    assert unreferenced_exports([probe], [probe]) == ["mod.unused"]
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    gaps = []
+    for path in modules:
+        listed, unlisted = exports(path)
+        if listed is None:
+            gaps.append(f"{path.stem} has no __all__")
+        gaps += [f"{path.stem}.{name} not in __all__" for name in unlisted]
+    assert not gaps, gaps
+    scanned = sorted(PACKAGE.glob("*.py")) + sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
+    found = unreferenced_exports(modules, scanned)
+    assert sorted(found) == sorted(TEST_ONLY_NAMES), sorted(set(found) ^ set(TEST_ONLY_NAMES))
 
 
 def test_every_declared_script_resolves():

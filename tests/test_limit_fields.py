@@ -18,6 +18,7 @@ from heavyagg.heavy_tail import (
     StableParams,
     UniformDist,
     sample_stable,
+    stable_params_from_tails,
 )
 from heavyagg.pulses import BrownianPulse, ExpDamped, RectCoupled, RectIndep
 from heavyagg.streams import stream
@@ -318,12 +319,6 @@ def test_telecom_sampler_cross_x_covariance(monkeypatch, small_blocks):
         assert abs(prod.mean() - want) < 4.0 * prod.std() / math.sqrt(n)
 
 
-def test_telecom_sampler_warns_when_budget_exceeded():
-    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.5, var_tol=1e-3)
-    with pytest.warns(UserWarning, match="truncation variance bound"):
-        lf.sample_telecom(spec, [1.0], 1.0, rng_for("tele-warn"), n_rep=2)
-
-
 # -- Telecom characteristic function -------------------------------------------------
 
 
@@ -593,49 +588,31 @@ def test_kappa_field_closed_form_without_warnings_and_error_bound_honest():
     assert err >= abs(value - want)
 
 
-# -- asymptotic self-similarity ladders -----------------------------------------------
+# -- scale limits of the Telecom field ------------------------------------------------
 
 
-def test_ss_check_exact_ladders_monotone():
-    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.01)
-    rng = rng_for("ss-exact")
-    small = lf.asymptotic_ss_check(spec, "small", [1.0, 0.25, 0.0625], 0, rng)
-    large = lf.asymptotic_ss_check(spec, "large", [4.0, 16.0, 64.0], 0, rng)
-    assert small.exact_monotone and large.exact_monotone
-    assert small.exact_dist[-1] < small.exact_dist[0]
-    assert large.exact_dist[-1] < large.exact_dist[0]
-    assert small.empirical_dist == () and large.empirical_dist == ()
-    assert not small.flags and not large.flags
+@pytest.mark.parametrize("direction, lambdas", [("small", (1.0, 0.25, 0.0625)), ("large", (4.0, 16.0, 64.0))],
+                         ids=["small", "large"])
+def test_telecom_field_rescaled_tends_to_its_scale_limits(direction, lambdas):
+    # Gaigalas & Kaj (2003): as lam -> 0, lam**-H1 J(lam) tends to the Gaussian
+    # marginal with H1 = (3 - alpha)/2; as lam -> infinity, lam**(-1/alpha) J(lam)
+    # tends to the one-sided stable law with the duration tail constant as its
+    # right tail.  The sup chf distance over the grid shrinks along each ladder
+    a, c = 1.5, 1.0
+    if direction == "small":
+        exponent, var = -(3.0 - a) / 2.0, lf.telecom_variance(a, c, 1.0, 1.0)
 
+        def limit_logchf(theta):
+            return -0.5 * theta * theta * var
+    else:
+        exponent, stable = -1.0 / a, stable_params_from_tails(a, c, 0.0)
 
-def test_ss_check_sampler_consistency_at_one_rung():
-    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.01)
-    report = lf.asymptotic_ss_check(spec, "small", [0.25], 5000, rng_for("ss-mc"))
-    assert report.sampler_consistent
-    assert len(report.empirical_dist) == 1 and report.empirical_se[0] > 0.0
+        def limit_logchf(theta):
+            return complex(stable.logchf(theta))
 
-
-def test_ss_check_rejects_bad_arguments():
-    spec = lf.TelecomSpec(alpha=1.5, c=1.0)
-    with pytest.raises(ValueError):
-        lf.asymptotic_ss_check(spec, "sideways", [1.0], 0, rng_for("ss-bad"))
-    with pytest.raises(ValueError):
-        lf.asymptotic_ss_check(spec, "small", [0.0], 0, rng_for("ss-bad"))
-
-
-# -- admissible scaling exponents -----------------------------------------------------
-
-
-def test_hurst_range_of_known_limits():
-    # fast-growth Gaussian branch of rectangular sessions: H = (3 - rho)/2 + gamma/2
-    for rho in (1.2, 1.5, 1.8):
-        h1 = (3.0 - rho) / 2.0
-        for gamma in (rho - 1.0 + 0.2, 1.0, 2.0):
-            assert lf.hurst_range_ok(gamma, h1 + gamma / 2.0)
-        # slow-growth stable branch: H = (1 + gamma)/rho
-        for gamma in (0.1, (rho - 1.0) / 2.0):
-            assert lf.hurst_range_ok(gamma, (1.0 + gamma) / rho)
-        # critical point: H = 1 at gamma = rho - 1
-        assert lf.hurst_range_ok(rho - 1.0, 1.0)
-    assert not lf.hurst_range_ok(0.5, 1.8)
-    assert not lf.hurst_range_ok(2.0, 0.9)
+    thetas = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 4.0)
+    dist = [max(abs(cmath.exp(lf.telecom_logchf(-th * lam**exponent, lam, a, c)) - cmath.exp(limit_logchf(th)))
+                for th in thetas)
+            for lam in lambdas]
+    assert all(later <= earlier for earlier, later in zip(dist, dist[1:]))
+    assert dist[-1] < dist[0]

@@ -25,7 +25,9 @@ from heavyagg import heavy_tail as ht
 from heavyagg import pulses
 from heavyagg import regenerative as rg
 from heavyagg import streams
-from heavyagg.limit_fields import DEFAULT_THETA_GRID, telecom_logchf
+from heavyagg.limit_fields import telecom_logchf
+
+from tail_stats import hill_estimate
 
 
 def rng_for(tag, index=0):
@@ -78,7 +80,7 @@ def test_busy_period_law_descriptors():
 def test_busy_period_tail_index():
     law = rg.BusyPeriodLaw(ht.RegVaryingDist(1.5, 1.0 / 6.0))
     s = law.sample(rng_for("rg/busy-hill", 1), size=400000)
-    assert ht.hill_estimate(s, 600) == pytest.approx(1.5, abs=0.15)
+    assert hill_estimate(s, 600) == pytest.approx(1.5, abs=0.15)
 
 
 def test_busy_period_cap_guard():
@@ -159,7 +161,7 @@ def test_tilde_mass_tail_routes_on_off():
     # busy leg heavy: the positive side carries the cycle tail index, the
     # negative side is capped by the exponential idle leg
     td = centered_masses(onoff_model(), rng_for("rg/tilde-mg1"), 250000)
-    assert ht.hill_estimate(td[td > 0]) == pytest.approx(1.5, abs=0.25)
+    assert hill_estimate(td[td > 0]) == pytest.approx(1.5, abs=0.25)
     assert td.max() > 100.0
     assert -td.min() < 30.0
 
@@ -172,8 +174,8 @@ def test_tilde_mass_tail_routes_exp_damped():
     # ~0.045 (positive side), 4.5+ spreads inside the +-0.25 bounds; 200k
     # draws and k = 200 missed them on a few keys in 60
     td = centered_masses(exp_damped_model(), rng_for("rg/tilde-ed"), 2_000_000)
-    assert ht.hill_estimate(-td[td < 0], 2000) == pytest.approx(1.5, abs=0.25)
-    assert ht.hill_estimate(td[td > 0], 2000) == pytest.approx(2.0, abs=0.25)
+    assert hill_estimate(-td[td < 0], 2000) == pytest.approx(1.5, abs=0.25)
+    assert hill_estimate(td[td > 0], 2000) == pytest.approx(2.0, abs=0.25)
 
 
 def test_integrated_sample_mean_and_variance():
@@ -255,25 +257,27 @@ def test_state_cov_matches_grid_workload():
 # -- renewal function -----------------------------------------------------------------
 
 
+def renewal_function(cycle_cdf, t_max, dt):
+    """(t, U) on the grid of step dt: the solver behind cov_decomposition, fed cdf increments."""
+    t = np.arange(int(round(t_max / dt)) + 1) * dt
+    return t, rg._solve_renewal(np.clip(np.diff(np.clip(cycle_cdf(t), 0.0, 1.0)), 0.0, None))
+
+
 def test_renewal_function_exponential_closed_form():
-    t, U = rg.renewal_function(lambda s: 1.0 - np.exp(-np.asarray(s)), 20.0, 0.01)
+    t, U = renewal_function(lambda s: 1.0 - np.exp(-np.asarray(s)), 20.0, 0.01)
     assert U[0] == 1.0
     assert np.max(np.abs(U - (1.0 + t))) < 5e-4
 
 
 def test_renewal_function_uniform_closed_form():
     # uniform(0,1) cycles: U(t) = exp(t) on [0, 1]
-    t, U = rg.renewal_function(lambda s: np.clip(np.asarray(s, dtype=float), 0.0, 1.0), 1.0, 0.005)
+    t, U = renewal_function(lambda s: np.clip(np.asarray(s, dtype=float), 0.0, 1.0), 1.0, 0.005)
     assert np.max(np.abs(U - np.exp(t))) < 5e-5
 
 
 def test_renewal_function_validation_and_monotonicity():
-    with pytest.raises(ValueError):
-        rg.renewal_function(lambda s: np.asarray(s), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        rg.renewal_function(lambda s: np.asarray(s), 0.05, 0.1)
     dist = ht.RegVaryingDist(1.5, 1.0)
-    _, U = rg.renewal_function(dist.cdf, 30.0, 0.05)
+    _, U = renewal_function(dist.cdf, 30.0, 0.05)
     assert U[0] == 1.0
     assert np.all(np.diff(U) >= -1e-12)
 
@@ -422,7 +426,7 @@ def test_on_off_critical_regime_matches_direct_route():
     assert spec.H == 1.0
     assert spec.constants["prefactor"] == pytest.approx(0.25)
     for x, y in [(1.0, 1.0), (2.0, 3.0)]:
-        for theta in DEFAULT_THETA_GRID:
+        for theta in (-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 4.0):
             direct = y * telecom_logchf(-theta, x, 1.5, 1.0, 4.0)
             assert spec.logchf(theta, x, y) == pytest.approx(direct, abs=1e-12)
     # conjugate symmetry of the limit law
@@ -508,9 +512,11 @@ def test_exp_damped_regimes():
 def test_critical_exponent_survives_float_rounding():
     # gamma0 = 1.4 - 1.0 == 0.3999999999999999, yet gamma = 0.4 is critical
     model = onoff_model(alpha=1.4)
-    assert rg.regime_of(model, 0.4).limit_kind == "Intermediate"
-    assert rg.regime_of(model, 0.4 + 1e-9).limit_kind == "FBS"
-    assert rg.regime_of(model, 0.4 - 1e-9).limit_kind == "StableSheet"
+    entries = [rg.regime_of(model, g) for g in (0.4, 0.4 + 1e-9, 0.4 - 1e-9)]
+    assert [e.limit_kind for e in entries] == ["Intermediate", "FBS", "StableSheet"]
+    for e in entries:
+        # the exponents every aggregation limit admits
+        assert 0.0 <= e.H <= 1.0 + e.gamma and 0.0 <= e.H - e.gamma / 2.0 <= 1.0
 
 
 def test_regime_validation():

@@ -250,7 +250,8 @@ def test_regime_h_continuous_at_gamma0():
         sn.ShotNoiseSource(pl.BrownianPulse(R=ht.RegVaryingDist(2.5, 1.0))),
     ]
     for src in sources:
-        g0 = sn.regime_of(src, 0.1).gamma0
+        low = sn.regime_of(src, 0.1)
+        g0 = low.gamma0
         above = sn.regime_of(src, g0 + 1e-10)
         below = sn.regime_of(src, g0 - 1e-10)
         at = sn.regime_of(src, g0)
@@ -258,6 +259,9 @@ def test_regime_h_continuous_at_gamma0():
         assert at.limit_kind == "Intermediate"
         assert abs(above.H - below.H) <= 1e-9
         assert abs(at.H - above.H) <= 1e-9
+        for e in (low, below, at, above, sn.regime_of(src, 2.0 * g0)):
+            # the exponents every aggregation limit admits
+            assert 0.0 <= e.H <= 1.0 + e.gamma and 0.0 <= e.H - e.gamma / 2.0 <= 1.0
 
 
 @pytest.mark.parametrize("gamma, kind", [(1.0, "FBS"), (0.5, "Intermediate"), (0.2, "StableSheet")])
