@@ -2,10 +2,10 @@
 
 This module is the probabilistic bedrock of the lab: the exact Pareto law
 that every heavy-tailed leg and duration follows, with an exact inverse-CDF
-sampler; totally and partially skewed stable laws with the
-Chambers-Mallows-Stuck sampler and the tail-constant to stable-parameter
-map; and exact length-biased (stationary age / residual) sampling used to
-start regenerative processes in steady state.
+sampler; the log characteristic function of totally and partially skewed
+stable laws and the tail-constant to stable-parameter map; and exact
+length-biased (stationary age) sampling used to start pulses and cycles in
+steady state.
 
 Conventions
 -----------
@@ -45,7 +45,6 @@ __all__ = [
     "LowTailPowerDist",
     "StableParams",
     "stable_params_from_tails",
-    "sample_stable",
     "sample_length_biased_pair",
 ]
 
@@ -369,42 +368,15 @@ def stable_params_from_tails(alpha: float, c_plus: float, c_minus: float) -> Sta
     return StableParams(alpha, sigma_alpha ** (1.0 / alpha), beta)
 
 
-def sample_stable(params: StableParams, rng: np.random.Generator, size):
-    """Chambers-Mallows-Stuck draws from a stable law with zero mean.
-
-    Uses the standard polar construction: with V uniform on (-pi/2, pi/2) and
-    W standard exponential,
-
-        X = S * sin(a(V+B)) / cos(V)**(1/a) * (cos(V - a(V+B)) / W)**((1-a)/a)
-
-    where B = atan(beta tan(pi a/2)) / a and S = (1 + beta^2 tan^2(pi a/2))**(1/2a);
-    sigma scales the result.
-    """
-    a, beta, sigma = params.alpha, params.beta, params.sigma
-    if sigma == 0.0:
-        return np.zeros(size)
-    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
-    w = rng.exponential(1.0, size)
-    t = math.tan(math.pi * a / 2.0)
-    b = math.atan(beta * t) / a
-    s = (1.0 + beta * beta * t * t) ** (1.0 / (2.0 * a))
-    core = s * np.sin(a * (v + b)) / np.cos(v) ** (1.0 / a) \
-        * (np.cos(v - a * (v + b)) / w) ** ((1.0 - a) / a)
-    return sigma * core
-
-
 # -- steady-state sampling ---------------------------------------------------------
 
 
 def sample_length_biased_pair(dist, rng: np.random.Generator, size):
-    """Stationary (age, residual, total) arrays for cycles with law ``dist``.
+    """Stationary (age, total) arrays for cycles with law ``dist``.
 
     The total is a length-biased draw and the age is uniform on (0, total);
-    marginally both age and residual then follow the stationary excess law
-    with survival ``integrated_survival(t) / mean``.
+    marginally both the age and the residual ``total - age`` then follow the
+    stationary excess law with survival ``integrated_survival(t) / mean``.
     """
     total = dist.sample_length_biased(rng, size)
-    u = rng.random(size)
-    age = u * total
-    residual = total - age
-    return age, residual, total
+    return rng.random(size) * total, total

@@ -1,13 +1,14 @@
-"""Exact samplers and characteristic-function oracles for the limit fields.
+"""Laws of the limit fields: covariance and characteristic-function oracles.
 
 Aggregated heavy-tailed traffic settles, after rescaling, into one of three
 limit objects: a fractional Brownian sheet (Gaussian branch), an alpha-stable
 Levy sheet (independent-increment branch), or the Telecom random field at the
-critical growth exponent.  This module provides exact finite-dimensional
-samplers for all three, closed-form or fixed-rule oracles for their
-characteristic functions and variances, and a fourth field (the kappa-stable
-field driven by a product power measure on amplitude and duration) used as a
-counterexample oracle.
+critical growth exponent.  Each is stated by its law: the sheet's closed-form
+covariance (``fbs_covariance``), the stable sheet's chf (``RegimeSpec.logchf``
+on the heavy_tail module's stable parameters), and fixed-rule oracles for the
+Telecom field's chf and variances, with an exact sampler of that field.  A
+fourth field (the kappa-stable field driven by a product power measure on
+amplitude and duration) is a counterexample oracle.
 
 The Telecom field is the critical limit of unit rectangular shot noise, so
 both its sampler and its chf run on the shot-noise module.  Cut at durations
@@ -22,22 +23,19 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
 from . import shot_noise
-from .heavy_tail import DegenerateDist, RegVaryingDist, StableParams, sample_stable
+from .heavy_tail import DegenerateDist, RegVaryingDist
 from .pulses import RectIndep
 
 __all__ = [
     "FbsSpec",
     "TelecomSpec",
     "fbs_covariance",
-    "sample_fbs_grid",
-    "sample_stable_sheet",
     "sample_telecom",
     "telecom_variance",
     "small_jump_variance",
@@ -78,61 +76,6 @@ def fbs_covariance(spec: FbsSpec, p, q) -> float:
     return 0.25 * spec.c_w**2 * part_x * part_y
 
 
-def _fbm_cholesky(h1: float, x: np.ndarray) -> np.ndarray:
-    g = 2.0 * h1
-    cov = 0.5 * (x[:, None] ** g + x[None, :] ** g - np.abs(x[:, None] - x[None, :]) ** g)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.max(np.diag(cov)))
-        warnings.warn(
-            f"covariance factorization needed a diagonal jitter of {jitter:.3e}",
-            stacklevel=3,
-        )
-        return np.linalg.cholesky(cov + jitter * np.eye(x.size))
-
-
-def sample_fbs_grid(spec: FbsSpec, x_grid, y_grid, rng: np.random.Generator, n_rep: int):
-    """Draw the sheet on the product grid; shape (n_rep, n_x, n_y).
-
-    The x-covariance matrix is factorized once; the y-direction uses exact
-    independent Brownian increments between consecutive grid levels, so the
-    product-covariance structure holds exactly on the grid.
-    """
-    x = nm.strict_grid("x_grid", x_grid)
-    y = nm.strict_grid("y_grid", y_grid)
-    if n_rep < 1:
-        raise ValueError("n_rep must be at least 1")
-    chol = _fbm_cholesky(spec.h1, x)
-    dy = np.diff(y, prepend=0.0)
-    noise = rng.standard_normal((n_rep, y.size, x.size))
-    correlated = noise @ chol.T
-    field = spec.c_w * np.cumsum(correlated * np.sqrt(dy)[None, :, None], axis=1)
-    return np.swapaxes(field, 1, 2)
-
-
-# -- stable Levy sheet --------------------------------------------------------------
-
-
-def sample_stable_sheet(params: StableParams, x_grid, y_grid, rng: np.random.Generator, n_rep: int):
-    """Draw the independently scattered stable sheet on the product grid; shape (n_rep, n_x, n_y).
-
-    Cell increments over the rectangles between consecutive grid lines (with
-    an implicit 0 line on each axis) are independent stable draws with scale
-    multiplied by (cell area)^(1/alpha); the field is their cumulative 2-D sum.
-    """
-    x = nm.strict_grid("x_grid", x_grid)
-    y = nm.strict_grid("y_grid", y_grid)
-    if n_rep < 1:
-        raise ValueError("n_rep must be at least 1")
-    dx = np.diff(x, prepend=0.0)
-    dy = np.diff(y, prepend=0.0)
-    area = dx[:, None] * dy[None, :]
-    cells = sample_stable(params, rng, size=n_rep * x.size * y.size).reshape(n_rep, x.size, y.size)
-    cells = cells * area[None, :, :] ** (1.0 / params.alpha)
-    return np.cumsum(np.cumsum(cells, axis=1), axis=2)
-
-
 # -- Telecom random field -----------------------------------------------------------
 
 
@@ -167,8 +110,14 @@ class TelecomSpec:
         return math.inf
 
 
+def _check_point(x: float, y: float) -> None:
+    if not (x >= 0 and y >= 0):
+        raise ValueError(f"x and y must be nonnegative, got x={x}, y={y}")
+
+
 def telecom_variance(alpha: float, c: float, x: float, y: float = 1.0) -> float:
     """Var of the field at (x, y): 2 c x^(3-alpha) y / ((alpha-1)(2-alpha)(3-alpha))."""
+    _check_point(x, y)
     return 2.0 * c * x ** (3.0 - alpha) * y / ((alpha - 1.0) * (2.0 - alpha) * (3.0 - alpha))
 
 
@@ -177,8 +126,12 @@ def small_jump_variance(spec: TelecomSpec, x: float, y: float = 1.0) -> float:
 
     The squared-overlap integral is r**2 * x - r**3/3 for r <= x and
     2*x**3/3 + (r - x)*x**2 beyond, integrated against the duration measure.
-    This is the sampler's whole truncation budget.
+    This is the sampler's whole truncation budget; the field vanishes at
+    x = 0, and so does the budget.
     """
+    _check_point(x, y)
+    if x == 0.0:
+        return 0.0
     a, c, e = spec.alpha, spec.c, spec.eps
     lo = min(e, x)
     val = x * lo ** (2.0 - a) / (2.0 - a) - lo ** (3.0 - a) / (3.0 * (3.0 - a))
@@ -217,8 +170,8 @@ def sample_telecom(
     one pulse block's temporaries however many pulses it draws.
     """
     x = nm.strict_grid("x_grid", x_grid)
-    if not y_max > 0:
-        raise ValueError("y_max must be positive")
+    if not 0 < y_max < math.inf:
+        raise ValueError(f"y_max must be positive and finite, got {y_max}")
 
     pulse = RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, spec.eps))
     src = shot_noise.ShotNoiseSource(pulse, rate=y_max * spec.c * spec.eps**-spec.alpha)

@@ -293,7 +293,7 @@ def _fresh_duration_mark(model, rng, n):
 
 
 def _aged_duration_mark(model, rng, n):
-    age, _, r = sample_length_biased_pair(model.R, rng, n)
+    age, r = sample_length_biased_pair(model.R, rng, n)
     return age, r, model.A.sample(rng, n)
 
 
@@ -303,7 +303,7 @@ def _fresh_coupled(model, rng, n):
 
 
 def _aged_coupled(model, rng, n):
-    age, _, d = sample_length_biased_pair(duration_dist(model), rng, n)
+    age, d = sample_length_biased_pair(duration_dist(model), rng, n)
     return age, d, d ** ((1.0 - model.p) / model.p)
 
 
@@ -312,7 +312,7 @@ def _fresh_brownian(model, rng, n):
 
 
 def _aged_brownian(model, rng, n):
-    age, _, r = sample_length_biased_pair(model.R, rng, n)
+    age, r = sample_length_biased_pair(model.R, rng, n)
     return age, r, None
 
 
@@ -347,7 +347,7 @@ def _fresh_reward(model, rng, n):
 
 
 def _aged_reward(model, rng, n):
-    age, _, z = sample_length_biased_pair(model.Z, rng, n)
+    age, z = sample_length_biased_pair(model.Z, rng, n)
     return age, z, model.reward.sample_given_z(z, rng)
 
 

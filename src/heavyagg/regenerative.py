@@ -460,21 +460,6 @@ def _recurrence_grid(model: RegenModel, t_max: float, step: float):
     return t, U, z, G0, G1, h
 
 
-def _cycle_tail(model: RegenModel):
-    """(alpha, c) with P(cycle > t) ~ c t^(-alpha); (inf, 0) when no leg is regularly varying."""
-    p = model.pulse
-    if p.kind in ("on-off", "workload"):
-        legs = [leg for leg in (p.Zon, p.Zoff) if isinstance(leg, RegVaryingDist)]
-        if not legs:
-            return math.inf, 0.0
-        alpha = min(leg.alpha for leg in legs)
-        return alpha, sum(leg.tail_constant() for leg in legs if leg.alpha == alpha)
-    law = p.Z if p.kind == "renewal-reward" else p.R
-    if not isinstance(law, RegVaryingDist):
-        return math.inf, 0.0
-    return law.alpha, law.tail_constant()
-
-
 @dataclass(frozen=True)
 class CovDecomposition:
     """Stationary covariance Cov(t) = R(t) + h(t) on a uniform grid.
@@ -482,15 +467,12 @@ class CovDecomposition:
     R carries the within-pulse part.  h carries the cycle-recurrence part,
     built from the renewal function U of the cycle-length law and the
     boundary kernels G0 (pulse seen from the cycle end) and G1 (pulse seen
-    from the cycle start) through their convolution z.  The h grid is solved at two resolutions with second-order trapezoid
-    rules and Richardson extrapolated; ``richardson_err`` records the size
-    of the applied correction, a proxy for the remaining discretization
-    error.
-
-    ``h_asymptote`` is the predicted coefficient of t^(-(alpha - 1)) in h,
-    (c_Z * m / mu - c_star) / ((alpha - 1) * mu^2) with m the squared mean
-    cycle mass and c_star the tail constant of z, when that bookkeeping
-    applies; otherwise None with a note in ``caveats``.
+    from the cycle start) through their convolution z.  The h grid is solved
+    at two resolutions with second-order trapezoid rules and Richardson
+    extrapolated; ``richardson_err`` records the size of the applied
+    correction, a proxy for the remaining discretization error.  Where
+    ``regime_of`` has an entry, its c_X is the constant of the power tail
+    Cov(t) ~ c_X * t**(1 - alpha).
     """
 
     t: np.ndarray
@@ -503,11 +485,7 @@ class CovDecomposition:
     U: np.ndarray
     mu: float
     mean_rate: float
-    c_star: float
-    m: float
-    h_asymptote: object
     richardson_err: float
-    caveats: tuple
 
     @property
     def cov(self) -> np.ndarray:
@@ -539,35 +517,9 @@ def cov_decomposition(model: RegenModel, t_max: float, dt: float) -> CovDecompos
     h = (4.0 * hf[::2] - hc) / 3.0
     rich = float(np.max(np.abs(hf[::2] - hc))) / 3.0
     R = pulses.cov_integral(p, tc) / model.mu
-
-    mu = model.mu
-    mu_w = pulses.mean_mass(p)
-    m = mu_w * mu_w
-    alpha, c_z = _cycle_tail(model)
-    caveats = []
-    c_star = 0.0
-    if not np.isfinite(alpha):
-        h_asym = None
-        caveats.append("cycle law is not regularly varying; no power-tail asymptote")
-    elif p.kind == "workload":
-        c_star = math.nan
-        h_asym = None
-        caveats.append(
-            "draining-workload boundary kernels decay one power slower than the cycle "
-            "tail, so the z-tail bookkeeping behind the h asymptote does not apply"
-        )
-    else:
-        if p.kind == "on-off":
-            on_heavy = isinstance(p.Zon, RegVaryingDist) and p.Zon.alpha == alpha
-            c_star = 2.0 * p.Zon.tail_constant() * p.Zon.mean() if on_heavy else 0.0
-        elif p.kind == "renewal-reward":
-            w1 = p.reward.limit_expect(lambda w: w)
-            c_star = 2.0 * c_z * w1 * mu_w
-        h_asym = (c_z * m / mu - c_star) / ((alpha - 1.0) * mu * mu)
     return CovDecomposition(
         t=tc, dt=dt, R=R, h=h, z=zf[::2], G0=G0f[::2], G1=G1f[::2], U=Uf[::2],
-        mu=mu, mean_rate=model.mean_rate, c_star=c_star, m=m,
-        h_asymptote=h_asym, richardson_err=rich, caveats=tuple(caveats),
+        mu=model.mu, mean_rate=model.mean_rate, richardson_err=rich,
     )
 
 

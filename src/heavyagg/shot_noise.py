@@ -6,10 +6,12 @@ exact-in-law samples of the windowed integrals int X(t) dt over consecutive
 windows: arrivals inside each window are a Poisson(rate * width) batch with
 uniform positions, and pulses already alive at the first window's start are
 a Poisson(rate * E[D]) batch whose (age, duration) pairs come from the exact
-length-biased device.  No truncation horizon is involved anywhere.  Only
-the counts are drawn for the whole call; the pulses themselves are walked in
-fixed blocks of ``PULSE_BLOCK``, so the memory of a call is its output and
-its per-cell counts plus one block's temporaries, however many replicates it
+length-biased device.  A mixture of pulse families samples as the
+superposition of one source per component (Poisson thinning).  No
+truncation horizon is involved anywhere.  Only the counts are drawn for the
+whole call; the pulses themselves are walked in fixed blocks of
+``PULSE_BLOCK``, so the memory of a call is its output and its per-cell
+counts plus one block's temporaries, however many replicates it
 draws.  Every pulse is evaluated only on the windows it touches;
 deterministic pulses through the per-family kernels of the pulses module,
 Brownian pulses through a Gaussian recursion that carries the path value
@@ -73,7 +75,7 @@ class ShotNoiseSource:
             )
         if not self.rate > 0:
             raise ValueError("rate must be positive")
-        for m in self._leaves():
+        for m in self.pulse.components if self.pulse.kind == "mixture" else (self.pulse,):
             if m.kind not in _SHOT_FAMILIES[:-1]:
                 raise ValueError(
                     f"mixture components must be plain shot-noise families, got {m.kind!r}"
@@ -88,11 +90,6 @@ class ShotNoiseSource:
                 )
             if m.kind == "brownian" and alpha <= 2.0:
                 raise ValueError("Brownian pulses need duration tail index > 2")
-
-    def _leaves(self):
-        if self.pulse.kind == "mixture":
-            return list(self.pulse.components)
-        return [self.pulse]
 
     @property
     def mean_duration(self) -> float:
@@ -212,23 +209,6 @@ def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
     out += np.bincount(cell[pulse] + step, tail, out.size)
 
 
-def _leaf_groups(model, probs, rng, k):
-    """Yield (leaf, index, count) for k pulses split over the model's leaf families.
-
-    A mixture draws each pulse's component with probabilities ``probs``; a
-    plain family takes all k pulses through a slice, without drawing.
-    """
-    if model.kind != "mixture":
-        if k:
-            yield model, slice(None), k
-        return
-    comp = rng.choice(len(model.components), size=k, p=probs)
-    for ci, leaf in enumerate(model.components):
-        idx = np.flatnonzero(comp == ci)
-        if idx.size:
-            yield leaf, idx, idx.size
-
-
 # Pulses per block of the path kernel.  A per-pulse temporary of one block
 # is 128 KiB of float64: the dozen or so a block allocates stay inside L2
 # (2 MiB per core on the 2-vCPU Xeon measured), and glibc serves them from
@@ -288,7 +268,18 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     O(pulses + cells touched), not O(pulses * n_windows).  Brownian pulses
     go through the same cells and carry their path value from one touched
     window to the next.
+
+    A mixture with weights w at rate q is, by Poisson thinning, the sum of
+    independent component sources at rates q * w: one call per component of
+    positive weight, in component order, and each block calls one family's
+    kernel.
     """
+    model = src.pulse
+    if model.kind == "mixture":
+        # Poisson thinning: a mixture at rate q is the superposition of
+        # independent component sources at rates q * w, one call each
+        return sum(integrated_path_batch(ShotNoiseSource(leaf, src.rate * w), cuts, rng, n_rep, copies)
+                   for leaf, w in zip(model.components, model.weights) if w > 0)
     cuts = nm.strict_grid("cuts", cuts)
     if n_rep < 1:
         raise ValueError("n_rep must be at least 1")
@@ -301,16 +292,10 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     nx = cuts.size
     lows = np.concatenate(([0.0], cuts[:-1]))
     widths = cuts - lows
-    model = src.pulse
+    kernel = pl.KERNELS[model.kind]
     out = np.zeros(n_rep * nx)
     n_new = rng.poisson(rate[..., None] * widths, (n_rep, nx)).ravel()
     n_old = rng.poisson(rate * mean_d, n_rep)
-    fresh_probs = aged_probs = None
-    if model.kind == "mixture":
-        # a mixture's alive-pulse component is size-biased by its mean duration
-        fresh_probs = model.weights
-        aged_probs = np.array(model.weights) * [pl.duration_mean(c) for c in model.components]
-        aged_probs /= aged_probs.sum()
 
     # pulses arriving inside a cell, at offset s from its start; a block's
     # cells lie in replicates r0 <= r < r1, so it adds into that slice of out
@@ -320,19 +305,15 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
         r0, r1 = cells.start // nx, (cells.stop - 1) // nx + 1
         cell = np.repeat(np.arange(cells.start - r0 * nx, cells.stop - r0 * nx), share)
         width = np.repeat(cell_width[cells], share)
-        for leaf, idx, k in _leaf_groups(model, fresh_probs, rng, cell.size):
-            w = width[idx]
-            s = w * rng.random(k)
-            d, m = pl.KERNELS[leaf.kind].fresh(leaf, rng, k)
-            _add_cells(out[r0 * nx:r1 * nx], leaf, d, m, -s, w - s, cell[idx], lows, cuts, rng)
+        s = width * rng.random(cell.size)
+        d, m = kernel.fresh(model, rng, cell.size)
+        _add_cells(out[r0 * nx:r1 * nx], model, d, m, -s, width - s, cell, lows, cuts, rng)
 
     # pulses alive at time zero, anchored at the negated stationary age
     for reps, share in _pulse_blocks(n_old):
         cell = np.repeat(np.arange(0, (reps.stop - reps.start) * nx, nx), share)
-        for leaf, idx, k in _leaf_groups(model, aged_probs, rng, cell.size):
-            age, d, m = pl.KERNELS[leaf.kind].aged(leaf, rng, k)
-            _add_cells(out[reps.start * nx:reps.stop * nx], leaf, d, m, age, age + cuts[0], cell[idx],
-                       lows, cuts, rng)
+        age, d, m = kernel.aged(model, rng, cell.size)
+        _add_cells(out[reps.start * nx:reps.stop * nx], model, d, m, age, age + cuts[0], cell, lows, cuts, rng)
     return out.reshape(n_rep, nx)
 
 
@@ -463,6 +444,8 @@ def intermediate_logchf(model, theta: float, x: float, y: float = 1.0) -> comple
     family runs one fixed rule (``_chf_rule``) at ``CHF_NODES`` and at twice
     every order; RuntimeError when the two differ by more than ``CHF_RTOL``.
     """
+    if not x > 0:
+        raise ValueError("x must be positive")
     if theta == 0.0:
         return 0.0 + 0.0j
     value, err = _intermediate_logchf(model, theta, x)

@@ -84,8 +84,8 @@ def test_length_biased_sampling_all_kinds():
 
 def test_length_biased_pair_stationary_excess_law():
     d = ht.RegVaryingDist(1.5, 1.0)
-    age, res, total = ht.sample_length_biased_pair(d, rng_for("ht/lb-pair"), 50_000)
-    assert np.allclose(age + res, total)
+    age, total = ht.sample_length_biased_pair(d, rng_for("ht/lb-pair"), 50_000)
+    res = total - age
     # age and residual are exchangeable
     p = stats.ks_2samp(age, res).pvalue
     assert p > 0.01
@@ -239,40 +239,6 @@ def test_compensated_tail_integral_quadrature_oracle():
         got = complex(re_near + re_osc - 1.0 / alpha, im_near + im_osc - 1.0 / (alpha - 1.0))
         want = special.gamma(2.0 - alpha) / ((alpha - 1.0) * alpha) * np.exp(-1j * math.pi * alpha / 2)
         assert abs(got - want) / abs(want) < 1e-6
-
-
-def test_sample_stable_chf_matches_oracle():
-    p = ht.StableParams(1.5, 1.0, 0.6)
-    x = ht.sample_stable(p, rng_for("ht/stable-chf"), 400_000)
-    for theta in (0.5, 1.0, 2.0):
-        emp = np.exp(1j * theta * x)
-        want = complex(np.exp(p.logchf(theta)))
-        for part in (np.real, np.imag):
-            se = np.std(part(emp)) / math.sqrt(x.size)
-            assert abs(np.mean(part(emp)) - part(want)) < 3.5 * se
-
-
-def test_sample_stable_mirror_symmetry():
-    pos = ht.sample_stable(ht.StableParams(1.5, 1.0, 0.7), rng_for("ht/stable-mirror", 0), 100_000)
-    neg = ht.sample_stable(ht.StableParams(1.5, 1.0, -0.7), rng_for("ht/stable-mirror", 1), 100_000)
-    assert stats.ks_2samp(pos, -neg).pvalue > 0.01
-
-
-def test_sample_stable_zero_scale():
-    p = ht.StableParams(1.5, 0.0, 0.3)
-    assert np.all(ht.sample_stable(p, rng_for("ht/stable-zero"), 8) == 0.0)
-
-
-def test_stable_totally_skewed_tail_constant():
-    """P(X > x) ~ c_plus x^{-alpha} for the law built from (c_plus, c_minus) = (1, 0)."""
-    p = ht.stable_params_from_tails(1.5, 1.0, 0.0)
-    x = ht.sample_stable(p, rng_for("ht/stable-tail"), 2_000_000)
-    for level in (20.0, 50.0):
-        want = level**-1.5
-        got = np.mean(x > level)
-        se = math.sqrt(want * (1 - want) / x.size)
-        # asymptotic statement: allow 3 SE plus a 10% modeling slack
-        assert abs(got - want) < 3 * se + 0.1 * want, level
 
 
 # -- Hill estimator ------------------------------------------------------------------

@@ -7,6 +7,7 @@ module reads the process environment, and only ``numerics`` calls scipy's
 adaptive ``quad`` (inside ``checked_quad``, which keeps its error bound).
 The package imports only ``special`` and ``integrate`` from scipy.
 Only ``streams`` builds a random source, in the package and in these tests.
+No module imports ``warnings`` or calls a ``.warn`` method.
 No function gives a draw count (``size`` or ``n_rep``) a None default.
 Every ``__all__`` entry must exist.  Every module but ``__init__`` declares
 ``__all__`` and lists each public top-level function and class in it, and
@@ -222,6 +223,33 @@ def test_only_streams_builds_a_random_source(tmp_path):
     assert "Philox" not in "".join(path.read_text() for path in PACKAGE.glob("*.py"))
 
 
+def warning_uses(path: Path) -> list[str]:
+    """Lines of ``path`` that import ``warnings`` or call a ``.warn`` method."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{path.name}:{node.lineno} imports warnings" for a in node.names
+                      if a.name.split(".")[0] == "warnings"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "warnings":
+            found.append(f"{path.name}:{node.lineno} imports warnings")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "warn":
+            found.append(f"{path.name}:{node.lineno} calls .warn")
+    return found
+
+
+def test_package_never_warns(tmp_path):
+    # what a sampler or oracle did goes back to its caller as data: a warning
+    # is text on stderr that a caller can neither read nor test
+    probe = tmp_path / "mod.py"
+    probe.write_text("import warnings\nfrom warnings import warn\nimport os\n"
+                     "warnings.warn('x')\nlog.warn('y')\nlog.warning('z')\n")
+    assert warning_uses(probe) == ["mod.py:1 imports warnings", "mod.py:2 imports warnings",
+                                   "mod.py:4 calls .warn", "mod.py:5 calls .warn"]
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in warning_uses(path)]
+    assert not found, found
+
+
 COUNT_PARAMETERS = ("size", "n_rep")
 
 
@@ -270,8 +298,6 @@ def test_every_public_name_exists():
 TEST_ONLY_NAMES = {
     "aggregation.rect_increment": "rectangle increments of a field sample, which tests of V's increments read",
     "limit_fields.fbs_covariance": "covariance of the FBS limit, the oracle for Cov V in the Gaussian regime",
-    "limit_fields.sample_fbs_grid": "exact draws of the FBS limit, a two-sample reference for V above gamma0",
-    "limit_fields.sample_stable_sheet": "exact draws of the stable sheet, a two-sample reference for V below gamma0",
     "limit_fields.telecom_variance": "closed-form variance of the Telecom limit, the oracle of its sampler",
     "regenerative.cycle_sample": "fresh cycle lengths and masses, the reference of the cycle-tail tests",
     "regenerative.state_sample": "stationary states along a path, the Monte Carlo side of the covariance tests",

@@ -1,4 +1,4 @@
-"""Tests for the limit-field samplers and characteristic-function oracles."""
+"""Tests for the limit-field laws: the Telecom sampler and the covariance and chf oracles."""
 
 import cmath
 import math
@@ -15,9 +15,7 @@ from heavyagg.heavy_tail import (
     DegenerateDist,
     LowTailPowerDist,
     RegVaryingDist,
-    StableParams,
     UniformDist,
-    sample_stable,
     stable_params_from_tails,
 )
 from heavyagg.pulses import BrownianPulse, ExpDamped, RectCoupled, RectIndep
@@ -48,25 +46,10 @@ BAD_GRIDS = ([0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [math.nan], [1.0, math.nan], [1
              [[1.0, 2.0], [3.0, 4.0]])
 
 
-def test_fbs_grid_rejects_bad_grids():
-    spec = lf.FbsSpec(h1=0.7)
-    rng = rng_for("fbs-bad")
-    for grid in BAD_GRIDS:
-        with pytest.raises(ValueError, match="x_grid"):
-            lf.sample_fbs_grid(spec, grid, [1.0], rng, 1)
-        with pytest.raises(ValueError, match="y_grid"):
-            lf.sample_fbs_grid(spec, [1.0], grid, rng, 1)
-
-
 def test_stable_sheet_and_telecom_reject_bad_grids():
-    params = StableParams(1.5, 1.0, 0.0)
     spec = lf.TelecomSpec(alpha=1.5)
     rng = rng_for("grid-bad")
     for grid in BAD_GRIDS:
-        with pytest.raises(ValueError, match="x_grid"):
-            lf.sample_stable_sheet(params, grid, [1.0], rng, 1)
-        with pytest.raises(ValueError, match="y_grid"):
-            lf.sample_stable_sheet(params, [1.0], grid, rng, 1)
         with pytest.raises(ValueError, match="x_grid"):
             lf.sample_telecom(spec, grid, 1.0, rng, 1)
 
@@ -80,105 +63,26 @@ def test_fbs_covariance_closed_form_anchor():
     assert lf.fbs_covariance(b, (2.0, 3.0), (5.0, 4.0)) == pytest.approx(2.0 * 3.0)
 
 
-def test_fbs_empirical_covariance_on_grid():
-    # every covariance entry of the sampled 4x4-point sheet within 3 SE of closed form
-    spec = lf.FbsSpec(h1=0.8, c_w=1.0)
-    xg = [0.5, 1.0, 1.5, 2.0]
-    yg = [0.5, 1.0, 1.5, 2.0]
-    n = 100_000
-    field = lf.sample_fbs_grid(spec, xg, yg, rng_for("fbs-cov"), n_rep=n)
-    flat = field.reshape(n, -1)
-    pts = [(x, y) for x in xg for y in yg]
-    emp = flat.T @ flat / n
-    prods_se = np.empty((16, 16))
-    for i in range(16):
-        prods_se[i] = np.std(flat * flat[:, i : i + 1], axis=0) / math.sqrt(n)
-    worst = 0.0
-    for i in range(16):
-        for j in range(16):
-            want = lf.fbs_covariance(spec, pts[i], pts[j])
-            worst = max(worst, abs(emp[i, j] - want) / prods_se[i, j])
-    assert worst < 3.0
-
-
-def test_fbs_mean_zero_and_gaussian_marginal():
-    spec = lf.FbsSpec(h1=0.6, c_w=1.5)
-    draws = lf.sample_fbs_grid(spec, [1.0], [1.0], rng_for("fbs-marg"), n_rep=40_000)[:, 0, 0]
-    assert abs(np.mean(draws)) < 3.0 * np.std(draws) / math.sqrt(40_000)
-    z = draws / math.sqrt(lf.fbs_covariance(spec, (1.0, 1.0), (1.0, 1.0)))
-    assert stats.kstest(z, "norm").pvalue > 0.01
-
-
-LIMIT_SAMPLERS = {
-    "fbs": lambda rng, n_rep: lf.sample_fbs_grid(lf.FbsSpec(h1=0.9), [1.0, 2.0], [1.0, 2.0, 3.0], rng, n_rep),
-    "stable-sheet": lambda rng, n_rep: lf.sample_stable_sheet(StableParams(1.5, 1.0, 0.0), [1.0, 2.0],
-                                                              [1.0, 2.0, 3.0], rng, n_rep),
-    "telecom": lambda rng, n_rep: lf.sample_telecom(lf.TelecomSpec(alpha=1.5, eps=0.1), [1.0, 2.0], 1.0, rng, n_rep),
-}
-
-
-@pytest.mark.parametrize("name", sorted(LIMIT_SAMPLERS))
+@pytest.mark.parametrize("name", ["telecom"])
 def test_limit_sampler_replicate_count(name):
-    # every limit sampler refuses a count below one and keeps the replicate
-    # axis for a single replicate: (n_rep, nx, ny), or (n_rep, nx) for Telecom
-    draw = LIMIT_SAMPLERS[name]
+    # the limit sampler refuses a count below one and keeps the replicate
+    # axis for a single replicate: shape (n_rep, nx)
+    spec = lf.TelecomSpec(alpha=1.5, eps=0.1)
     rng = rng_for(f"nrep-{name}")
     for bad in (0, -2):
         with pytest.raises(ValueError, match="n_rep must be at least 1"):
-            draw(rng, bad)
-    shape = (2, 3) if name != "telecom" else (2,)
+            lf.sample_telecom(spec, [1.0, 2.0], 1.0, rng, bad)
     for n_rep in (1, 3):
-        assert draw(rng, n_rep).shape == (n_rep, *shape)
+        assert lf.sample_telecom(spec, [1.0, 2.0], 1.0, rng, n_rep).shape == (n_rep, 2)
 
 
-# -- stable Levy sheet ---------------------------------------------------------------
-
-
-def test_stable_sheet_marginals_and_increments():
-    params = StableParams(1.5, 1.0, 1.0)
-    rng = rng_for("sheet")
-    field = lf.sample_stable_sheet(params, [1.0, 2.0], [1.0, 3.0], rng, n_rep=20_000)
-    direct = sample_stable(params, rng, size=20_000)
-    # unit cell, an x-increment cell, and a y-slab scaled back down
-    assert stats.ks_2samp(field[:, 0, 0], direct).pvalue > 0.01
-    assert stats.ks_2samp(field[:, 1, 0] - field[:, 0, 0], direct).pvalue > 0.01
-    slab = (field[:, 0, 1] - field[:, 0, 0]) / 2.0 ** (1.0 / 1.5)
-    assert stats.ks_2samp(slab, direct).pvalue > 0.01
-
-
-def test_stable_sheet_rectangle_increments_independent():
-    # distance covariance between disjoint-rectangle increments is permutation-null
-    params = StableParams(1.3, 1.0, 0.5)
-    rng = rng_for("sheet-dcov")
-    n = 1500
-    field = lf.sample_stable_sheet(params, [1.0, 2.0], [1.0, 2.0], rng, n_rep=n)
-    inc_a = field[:, 0, 0]
-    inc_b = field[:, 1, 1] - field[:, 0, 1] - field[:, 1, 0] + field[:, 0, 0]
-
-    def centered_dist(v):
-        d = np.abs(v[:, None] - v[None, :])
-        return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
-
-    a = centered_dist(inc_a)
-    b = centered_dist(inc_b)
-    observed = float(np.mean(a * b))
-    perm_rng = rng_for("sheet-dcov-perm")
-    hits = 0
-    n_perm = 300
-    for _ in range(n_perm):
-        p = perm_rng.permutation(n)
-        if float(np.mean(a * b[np.ix_(p, p)])) >= observed:
-            hits += 1
-    pvalue = (hits + 1) / (n_perm + 1)
-    assert pvalue > 0.01
-
-
-def test_stable_sheet_skewness_sign():
-    # beta = 1 cells: strongly right-skewed sums
-    params = StableParams(1.5, 1.0, 1.0)
-    field = lf.sample_stable_sheet(params, [1.0], [1.0], rng_for("sheet-skew"), n_rep=30_000)
-    draws = field[:, 0, 0]
-    assert np.quantile(draws, 0.999) > -np.quantile(draws, 0.001)
+def test_telecom_sampler_rejects_bad_y_max():
+    # an infinite source count is refused by the sampler, not by its kernel
+    spec = lf.TelecomSpec(alpha=1.5, eps=0.1)
+    rng = rng_for("y-max-bad")
+    for y_max in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="y_max must be positive and finite"):
+            lf.sample_telecom(spec, [1.0], y_max, rng, 1)
 
 
 # -- Telecom field: variance identities ----------------------------------------------
@@ -211,6 +115,20 @@ def test_truncation_variance_bounds_brute():
 
     # the sampler makes no cut on the arrival axis
     assert lf.left_pad_variance(spec, x, y) == 0.0
+
+
+def test_telecom_variances_at_the_origin_and_off_the_quadrant():
+    # the field vanishes at x = 0, and so do its variance and the truncation
+    # budget; a negative x or y is no point of the field
+    spec = lf.TelecomSpec(alpha=1.5)
+    assert lf.small_jump_variance(spec, 0.0) == 0.0
+    assert lf.small_jump_variance(spec, 1.0, 0.0) == 0.0
+    assert lf.telecom_variance(1.5, 1.0, 0.0) == 0.0
+    for x, y in ((-1.0, 1.0), (1.0, -1.0), (1.0, -2.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            lf.small_jump_variance(spec, x, y)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            lf.telecom_variance(1.5, 1.0, x, y)
 
 
 def test_halving_eps_shrinks_small_jump_bound():

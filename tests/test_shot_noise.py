@@ -340,6 +340,20 @@ def test_superposition_of_two_half_rate_sources():
         assert abs(diff.imag) <= 3.0 * se_im
 
 
+def test_mixture_skips_components_of_zero_weight():
+    # a zero-weight component has no source of its own (rate 0 is refused),
+    # so the mixture draws exactly what its one live component draws
+    a = rect_unit_source().pulse
+    b = pl.BrownianPulse(R=ht.RegVaryingDist(2.5, 1.0))
+    mix = sn.ShotNoiseSource(pl.MixturePulse((a, b), (1.0, 0.0)), rate=1.3)
+    plain = sn.ShotNoiseSource(a, rate=1.3)
+    cuts, copies = [0.5, 2.0, 3.0], np.array([1.0, 0.0, 2.5, 4.0])
+    got = sn.integrated_path_batch(mix, cuts, rng_for("mix-zero-weight"), 4, copies)
+    want = sn.integrated_path_batch(plain, cuts, rng_for("mix-zero-weight"), 4, copies)
+    assert np.array_equal(got, want)
+    assert np.all(got[1] == 0.0) and np.any(got != 0.0)
+
+
 # -- intermediate-limit characteristic function ---------------------------------------
 
 
@@ -621,6 +635,17 @@ def test_intermediate_logchf_uniform_amplitude_mixes_degenerate_ones():
     assert got == pytest.approx(want, rel=1e-8)
     with pytest.raises(ValueError, match="amplitude"):
         sn.intermediate_logchf(pl.RectIndep(A=ht.ExponentialDist(1.0), R=duration), theta, x)
+
+
+def test_intermediate_logchf_rejects_windows_that_are_not_positive():
+    src = rect_unit_source()
+    critical = sn.regime_of(src, 0.5)
+    assert critical.limit_kind == "Intermediate"
+    for x in (0.0, -1.0):
+        with pytest.raises(ValueError, match="x must be positive"):
+            sn.intermediate_logchf(src.pulse, 1.0, x)
+        with pytest.raises(ValueError, match="x must be positive"):
+            critical.logchf(1.0, x)
 
 
 def test_intermediate_logchf_scales_linearly_in_y():
