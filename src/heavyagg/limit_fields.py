@@ -49,6 +49,11 @@ __all__ = [
 # -- fractional Brownian sheet -----------------------------------------------------
 
 
+def _check_point(x: float, y: float) -> None:
+    if not (x >= 0 and y >= 0):
+        raise ValueError(f"x and y must be nonnegative, got x={x}, y={y}")
+
+
 @dataclass(frozen=True)
 class FbsSpec:
     """Gaussian sheet with Hurst index h1 in the first coordinate, 1/2 in the second.
@@ -68,8 +73,10 @@ class FbsSpec:
 
 
 def fbs_covariance(spec: FbsSpec, p, q) -> float:
-    """Covariance of the sheet between points p = (x, y) and q = (x', y')."""
+    """Covariance of the sheet between points p = (x, y) and q = (x', y') of the quadrant."""
     (x1, y1), (x2, y2) = p, q
+    _check_point(x1, y1)
+    _check_point(x2, y2)
     g = 2.0 * spec.h1
     part_x = x1**g + x2**g - abs(x1 - x2) ** g
     part_y = y1 + y2 - abs(y1 - y2)
@@ -108,11 +115,6 @@ class TelecomSpec:
         Kept only because bench/workloads.py reads it; delete it with that use.
         """
         return math.inf
-
-
-def _check_point(x: float, y: float) -> None:
-    if not (x >= 0 and y >= 0):
-        raise ValueError(f"x and y must be nonnegative, got x={x}, y={y}")
 
 
 def telecom_variance(alpha: float, c: float, x: float, y: float = 1.0) -> float:
@@ -161,13 +163,16 @@ def sample_telecom(
     Cut at durations r > eps, the driving measure restricted to v <= y_max is
     stationary rect-indep shot noise: unit pulses at rate y_max * c *
     eps**-alpha with Pareto(alpha, eps) durations.  So the draws run through
-    ``shot_noise.integrated_path_batch``: arrivals window by window, and
-    sessions alive at time 0 from the exact stationary (length-biased) law.
-    The window sums are cumulated over the grid and the exact mean
-    x * rate * E R is subtracted.  The output is exact apart from the dropped
-    durations r < eps, whose variance ``small_jump_variance`` gives.  All
-    replicates go through one kernel call, whose memory is the output plus
-    one pulse block's temporaries however many pulses it draws.
+    ``shot_noise.integrated_path_batch``: arrivals window by window, each
+    session covering its window from its own start with no clip at the
+    window's opening, and sessions alive at time 0 from the exact stationary
+    (length-biased) law.  The sessions that share a window form a run, and
+    their masses go in as one sum per run.  The window sums are cumulated
+    over the grid and the exact mean x * rate * E R is subtracted.  The
+    output is exact apart from the dropped durations r < eps, whose variance
+    ``small_jump_variance`` gives.  All replicates go through one kernel
+    call, whose memory is the output plus one pulse block's temporaries
+    however many pulses it draws.
     """
     x = nm.strict_grid("x_grid", x_grid)
     if not 0 < y_max < math.inf:

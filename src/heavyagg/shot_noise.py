@@ -12,11 +12,15 @@ truncation horizon is involved anywhere.  Only the counts are drawn for the
 whole call; the pulses themselves are walked in fixed blocks of
 ``PULSE_BLOCK``, so the memory of a call is its output and its per-cell
 counts plus one block's temporaries, however many replicates it
-draws.  Every pulse is evaluated only on the windows it touches;
-deterministic pulses through the per-family kernels of the pulses module,
-Brownian pulses through a Gaussian recursion that carries the path value
-from window to window.  A single window (0, T] is the one-cut path
-``integrated_path_batch(src, [T], ...)[:, 0]``.
+draws.  A block's pulses come in runs that share a first window, and each
+run's first-window masses go in as one sum.  Every pulse is evaluated only
+on the windows it touches: a pulse that arrives inside its first window
+covers it from its own start, so only pulses alive at time zero carry an
+age into it, and only pulses that outlive their first window are placed on
+later ones.  Deterministic pulses go through the per-family kernels of the
+pulses module, Brownian pulses through a Gaussian recursion that carries
+the path value from window to window.  A single window (0, T] is the
+one-cut path ``integrated_path_batch(src, [T], ...)[:, 0]``.
 
 It also carries the family constants of the scaling table (the critical
 growth exponent gamma0, the exponents and tail constants that the regimes
@@ -106,17 +110,19 @@ class ShotNoiseSource:
 def _brownian_cells(lo, hi, lo_more, hi_more, pulse, step, rng):
     """Window integrals of Brownian pulses on their first and continuation cells.
 
-    Pulse i spans the pulse-local stretch (lo[i], hi[i]] of its first cell;
-    continuation cell c spans (lo_more[c], hi_more[c]] of pulse number pulse[c]
-    and is that pulse's step[c]-th cell after the first.  Given the path value
-    beta at the start of a stretch of length h, the integral over the stretch
-    and the value at its end are jointly Gaussian: beta * h + h^1.5 (z1 / 2 +
+    Pulse i spans the pulse-local stretch (lo[i], hi[i]] of its first cell
+    (``lo`` may be the scalar 0.0 of a fresh block); continuation cell c
+    spans (lo_more[c], hi_more[c]] of pulse number pulse[c] and is that
+    pulse's step[c]-th cell after the first.  Given the path value beta at
+    the start of a stretch of length h, the integral over the stretch and
+    the value at its end are jointly Gaussian: beta * h + h^1.5 (z1 / 2 +
     z2 / sqrt(12)) and beta + sqrt(h) z1.  One pair of normals per cell; the
     value at a pulse's first start is N(0, lo), drawn only for aged pulses
     (fresh ones start at lo = 0), and a segmented cumulative sum of the
     sqrt(h) z1 steps carries it over the continuation cells.  Outside its
     support a pulse is zero, so cells it does not touch need no draws.
     """
+    lo = np.broadcast_to(lo, hi.shape)
     h = np.concatenate((hi - lo, hi_more - lo_more))
     z1, z2 = rng.standard_normal((2, h.size))
     rise = np.sqrt(h) * z1
@@ -133,20 +139,23 @@ def _brownian_cells(lo, hi, lo_more, hi_more, pulse, step, rng):
     return vals[:lo.size], vals[lo.size:]
 
 
-def _continuation_cells(more, d, a, cell, lows, cuts):
+def _continuation_cells(more, cells, run_ends, start, d, lows, cuts):
     """The windows pulses touch after their first one, as flat cells.
 
-    ``more`` indexes the pulses that outlive their first window; the other
-    arguments are as for ``_add_cells``.  Returns (pulse, step, lo, hi) with
-    one entry per continuation cell: the pulse's index, the cell's offset
-    from the pulse's first cell and the cell's window (lo, hi] in pulse-local
-    time, cut at the pulse end.  A continuation window starts after the
+    ``more`` indexes the pulses that outlive their first window; the runs
+    of a block's pulses end at run_ends and first touch cells, and the
+    other arguments are as for ``_add_cells``.  Returns (pulse, step, cell,
+    lo, hi) with one entry per continuation cell: the pulse's index, the
+    cell's offset from the pulse's first cell, the flat cell and the cell's
+    window (lo, hi] in pulse-local time, cut at the pulse end.  A continuation window starts after the
     pulse does and before it ends, so only its end needs the cut.  The cells
     of one pulse are consecutive and in time order.
     """
     nx = cuts.size
-    first = cell[more] % nx
-    u = lows[first] - a[more]
+    # pulse p lies in the run of the first end past it
+    cell = cells[np.searchsorted(run_ends, more, side="right")]
+    first = cell % nx
+    u = lows[first] + start[more]
     # the window holding the pulse end is the count of cuts strictly before it
     n_more = np.minimum(np.searchsorted(cuts, u + d[more]), nx - 1) - first
     owner = np.repeat(np.arange(more.size), n_more)
@@ -155,71 +164,69 @@ def _continuation_cells(more, d, a, cell, lows, cuts):
     window = first[owner] + step
     pulse = more[owner]
     u = u[owner]
-    return pulse, step, lows[window] - u, np.minimum(cuts[window] - u, d[pulse])
+    return pulse, step, cell[owner] + step, lows[window] - u, np.minimum(cuts[window] - u, d[pulse])
 
 
-def _add_sorted(out, cell, vals):
-    """out[c] += the sum of vals over cell == c, for nonempty nondecreasing cell.
+def _add_cells(out, model, d, m, lo, b, start, cells, share, lows, cuts, rng):
+    """Add one block of realized pulses' window increments into the flat (rep, window) array out.
 
-    One sum per run of equal cells, then one add on the distinct cells.
+    The block's pulses come in runs: the share[k] consecutive pulses of
+    entry k first touch the window whose flat index (rep * n_windows +
+    window) is cells[k]; entries of zero share are skipped, and those of
+    positive share have increasing cells, as the blocks of the path kernel
+    build them.  Pulse i of one leaf family has duration d[i] and mark m[i],
+    and its first window is (lo[i], b[i]] in pulse-local time, cut at the
+    pulse end: a fresh pulse starts inside it (``lo`` is the scalar 0.0),
+    an aged one at age lo[i] before its opening.  start[i] is the pulse's
+    start less that opening (the offset s of a fresh pulse, minus the age
+    of an aged one); only pulses that outlive their first window read it.
+    Window j covers global time (lows[j], cuts[j]].
+
+    A pulse is evaluated on its first window, and its masses go in as one
+    sum per run.  Only when it outlives that window is its first cell looked
+    up (a search on the run ends) and the pulse evaluated on each later
+    window up to the one holding its end, so it costs O(1 + windows
+    touched); with a single window there is no later one.  Only the
+    per-cell evaluation depends on the family.  Deterministic families add
+    and free their first-cell masses before the continuation cells are
+    built, which keeps the two sets of arrays from being alive at once;
+    Brownian pulses need both sets together for their path values.
     """
-    new = np.empty(cell.size, dtype=bool)
-    new[0] = True
-    np.not_equal(cell[1:], cell[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    out[cell[starts]] += np.add.reduceat(vals, starts)
-
-
-def _add_cells(out, model, d, m, a, b, cell, lows, cuts, rng):
-    """Add realized pulses' window increments into the flat (rep, window) array out.
-
-    Pulse i of one leaf family has duration d[i] and mark m[i]; it first
-    touches the window whose flat index (rep * n_windows + window) is
-    cell[i], and (a[i], b[i]] is that window in the pulse's local time, so
-    a[i] < d[i] and b[i] > 0: the window starts before the pulse ends and
-    ends after it starts.  ``cell`` must be nonempty and nondecreasing, as
-    the blocks of the path kernel build it: first-cell masses are added as
-    sums over runs of equal cells.  Window j covers global time
-    (lows[j], cuts[j]].
-
-    A pulse is evaluated on its first window and, only when it outlives that
-    window, on each later window up to the one holding its end, so it costs
-    O(1 + windows touched).  Only the per-cell evaluation depends on the
-    family.  Deterministic families add and free their first-cell masses
-    before the continuation cells are built, which keeps the two sets of
-    arrays from being alive at once, and stop there when no pulse outlives
-    its first window; Brownian pulses need both sets together for their
-    path values.
-    """
-    lo, hi = np.maximum(a, 0.0), np.minimum(b, d)
-    # a single window has no later one to continue into
+    runs = np.flatnonzero(share)
+    run_len = share[runs]
+    run_ends = np.cumsum(run_len)
+    cells = cells[runs]
     more = np.flatnonzero(d > b) if cuts.size > 1 else np.empty(0, dtype=np.intp)
+    hi = np.minimum(b, d)
     if model.kind == "brownian":
-        pulse, step, lo_more, hi_more = _continuation_cells(more, d, a, cell, lows, cuts)
+        pulse, step, cell, lo_more, hi_more = _continuation_cells(more, cells, run_ends, start, d, lows, cuts)
         head, tail = _brownian_cells(lo, hi, lo_more, hi_more, pulse, step, rng)
-        _add_sorted(out, cell, head)
+        out[cells] += np.add.reduceat(head, run_ends - run_len)
     else:
         mass = pl.KERNELS[model.kind].mass
-        _add_sorted(out, cell, mass(m, lo, hi))
-        del lo, hi
+        out[cells] += np.add.reduceat(mass(m, lo, hi), run_ends - run_len)
+        del hi
         if not more.size:
             return
-        pulse, step, lo_more, hi_more = _continuation_cells(more, d, a, cell, lows, cuts)
+        pulse, step, cell, lo_more, hi_more = _continuation_cells(more, cells, run_ends, start, d, lows, cuts)
         tail = mass(m[pulse], lo_more, hi_more)
-    out += np.bincount(cell[pulse] + step, tail, out.size)
+    out += np.bincount(cell, tail, out.size)
 
 
-# Pulses per block of the path kernel.  A per-pulse temporary of one block
-# is 128 KiB of float64: the dozen or so a block allocates stay inside L2
-# (2 MiB per core on the 2-vCPU Xeon measured), and glibc serves them from
-# its heap, which blocks reuse, where full-length temporaries went through
+# Pulses per block of the path kernel.  Positions, durations and marks are
+# drawn per block, so this value is part of every shot-noise draw order:
+# changing it changes every sample.  A per-pulse temporary of one block
+# is 128 KiB of float64: the few a block allocates stay inside L2 (2 MiB
+# per core on the 2-vCPU Xeon measured), and glibc serves them from its
+# heap, which blocks reuse, where full-length temporaries went through
 # mmap and were page-faulted in afresh on every pass.  glibc maps requests
 # from its mmap threshold up; that starts at 128 KiB and rises past the
 # first mapping freed, so blocks of 1 << 14 sit at its edge.  On
 # telecom-check, per warmed job: 4k blocks pay per-block Python overhead
 # (3.0-3.3 s against 1.9-2.7 s at 8k-16k), 8k-12k take no minor page
-# fault and 16k ~1.6k, and from 32k (256 KiB) the temporaries are mapped
-# on every pass again (0.27-0.44M faults).
+# fault, and from 32k (256 KiB) the temporaries are mapped on every pass
+# again (0.27-0.44M faults).  At 16k a warmed job takes 0.66k-0.83k minor
+# faults on telecom-check and 0.64k-0.85k on shot-grid (seed 5, jobs 1-4).
 PULSE_BLOCK = 1 << 14
 
 
@@ -258,14 +265,20 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     first window without a search.  Pulses alive at time zero are a
     Poisson(rate * E D) batch per replicate with exact stationary (age,
     duration) pairs, first touching window 0.  Both kinds are then walked in
-    blocks of ``PULSE_BLOCK`` pulses: a block rebuilds the first cells of its
-    pulses from the counts, draws their positions, durations and marks, and
-    adds their masses on the windows they touch (a cell's pulses may fall
-    into two blocks); a block's first cells come out nondecreasing, so their
-    masses go in as one sum per run of equal cells.  So the memory of one
-    call is the output and the counts plus temporaries of O(PULSE_BLOCK x
-    windows touched per pulse), whatever ``n_rep`` is, and the cost is
-    O(pulses + cells touched), not O(pulses * n_windows).  Brownian pulses
+    blocks of ``PULSE_BLOCK`` pulses: a block takes its share of each count
+    (a cell's pulses may fall into two blocks), draws its pulses'
+    positions, durations and marks, and adds their masses on the windows
+    they touch.  Each positive share is one run of pulses with one first
+    cell, so first-window masses go in as one sum per run, and a cell index
+    is built only for the pulses that outlive their first window.  A new
+    pulse is evaluated on its first window from its own start, (0, min(width
+    - s, d)] in pulse-local time with s its offset in the window; a pulse
+    alive at time zero covers (age, age + c_1], cut at its end.  A single
+    window has one width, so its offsets need no per-pulse width and its
+    pulses no continuation test.  So the memory of one call is the output
+    and the counts plus temporaries of O(PULSE_BLOCK x windows touched per
+    pulse), whatever ``n_rep`` is, and the cost is O(pulses + cells
+    touched), not O(pulses * n_windows).  Brownian pulses
     go through the same cells and carry their path value from one touched
     window to the next.
 
@@ -303,17 +316,20 @@ def integrated_path_batch(src: ShotNoiseSource, cuts, rng: np.random.Generator, 
     cell_width = np.tile(widths, n_rep)
     for cells, share in _pulse_blocks(n_new):
         r0, r1 = cells.start // nx, (cells.stop - 1) // nx + 1
-        cell = np.repeat(np.arange(cells.start - r0 * nx, cells.stop - r0 * nx), share)
-        width = np.repeat(cell_width[cells], share)
-        s = width * rng.random(cell.size)
-        d, m = kernel.fresh(model, rng, cell.size)
-        _add_cells(out[r0 * nx:r1 * nx], model, d, m, -s, width - s, cell, lows, cuts, rng)
+        n = int(share.sum())
+        # one window has one width, which needs no per-pulse copy
+        width = widths[0] if nx == 1 else np.repeat(cell_width[cells], share)
+        s = rng.random(n)
+        s *= width
+        d, m = kernel.fresh(model, rng, n)
+        _add_cells(out[r0 * nx:r1 * nx], model, d, m, 0.0, width - s, s,
+                   np.arange(cells.start - r0 * nx, cells.stop - r0 * nx), share, lows, cuts, rng)
 
-    # pulses alive at time zero, anchored at the negated stationary age
+    # pulses alive at time zero: one run per replicate, from the stationary age
     for reps, share in _pulse_blocks(n_old):
-        cell = np.repeat(np.arange(0, (reps.stop - reps.start) * nx, nx), share)
-        age, d, m = kernel.aged(model, rng, cell.size)
-        _add_cells(out[reps.start * nx:reps.stop * nx], model, d, m, age, age + cuts[0], cell, lows, cuts, rng)
+        age, d, m = kernel.aged(model, rng, int(share.sum()))
+        _add_cells(out[reps.start * nx:reps.stop * nx], model, d, m, age, age + cuts[0], -age,
+                   np.arange(0, (reps.stop - reps.start) * nx, nx), share, lows, cuts, rng)
     return out.reshape(n_rep, nx)
 
 

@@ -11,21 +11,24 @@ No module imports ``warnings`` or calls a ``.warn`` method.
 No function gives a draw count (``size`` or ``n_rep``) a None default.
 Every ``__all__`` entry must exist.  Every module but ``__init__`` declares
 ``__all__`` and lists each public top-level function and class in it, and
-every listed name is read somewhere in the package or the benchmark, or
-sits on ``TEST_ONLY_NAMES`` with its reason.  The benchmark's span tracer
-must still find every entry point it wraps, every script that ``pyproject.toml``
-declares must resolve, and the benchmark's Telecom point count must match
-the sampler.
+every listed name is read somewhere in the package or the benchmark, is
+the target of a script that ``pyproject.toml`` declares, or sits on
+``TEST_ONLY_NAMES`` with its reason.  The benchmark's span tracer must still
+find every entry point it wraps and see every duration draw, every declared
+script must resolve, and the benchmark's Telecom point count must match the
+sampler.
 """
 
 import ast
+import copy
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from heavyagg import limit_fields, shot_noise
+from heavyagg import limit_fields, shot_noise, streams
 from heavyagg.heavy_tail import DegenerateDist, RegVaryingDist
 from heavyagg.pulses import RectIndep
 
@@ -361,16 +364,25 @@ def test_every_public_name_has_a_package_caller(tmp_path):
         gaps += [f"{path.stem}.{name} not in __all__" for name in unlisted]
     assert not gaps, gaps
     scanned = sorted(PACKAGE.glob("*.py")) + sorted((PACKAGE.parents[1] / "bench").glob("*.py"))
-    found = unreferenced_exports(modules, scanned)
+    # a declared console script is the caller of its target
+    scripts = {f"{module.rpartition('.')[2]}.{attr}"
+               for module, _, attr in (target.partition(":") for target in declared_scripts().values())}
+    found = [name for name in unreferenced_exports(modules, scanned) if name not in scripts]
     assert sorted(found) == sorted(TEST_ONLY_NAMES), sorted(set(found) ^ set(TEST_ONLY_NAMES))
+
+
+def declared_scripts() -> dict:
+    """``[project.scripts]`` of pyproject.toml: script name -> "module:function"."""
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"].get("scripts", {})
 
 
 def test_every_declared_script_resolves():
     # an installed console script imports its module and looks up its
     # function, so a dangling [project.scripts] target fails at every start
-    tomllib = pytest.importorskip("tomllib")
-    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
-    for name, target in project.get("scripts", {}).items():
+    scripts = declared_scripts()
+    assert scripts
+    for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
 
@@ -389,6 +401,32 @@ def test_benchmark_tracer_resolves_every_target():
     layers = _bench_module("layers")
     assert len(layers.ORIGINALS) == len(layers.TARGETS) > 0
     assert layers.patched_targets() == []
+
+
+def test_benchmark_tracer_sees_every_duration_draw():
+    # heavy_tail.draws counts the n of RegVaryingDist.sample calls, so it is a
+    # pulse count only while every fresh and aged duration is drawn there:
+    # the pulses a call walks are its first two draws (the Poisson counts),
+    # replayed on a copy of its generator
+    layers = _bench_module("layers")
+    spec = limit_fields.TelecomSpec(1.5, eps=0.05)
+    tele = shot_noise.ShotNoiseSource(RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, spec.eps)),
+                                      rate=spec.c * spec.eps**-spec.alpha)
+    rect = shot_noise.ShotNoiseSource(RectIndep(DegenerateDist(1.0), RegVaryingDist(1.5, 1.0)), rate=3.0)
+    cuts = np.array([0.5, 1.0, 2.5, 4.0])
+    calls = [
+        (tele, np.array([1.0]), 40, lambda rng: limit_fields.sample_telecom(spec, [1.0], 1.0, rng, 40)),
+        (rect, cuts, 30, lambda rng: shot_noise.integrated_path_batch(rect, cuts, rng, 30)),
+    ]
+    for i, (src, grid, n_rep, call) in enumerate(calls):
+        rng = streams.stream(24, "layout/tracer-draws", i)
+        replay = copy.deepcopy(rng)
+        fresh = replay.poisson(src.rate * np.diff(grid, prepend=0.0), (n_rep, grid.size)).sum()
+        aged = replay.poisson(src.rate * src.mean_duration, n_rep).sum()
+        with layers.Tracer() as tracer:
+            call(rng)
+        sizes = [span[4][1] for span in tracer.spans if span[0] == "heavy_tail.sample"]
+        assert sum(sizes) == fresh + aged and aged > 0, (i, sizes, fresh, aged)
 
 
 def test_benchmark_telecom_contract():

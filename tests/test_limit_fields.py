@@ -61,6 +61,10 @@ def test_fbs_covariance_closed_form_anchor():
     b = lf.FbsSpec(h1=0.5, c_w=1.0)
     assert lf.fbs_covariance(b, (1.0, 2.0), (3.0, 1.0)) == pytest.approx(1.0)
     assert lf.fbs_covariance(b, (2.0, 3.0), (5.0, 4.0)) == pytest.approx(2.0 * 3.0)
+    # off the quadrant the closed form is complex, negative or NaN: refused
+    for p in ((-0.5, 1.0), (1.0, -1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="x and y must be nonnegative"):
+            lf.fbs_covariance(lf.FbsSpec(0.75), p, (1.0, 1.0))
 
 
 @pytest.mark.parametrize("name", ["telecom"])

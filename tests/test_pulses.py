@@ -227,9 +227,8 @@ def brownian_windows(d, cuts, rng):
     n, nx = d.size, cuts.size
     out = np.zeros(n * nx)
     lows = np.concatenate(([0.0], cuts[:-1]))
-    cell = np.arange(n) * nx
-    shot_noise._add_cells(out, pulses.BrownianPulse(pareto(3.5)), d, None, np.zeros(n), np.full(n, cuts[0]),
-                          cell, lows, cuts, rng)
+    shot_noise._add_cells(out, pulses.BrownianPulse(pareto(3.5)), d, None, 0.0, np.full(n, cuts[0]), np.zeros(n),
+                          np.arange(n) * nx, np.ones(n, dtype=np.intp), lows, cuts, rng)
     return out.reshape(n, nx)
 
 

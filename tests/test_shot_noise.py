@@ -795,38 +795,56 @@ def test_path_kernel_matches_loop_kernel_in_law(monkeypatch, which, grid, case):
 
 @pytest.mark.parametrize("grid", ["one", "four", "narrow"])
 def test_path_cells_match_dense_window_matrix(grid):
-    # the touched-cell evaluation against every pulse on every window, on the
-    # same realized fresh and aged pulses of each deterministic family: first
-    # with one pulse per replicate, then with pulses sharing replicates, so
-    # that cells hold several pulses and some cells none
+    # the run adder against every pulse on every window, on the same realized
+    # pulses of each deterministic family, fed as the path kernel feeds them:
+    # fresh pulses start inside their first window (which opens at pulse-local
+    # 0), aged ones are alive at time zero, and each kind comes in its own
+    # call.  First with one pulse per replicate, then with pulses sharing
+    # replicates, so that runs hold several pulses and entries of zero share
+    # lie between them
     cuts = PATH_GRIDS[grid]
+    nx = cuts.size
     lows = np.concatenate(([0.0], cuts[:-1]))
+    widths = cuts - lows
     rng = rng_for(f"path-cells/{grid}")
     leaves = [s.pulse for s in path_test_sources()[:3]]
     for leaf in leaves:
         k = 3_000
         d, m = pl.KERNELS[leaf.kind].fresh(leaf, rng, k)
         age, d_aged, m_aged = pl.KERNELS[leaf.kind].aged(leaf, rng, k)
-        d, m = np.concatenate((d, d_aged)), np.concatenate((m, m_aged))
-        # arrivals spread over the grid, then pulses alive at time zero
-        u = np.concatenate((rng.uniform(0.0, cuts[-1], k), -age))
-        first = np.searchsorted(cuts, np.maximum(u, 0.0))
-        dense = np.column_stack([_window_mass(leaf, d, m, lo - u, hi - u) for lo, hi in zip(lows, cuts)])
-        for rep in (np.arange(2 * k), rng.integers(0, 2 * k // 5, 2 * k)):
-            cell = rep * cuts.size + first
-            order = np.argsort(cell, kind="stable")
-            cell = cell[order]
+        first = rng.integers(0, nx, k)
+        s = widths[first] * rng.random(k)
+        u = lows[first] + s
+        dense = {kind: np.column_stack([_window_mass(leaf, dk, mk, lo - uk, hi - uk) for lo, hi in zip(lows, cuts)])
+                 for kind, dk, mk, uk in (("fresh", d, m, u), ("aged", d_aged, m_aged, -age))}
+        runs = []
+        for rep in (np.arange(k), rng.integers(0, k // 5, k)):
             n_rep = int(rep.max()) + 1
-            out = np.zeros(n_rep * cuts.size)
-            a, b = (lows[first] - u)[order], (cuts[first] - u)[order]
-            sn._add_cells(out, leaf, d[order], m[order], a, b, cell, lows, cuts, rng)
-            got = out.reshape(n_rep, cuts.size)
+            out = np.zeros(n_rep * nx)
+            # fresh: one entry per (rep, window) cell, in cell order
+            cell = rep * nx + first
+            order = np.argsort(cell, kind="stable")
+            share = np.bincount(cell, minlength=n_rep * nx)
+            sn._add_cells(out, leaf, d[order], m[order], 0.0, (widths[first] - s)[order], s[order],
+                          np.arange(n_rep * nx), share, lows, cuts, rng)
+            runs.append(share)
+            # aged: one entry per replicate, first touching its window 0
+            order = np.argsort(rep, kind="stable")
+            a = age[order]
+            share = np.bincount(rep, minlength=n_rep)
+            sn._add_cells(out, leaf, d_aged[order], m_aged[order], a, a + cuts[0], -a,
+                          np.arange(0, n_rep * nx, nx), share, lows, cuts, rng)
+            runs.append(share)
+            got = out.reshape(n_rep, nx)
             want = np.zeros_like(got)
-            np.add.at(want, rep, dense)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
-        # the shared layout has runs of equal cells, long ones too, and skips cells
-        runs = np.diff(np.flatnonzero(np.diff(cell, prepend=-1, append=out.size)))
-        assert runs.max() >= 8 and np.any(np.diff(cell) > 1)
+            np.add.at(want, rep, dense["fresh"])
+            np.add.at(want, rep, dense["aged"])
+            scale = max(np.abs(dense["fresh"]).max(), np.abs(dense["aged"]).max())
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+        # runs of one pulse, long runs too, and zero-share entries between runs
+        gaps = [np.any((r[1:-1] == 0) & (r[:-2] > 0) & (r[2:] > 0)) for r in runs]
+        assert min(r[r > 0].min() for r in runs) == 1 and max(r.max() for r in runs) >= 8, grid
+        assert gaps[2] and gaps[3], (grid, gaps)
 
 
 def test_pulse_blocks_split_counts_exactly(monkeypatch):
