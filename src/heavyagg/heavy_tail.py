@@ -69,10 +69,10 @@ class RegVaryingDist:
     x_min: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.x_min > 0:
-            raise ValueError(f"x_min must be positive, got {self.x_min}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.x_min < math.inf:
+            raise ValueError(f"x_min must be positive and finite, got {self.x_min}")
 
     # -- distribution function ------------------------------------------------
 
@@ -153,8 +153,8 @@ class ExponentialDist:
     mean_value: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.mean_value > 0:
-            raise ValueError("mean_value must be positive")
+        if not 0 < self.mean_value < math.inf:
+            raise ValueError("mean_value must be positive and finite")
 
     def survival(self, x):
         x = np.asarray(x, dtype=float)
@@ -215,8 +215,8 @@ class DegenerateDist:
     value: float
 
     def __post_init__(self) -> None:
-        if not self.value >= 0:
-            raise ValueError("value must be nonnegative")
+        if not 0 <= self.value < math.inf:
+            raise ValueError("value must be nonnegative and finite")
 
     def survival(self, x):
         return np.where(np.asarray(x, dtype=float) < self.value, 1.0, 0.0)
@@ -250,8 +250,8 @@ class UniformDist:
     hi: float
 
     def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError("need finite lo < hi")
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -284,10 +284,10 @@ class LowTailPowerDist:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
 
     @property
     def upper(self) -> float:
@@ -333,8 +333,8 @@ class StableParams:
     def __post_init__(self) -> None:
         if not 1.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative and finite")
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [-1, 1]")
 

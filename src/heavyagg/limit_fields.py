@@ -68,8 +68,8 @@ class FbsSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.h1 <= 1.0:
             raise ValueError(f"h1 must lie in (0, 1], got {self.h1}")
-        if not self.c_w >= 0.0:
-            raise ValueError("c_w must be nonnegative")
+        if not 0.0 <= self.c_w < math.inf:
+            raise ValueError("c_w must be nonnegative and finite")
 
 
 def fbs_covariance(spec: FbsSpec, p, q) -> float:
@@ -103,10 +103,10 @@ class TelecomSpec:
     def __post_init__(self) -> None:
         if not 1.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
 
     @property
     def u_pad(self) -> float:

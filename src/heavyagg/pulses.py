@@ -8,10 +8,11 @@ regenerative input also runs exp-damped pulses as cycles.
 
 ``KERNELS`` holds one vectorised kernel per family, shared by both input
 classes: it draws fresh pulses and stationary pulses alive at time zero, and
-gives the exact window mass int_lo^hi w(t) dt and the point value w(s) in
-pulse-local time.  A realized deterministic pulse is an array pair (d, m):
-its duration and its one mark.  Brownian pulses draw durations only; the
-shot-noise sampler draws their path together with its window values.
+gives the exact window mass int_lo^hi w(t) dt in pulse-local time.  Both
+path samplers integrate the source, so no kernel reads w at a point.  A
+realized deterministic pulse is an array pair (d, m): its duration and its
+one mark.  Brownian pulses draw durations only; the shot-noise sampler draws
+their path together with its window values.
 
 The module also owns the pulse moments of every family, read by both input
 classes: the mean mass, the mean pulse E[W(t); t < D], the correlation
@@ -241,7 +242,8 @@ class MixturePulse:
     def __post_init__(self) -> None:
         if len(self.components) != len(self.weights) or not self.components:
             raise ValueError("components and weights must be nonempty and equal length")
-        if abs(sum(self.weights) - 1.0) > 1e-12 or min(self.weights) < 0:
+        # stated positively, so that a NaN weight fails it
+        if not (all(w >= 0 for w in self.weights) and abs(sum(self.weights) - 1.0) <= 1e-12):
             raise ValueError("weights must be a probability vector")
 
 
@@ -356,32 +358,16 @@ def _flat_mass(m, lo, hi):
     return m * (hi - lo)
 
 
-def _flat_value(m, s):
-    return m * np.ones_like(s, dtype=float)
-
-
 def _exp_mass(m, lo, hi):
     return np.exp(-m * lo) * (-np.expm1(-m * (hi - lo))) / m
-
-
-def _exp_value(m, s):
-    return np.exp(-m * s)
 
 
 def _on_mass(m, lo, hi):
     return np.minimum(hi, m) - np.minimum(lo, m)
 
 
-def _on_value(m, s):
-    return np.less(s, m).astype(float)
-
-
 def _workload_mass(m, lo, hi):
     return 0.5 * (np.clip(m - lo, 0.0, None) ** 2 - np.clip(m - hi, 0.0, None) ** 2)
-
-
-def _workload_value(m, s):
-    return np.clip(m - s, 0.0, None)
 
 
 class PulseKernel(NamedTuple):
@@ -391,24 +377,23 @@ class PulseKernel(NamedTuple):
     ``aged(model, rng, n)`` draws n stationary pulses alive at time zero as
     (age, d, m), the duration length biased and the age uniform on (0, d);
     ``mass(m, lo, hi)`` is int_lo^hi w(t) dt for pulse-local times
-    0 <= lo <= hi <= d (callers clip to the support); ``value(m, s)`` is w(s)
-    for 0 <= s < d.  Brownian pulses have no mass or value entry.
+    0 <= lo <= hi <= d (callers clip to the support).  Brownian pulses have
+    no mass entry.
     """
 
     fresh: object
     aged: object
     mass: object
-    value: object
 
 
 KERNELS = {
-    "rect-indep": PulseKernel(_fresh_duration_mark, _aged_duration_mark, _flat_mass, _flat_value),
-    "rect-coupled": PulseKernel(_fresh_coupled, _aged_coupled, _flat_mass, _flat_value),
-    "exp-damped": PulseKernel(_fresh_duration_mark, _aged_duration_mark, _exp_mass, _exp_value),
-    "brownian": PulseKernel(_fresh_brownian, _aged_brownian, None, None),
-    "on-off": PulseKernel(_fresh_two_leg, _aged_two_leg, _on_mass, _on_value),
-    "workload": PulseKernel(_fresh_two_leg, _aged_two_leg, _workload_mass, _workload_value),
-    "renewal-reward": PulseKernel(_fresh_reward, _aged_reward, _flat_mass, _flat_value),
+    "rect-indep": PulseKernel(_fresh_duration_mark, _aged_duration_mark, _flat_mass),
+    "rect-coupled": PulseKernel(_fresh_coupled, _aged_coupled, _flat_mass),
+    "exp-damped": PulseKernel(_fresh_duration_mark, _aged_duration_mark, _exp_mass),
+    "brownian": PulseKernel(_fresh_brownian, _aged_brownian, None),
+    "on-off": PulseKernel(_fresh_two_leg, _aged_two_leg, _on_mass),
+    "workload": PulseKernel(_fresh_two_leg, _aged_two_leg, _workload_mass),
+    "renewal-reward": PulseKernel(_fresh_reward, _aged_reward, _flat_mass),
 }
 
 

@@ -11,12 +11,11 @@ shot noise uses.
 Three groups of tools live here:
 
 * exact-in-law samplers: the windowed integrals of the stationary source
-  (``integrated_path``) and its state along a path (``state_sample``), both
-  read off one block walk over the cycles of every lane, which draws an idle
-  leg that can sum its own draws (exponential, degenerate) as one sum per
-  lane and block and splits it only where the block is read; fresh cycle
-  lengths and masses (``cycle_sample``); and M/G/1 busy periods
-  (cycle-length laws that are only reachable by simulation);
+  (``integrated_path``, the path the aggregation runs), read off one block
+  walk over the cycles of every lane, which draws an idle leg that can sum
+  its own draws (exponential, degenerate) as one sum per lane and block and
+  splits it only where the block is read; and fresh cycle lengths and masses
+  (``cycle_sample``);
 * a covariance decomposition Cov(t) = R(t) + h(t) on a uniform grid, where
   R keeps the within-pulse part and h carries the cycle-recurrence part
   through the renewal function of the cycle-length law and the two
@@ -46,12 +45,9 @@ from .regimes import RegimeSpec, build_regime
 
 __all__ = [
     "RegenModel",
-    "BusyPeriodLaw",
     "CovDecomposition",
-    "sample_busy_period",
     "cycle_sample",
     "integrated_path",
-    "state_sample",
     "cov_decomposition",
     "regime_of",
 ]
@@ -70,74 +66,6 @@ BLOCK_CELL_BUDGET = 1 << 15
 BLOCK_MARGIN = 1.25
 
 
-# -- busy periods -----------------------------------------------------------------
-
-
-def sample_busy_period(service, rng: np.random.Generator, size, cap: int = 100_000_000):
-    """``size`` busy periods of an M/G/1 queue with unit-rate Poisson arrivals.
-
-    The first customer opens the period and new arrivals pile on while it
-    drains.  With iid exp(1) gaps T_1, T_2, ... and service draws S_1, S_2,
-    ... the number served is the first k with S_1 + ... + S_k <= T_1 + ... +
-    T_k, and the busy period is the total service dispensed up to then.
-    Requires E[service] < 1.  ``cap`` bounds the total number of service
-    draws per call; exceeding it raises instead of looping silently, because
-    heavy service tails can make single periods astronomically long.
-    """
-    if not service.mean() < 1.0:
-        raise ValueError("busy periods need mean service below the unit arrival rate")
-    total = np.zeros(size)
-    walk = np.zeros(size)
-    active = np.arange(size)
-    drawn = 0
-    while active.size:
-        drawn += active.size
-        if drawn > cap:
-            raise RuntimeError(
-                f"busy-period simulation exceeded cap={cap} service draws before all "
-                "periods closed; raise cap only if the wait is acceptable"
-            )
-        s = service.sample(rng, active.size)
-        gaps = rng.exponential(1.0, active.size)
-        total[active] += s
-        walk[active] += s - gaps
-        active = active[walk[active] > 0.0]
-    return total
-
-
-@dataclass(frozen=True)
-class BusyPeriodLaw:
-    """The busy-period length of an M/G/1 queue, packaged as a cycle-length law.
-
-    Only sampling and the three tail descriptors are available: the law has
-    no closed transform, so the covariance decomposition refuses it (study
-    the samples directly).  A service tail of index alpha in (1, 2) passes
-    straight through to the busy period; the tail constant picks up the
-    factor (1 - E[service])^(-(1 + alpha)).
-    """
-
-    service: RegVaryingDist
-
-    def __post_init__(self) -> None:
-        if not self.service.mean() < 1.0:
-            raise ValueError("busy periods need mean service below the unit arrival rate")
-
-    @property
-    def alpha(self) -> float:
-        return self.service.alpha
-
-    def mean(self) -> float:
-        es = self.service.mean()
-        return es / (1.0 - es)
-
-    def tail_constant(self) -> float:
-        es = self.service.mean()
-        return self.service.tail_constant() / (1.0 - es) ** (1.0 + self.service.alpha)
-
-    def sample(self, rng: np.random.Generator, size, cap: int = 100_000_000):
-        return sample_busy_period(self.service, rng, size, cap)
-
-
 # -- the model wrapper ------------------------------------------------------------
 
 
@@ -148,10 +76,7 @@ class RegenModel:
     Accepts the on-off, workload, renewal-reward and exp-damped families (for
     the last one the cycle length is the pulse duration itself).  Cycle legs
     must have finite means; the workload family additionally needs a
-    square-integrable busy leg so the mean state exists.  Busy-period cycle
-    laws are refused here: they have no closed survival function and every
-    decomposition below needs one, so draw them with ``sample_busy_period``
-    and work with the samples.
+    square-integrable busy leg so the mean state exists.
     """
 
     pulse: object
@@ -160,23 +85,9 @@ class RegenModel:
         kind = getattr(self.pulse, "kind", None)
         if kind not in _FAMILIES:
             raise ValueError(f"no regenerative treatment for pulse family {kind!r}")
-        for name, leg in self._legs():
-            if isinstance(leg, BusyPeriodLaw):
-                raise ValueError(
-                    f"{name} is a busy-period law with no closed transform; sample it "
-                    "with sample_busy_period and study the draws directly"
-                )
         pulses.duration_mean(self.pulse)  # raises if any leg has an infinite mean
         if kind == "workload":
             self.pulse.Zon.moment(2.0)  # the mean state needs a square-integrable busy leg
-
-    def _legs(self):
-        p = self.pulse
-        if p.kind in ("on-off", "workload"):
-            return (("Zon", p.Zon), ("Zoff", p.Zoff))
-        if p.kind == "renewal-reward":
-            return (("Z", p.Z),)
-        return (("R", p.R),)
 
     @property
     def kind(self) -> str:
@@ -242,29 +153,26 @@ def _row_total(start, steps):
     return np.add.reduce(rows, axis=0)
 
 
-def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator, n_lanes: int,
-                 read) -> np.ndarray:
-    """Read every lane's covering cycle at every time; shape (n_lanes, times.size).
+def _walk_cycles(model: RegenModel, cuts: np.ndarray, rng: np.random.Generator, n_lanes: int) -> np.ndarray:
+    """Every lane's integrated path at every cut; shape (n_lanes, cuts.size).
 
-    ``times`` are nondecreasing and nonnegative.  The cycle covering time t
-    is the one with start <= t < end, so a time equal to a cycle end belongs
-    to the next cycle.  ``read(m, z, lo, s, before)`` gets, per (lane, time),
-    the mark m and length z of the covering cycle, the cycle-local time lo
-    at which the lane entered it (its age at time 0 for the cycle covering
-    time 0, else 0), the cycle-local time s of the point, and the integrated
-    path at entry; it returns the values to store.
+    ``cuts`` are strictly increasing and positive.  The cycle covering a cut
+    t is the one with start <= t < end, so a cut equal to a cycle end is read
+    in the next cycle.  The path at t is the path where the lane entered its
+    covering cycle plus the cycle's mass from the entry (its age at time 0
+    for the cycle covering time 0, else 0) up to t, clipped to the cycle.
 
     Every lane starts stationary: inside a length-biased cycle at a uniform
     age, drawn by the family's ``aged`` kernel.
 
     Cycles are drawn in blocks.  Each pass gives every lane that has not yet
-    passed the last time K fresh cycles, with K sized from the expected
+    passed the last cut K fresh cycles, with K sized from the expected
     number still needed and capped at ``BLOCK_CELL_BUDGET`` // lanes (but at
     least one).  Row-order totals of the block give each lane's end and
     integrated path after it; only lanes whose block passes their first
-    unread time (the hit lanes) are read, and only their blocks get running
+    unread cut (the hit lanes) are read, and only their blocks get running
     sums, which place the cycle ends and the integrated path at them.
-    Cycles ending past the last time are discarded, which leaves the law
+    Cycles ending past the last cut are discarded, which leaves the law
     exact because fresh cycles are iid and independent of the path so far.
 
     When the idle leg of a two-leg family can sum its own draws
@@ -280,16 +188,17 @@ def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator,
     kern = pulses.KERNELS[model.kind]
     idle = getattr(model.pulse, "Zoff", None)
     summed = hasattr(idle, "sum_sample")
-    horizon = times[-1]
-    out = np.zeros((n_lanes, times.size))
+    horizon = cuts[-1]
+    out = np.zeros((n_lanes, cuts.size))
     # lane state: the end of the last placed cycle and the integrated path there
     age, z, aux = kern.aged(model.pulse, rng, n_lanes)
     end = z - age
     mass = kern.mass(aux, age, z)
-    lane, j = np.nonzero(times < end[:, None])
-    out[lane, j] = read(aux[lane], z[lane], age[lane], times[j] + age[lane], 0.0)
-    next_time = np.append(times, np.inf)  # next_time[filled]: a lane's first unread time
-    filled = np.searchsorted(times, end)
+    lane, j = np.nonzero(cuts < end[:, None])
+    # the path is 0 where a lane enters its first cycle
+    out[lane, j] = 0.0 + kern.mass(aux[lane], age[lane], np.minimum(cuts[j] + age[lane], z[lane]))
+    next_cut = np.append(cuts, np.inf)  # next_cut[filled]: a lane's first unread cut
+    filled = np.searchsorted(cuts, end)
     active = np.flatnonzero(end <= horizon)
     while active.size:
         need = (horizon - end[active].min()) / model.mu
@@ -308,13 +217,13 @@ def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator,
             m = kern.mass(aux, 0.0, z)
             last = _row_total(end[active], z)
         last_mass = _row_total(mass[active], m)
-        # only lanes whose block passes their first unread time have times to read
-        hit = np.flatnonzero(last > next_time[filled[active]])
+        # only lanes whose block passes their first unread cut have cuts to read
+        hit = np.flatnonzero(last > next_cut[filled[active]])
         lanes = active[hit]
         z_hit = aux[:, hit] + idle.split_sum(rng, idle_sums[hit], k) if summed else z[:, hit]
         ends, masses = _running_sum(end[lanes], z_hit), _running_sum(mass[lanes], m[:, hit])
-        # cycle i of hit lane c covers the times with indices in [lo[i, c], hi[i, c])
-        hi = np.searchsorted(times, ends)
+        # cycle i of hit lane c covers the cuts with indices in [lo[i, c], hi[i, c])
+        hi = np.searchsorted(cuts, ends)
         lo = np.vstack((filled[lanes], hi[:-1]))
         i, c = np.nonzero(hi > lo)
         reps = hi[i, c] - lo[i, c]
@@ -323,7 +232,7 @@ def _walk_cycles(model: RegenModel, times: np.ndarray, rng: np.random.Generator,
         j = lo[i, c] + np.arange(first.size) - first
         start = np.where(i > 0, ends[i - 1, c], end[lanes[c]])
         before = np.where(i > 0, masses[i - 1, c], mass[lanes[c]])
-        out[lanes[c], j] = read(aux[i, hit[c]], z_hit[i, c], 0.0, times[j] - start, before)
+        out[lanes[c], j] = before + kern.mass(aux[i, hit[c]], 0.0, np.minimum(cuts[j] - start, z_hit[i, c]))
         filled[lanes] = hi[-1]
         # a hit lane carries on from the cycle ends its readings saw
         last[hit] = ends[-1]
@@ -341,42 +250,14 @@ def integrated_path(model: RegenModel, cuts, rng: np.random.Generator, n_lanes: 
     sequence, so cumulative row sums form a consistent integrated path.  Each
     lane starts inside a length-biased cycle at a uniform age.
 
-    The path at a cut is the mass of the cycles ending before it plus the
+    This is the sampler the aggregation runs for regenerative sources.  The
+    path at a cut is the mass of the cycles ending before it plus the
     partial mass of the cycle that covers it, read off the block cycle walk.
     """
     cuts = nm.strict_grid("cuts", cuts)
     if n_lanes < 1:
         raise ValueError("n_lanes must be at least 1")
-    mass = pulses.KERNELS[model.kind].mass
-
-    def partial(m, z, lo, s, before):
-        return before + mass(m, lo, np.minimum(s, z))
-
-    path = _walk_cycles(model, cuts, rng, n_lanes, partial)
-    return np.diff(path, axis=1, prepend=0.0)
-
-
-def state_sample(model: RegenModel, times, rng: np.random.Generator, n_rep: int):
-    """Stationary state values X(t_k) along one path per replicate.
-
-    ``times`` must be nondecreasing and nonnegative.  Returns shape
-    (n_rep, len(times)).  Within a lane the values come from one consistent
-    path, so lagged products estimate the covariance function.  The cycles
-    are those of the block cycle walk behind ``integrated_path``.
-    """
-    tq = np.asarray(times, dtype=float)
-    if tq.ndim != 1 or tq.size == 0:
-        raise ValueError("times must be a nonempty 1-d array")
-    if not (np.all(np.isfinite(tq)) and tq[0] >= 0 and np.all(np.diff(tq) >= 0)):
-        raise ValueError("times must be finite, nondecreasing and nonnegative")
-    if n_rep < 1:
-        raise ValueError("n_rep must be at least 1")
-    value = pulses.KERNELS[model.kind].value
-
-    def point(m, z, lo, s, before):
-        return value(m, s)
-
-    return _walk_cycles(model, tq, rng, n_rep, point)
+    return np.diff(_walk_cycles(model, cuts, rng, n_lanes), axis=1, prepend=0.0)
 
 
 # -- renewal function and covariance decomposition ----------------------------------

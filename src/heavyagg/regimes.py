@@ -51,8 +51,8 @@ def build_regime(
     extra constants and the log characteristic function of that limit (or
     raises when the source has none).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     h1 = constants["H1"]
     # gamma0 comes out of float arithmetic (1.4 - 1.0 == 0.3999999999999999),
     # so a gamma that equals it up to rounding is the critical exponent

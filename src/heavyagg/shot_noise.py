@@ -77,8 +77,8 @@ class ShotNoiseSource:
                 f"shot noise takes pulse families {_SHOT_FAMILIES}, not {self.pulse.kind!r}; "
                 "cycle families belong to the regenerative input"
             )
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite")
         for m in self.pulse.components if self.pulse.kind == "mixture" else (self.pulse,):
             if m.kind not in _SHOT_FAMILIES[:-1]:
                 raise ValueError(

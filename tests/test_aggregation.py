@@ -1,12 +1,16 @@
-"""The aggregate field: shapes, source counts, bounds, centering and guards.
+"""The aggregate field: shapes, source counts, bounds, centering, covariance and guards.
 
 An on-off regenerative source and a unit-rectangle shot-noise source are
 aggregated on small grids.  The on-off traffic rate lies in [0, 1], so every
 window increment of the uncentered sum is bounded by the source count times
 the window length; the analytic centering makes V mean zero at every grid
-point, checked within 5 standard errors.
+point, checked within 5 standard errors.  The sources are iid and
+stationary, so the covariance of V over the whole grid is exact at every
+lam: the shot-noise sample matches it within 5 standard errors, and along a
+lam ladder it tends to the covariance of the fractional Brownian sheet.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 
 from heavyagg import aggregation as ag
 from heavyagg import heavy_tail as ht
+from heavyagg import limit_fields as lf
 from heavyagg import pulses
 from heavyagg import regenerative as rg
 from heavyagg import shot_noise as sn
@@ -28,8 +33,8 @@ def onoff_model():
     return rg.RegenModel(pulses.OnOff(ht.RegVaryingDist(1.5, 1.0), ht.ExponentialDist(1.0)))
 
 
-def rect_source():
-    return sn.ShotNoiseSource(pulses.RectIndep(ht.DegenerateDist(1.0), ht.RegVaryingDist(1.5, 1.0)))
+def rect_source(rate=1.0):
+    return sn.ShotNoiseSource(pulses.RectIndep(ht.DegenerateDist(1.0), ht.RegVaryingDist(1.5, 1.0)), rate=rate)
 
 
 X_GRID = (0.25, 0.5, 1.0)
@@ -150,19 +155,59 @@ def test_one_path_call_per_replicate_chunk(monkeypatch, make, budget):
     assert (len(calls) == 1) == (budget is None)
 
 
+def pre_limit_covariance(src, lam, H, x_grid, counts):
+    """The exact covariance of V over the grid points, x-major as ``values[:, ix, iy]`` flattens.
+
+    With v(T) = Var(int_0^T X dt) for one source, Cov(V(x1, y1), V(x2, y2))
+    = min(counts) * (v(lam x1) + v(lam x2) - v(lam |x1 - x2|)) / (2 lam**(2H)),
+    because the y levels share their first sources and the sources are iid.
+    """
+    points = list(itertools.product(x_grid, counts))
+    spans = {abs(x1 - x2) for x1 in x_grid for x2 in (0.0, *x_grid)}
+    v = {t: sn.integral_variance(src, lam * t) for t in spans}
+    return np.array([[min(c1, c2) * (v[x1] + v[x2] - v[abs(x1 - x2)]) / (2.0 * lam ** (2.0 * H))
+                      for x2, c2 in points] for x1, c1 in points])
+
+
 def test_shot_noise_variance_is_linear_in_y():
-    # Var V(x, y_j) = counts[j] * Var(int_0^{lam x} X dt) / lam**(2H) at every cut
+    # the variance is linear in the source count at every cut, and the
+    # covariance across x carries the increments of v; all 21 entries of the
+    # covariance over the 6 points against the exact matrix
     src = rect_source()
     lam, gamma, x_grid, y_grid, n = 100.0, 0.5, (0.5, 1.0), (0.3, 0.6, 1.0), 4000
     H = sn.regime_of(src, gamma).H
     s = ag.aggregate(src, lam, gamma, H, x_grid, y_grid, n, rng_for("agg/var-y"))
     assert s.source_counts.tolist() == [3, 6, 10]
-    dev2 = (s.values - s.values.mean(axis=0)) ** 2
-    got = dev2.sum(axis=0) / (n - 1)
-    se = dev2.std(axis=0, ddof=1) / math.sqrt(n)
-    one = np.array([sn.integral_variance(src, lam * x) for x in x_grid]) / lam ** (2.0 * H)
-    want = one[:, None] * s.source_counts[None, :]
-    assert np.all(np.abs(got - want) <= 5.0 * se), (got, want, se)
+    dev = (s.values - s.values.mean(axis=0)).reshape(n, -1)
+    want = pre_limit_covariance(src, lam, H, x_grid, s.source_counts)
+    for a, b in zip(*np.triu_indices(dev.shape[1])):
+        prod = dev[:, a] * dev[:, b]
+        got = prod.sum() / (n - 1)
+        se = prod.std(ddof=1) / math.sqrt(n)
+        assert abs(got - want[a, b]) <= 5.0 * se, (a, b, got, want[a, b], se)
+
+
+def test_shot_noise_covariance_tends_to_the_fbs_sheet():
+    # above gamma0 = 0.5 the limit is the fractional Brownian sheet, which its
+    # covariance fixes: the exact matrix of V over the grid approaches the
+    # sheet's along a lam ladder.  The driving measure scales with the rate,
+    # so at rate 4 every distance is 4 times as large
+    points = list(itertools.product(X_GRID, Y_GRID))
+    distances = {}
+    for rate in (1.0, 4.0):
+        src = rect_source(rate)
+        spec = sn.regime_of(src, 1.0)
+        assert spec.limit_kind == "FBS"
+        fbs = lf.FbsSpec(spec.constants["H1"], spec.constants["C_W"])
+        limit = np.array([[lf.fbs_covariance(fbs, p, q) for q in points] for p in points])
+        d = []
+        for lam in (1e2, 1e3, 1e4, 1e5):
+            pre = pre_limit_covariance(src, lam, spec.H, X_GRID, np.floor(np.asarray(Y_GRID) * lam))
+            d.append(float(np.max(np.abs(pre - limit))))
+        assert all(b < a for a, b in zip(d, d[1:])), (rate, d)
+        assert d[-1] < 1e-3 * np.max(np.abs(limit)), (rate, d)
+        distances[rate] = d
+    np.testing.assert_allclose(distances[4.0], 4.0 * np.asarray(distances[1.0]), rtol=1e-6)
 
 
 @pytest.mark.parametrize("make", [onoff_sample, shot_sample])

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from heavyagg import heavy_tail as ht
-from heavyagg import regenerative
 from heavyagg import streams
 
 from tail_stats import hill_estimate
@@ -156,7 +155,6 @@ def test_every_law_draws_float64():
         ht.DegenerateDist(1),
         ht.UniformDist(0, 1),
         ht.LowTailPowerDist(0.5),
-        regenerative.BusyPeriodLaw(ht.RegVaryingDist(2.5, 0.3)),
     )
     rng = rng_for("ht/float64")
     for law in laws:

@@ -303,7 +303,6 @@ TEST_ONLY_NAMES = {
     "limit_fields.fbs_covariance": "covariance of the FBS limit, the oracle for Cov V in the Gaussian regime",
     "limit_fields.telecom_variance": "closed-form variance of the Telecom limit, the oracle of its sampler",
     "regenerative.cycle_sample": "fresh cycle lengths and masses, the reference of the cycle-tail tests",
-    "regenerative.state_sample": "stationary states along a path, the Monte Carlo side of the covariance tests",
     "regenerative.cov_decomposition": "Cov = R + h on a grid, the covariance oracle of regenerative sources",
     "pulses.vanishing_reward": "the model's bounded coupled reward with limit 0, a renewal-reward input",
     "pulses.RectCoupled": "pulse family: model vocabulary that sources are built from",

@@ -1,11 +1,12 @@
 """Tests for pulse families: the shared kernel table, mean masses, moment kernels.
 
 The kernel table is checked against window closed forms, additivity, total
-masses and the quadrature of its own point values; its samplers against the
-aged-pulse and length-biased laws; Brownian pulses through the shot-noise
-touched-cell sampler, for exact-law marginals; and the moments (mean mass,
-mean pulse, correlation kernel, covariance integral) against closed forms,
-brute-force quadrature and Monte Carlo over kernel draws.
+masses and the quadrature of a test-local table of point values w(s); its
+samplers against the aged-pulse and length-biased laws; Brownian pulses
+through the shot-noise touched-cell sampler, for exact-law marginals; and
+the moments (mean mass, mean pulse, correlation kernel, covariance integral)
+against closed forms, brute-force quadrature and Monte Carlo over kernel
+draws.
 """
 
 import math
@@ -37,10 +38,22 @@ def window(kind, d, m, a, b):
     return K[kind].mass(m, np.clip(a, 0.0, d), np.clip(b, 0.0, d))
 
 
+# the reference pulse shape w(s) of each deterministic family, at
+# pulse-local times 0 <= s < d: the kernels integrate it but never read it
+POINT_VALUE = {
+    "rect-indep": lambda m, s: m * np.ones_like(s, dtype=float),
+    "rect-coupled": lambda m, s: m * np.ones_like(s, dtype=float),
+    "exp-damped": lambda m, s: np.exp(-m * s),
+    "on-off": lambda m, s: np.less(s, m).astype(float),
+    "workload": lambda m, s: np.clip(m - s, 0.0, None),
+    "renewal-reward": lambda m, s: m * np.ones_like(s, dtype=float),
+}
+
+
 def state(kind, d, m, s):
-    """W(s): the kernel's point value inside the support and zero after it."""
+    """W(s): the reference point value inside the support and zero after it."""
     inside = s < d
-    return np.where(inside, K[kind].value(m, np.where(inside, s, 0.0)), 0.0)
+    return np.where(inside, POINT_VALUE[kind](m, np.where(inside, s, 0.0)), 0.0)
 
 
 # one model per deterministic family
@@ -134,7 +147,7 @@ def test_window_mass_is_quadrature_of_point_value(kind):
         # on-off and workload pulses kink (or jump) at the busy-leg end m
         for lo, hi in [(0.0, di), (0.3 * di, 0.8 * di), (0.1 * di, 0.1 * di)]:
             kinks = [mi] if kind in ("on-off", "workload") and lo < mi < hi else None
-            want, _ = integrate.quad(lambda s: float(K[kind].value(mi, s)), lo, hi, points=kinks, limit=200)
+            want, _ = integrate.quad(lambda s: float(POINT_VALUE[kind](mi, s)), lo, hi, points=kinks, limit=200)
             assert float(K[kind].mass(mi, lo, hi)) == pytest.approx(want, rel=1e-9, abs=1e-12), kind
 
 

@@ -1,16 +1,17 @@
 """Tests for regenerative sources.
 
-Covers the busy-period sampler, the stationary cycle samplers (window
-integrals, state paths, fresh cycles and their centered masses), the
-covariance decomposition Cov = R + h with its renewal-function solver, and
-the scaling table.  Grid
+Covers the stationary cycle samplers (window integrals of the path and
+fresh cycles with their centered masses), the covariance decomposition
+Cov = R + h with its renewal-function solver, and the scaling table.  Grid
 numerics are checked against closed forms (exponential and uniform cycle
 laws, the on-off and renewal-reward worked examples) and, for a coupled
 reward, whose moments are quadratures, against a brute-force double
 integral; the per-family moments themselves are tested in test_pulses.  The
-samplers are checked against the grids by Monte Carlo with 4-sigma bands,
-and the block cycle walk behind both path samplers against reference wave
-loops by two-sample KS tests, against itself under refined cut grids, and
+path sampler is checked against the grids by Monte Carlo with 4-sigma bands
+(window means and covariances; thin windows read the lagged state
+covariance of on-off, exp-damped, workload and coupled-reward sources), and
+its block cycle walk against a reference wave loop by two-sample KS tests on
+wide and on thin windows, against itself under refined cut grids, and
 against the busy fraction of the M/G/1/0 queue.
 """
 
@@ -46,47 +47,19 @@ def exp_damped_model():
     return rg.RegenModel(pulses.ExpDamped(ht.LowTailPowerDist(0.5, 1.0), ht.RegVaryingDist(1.5, 1.0)))
 
 
+def workload_model():
+    return rg.RegenModel(pulses.Workload(ht.RegVaryingDist(6.0, 1.0), ht.ExponentialDist(1.0)))
+
+
+def coupled_reward_model():
+    reward = pulses.RewardLaw("coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z))
+    return rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), reward))
+
+
 def centered_masses(model, rng, size):
     """Cycle mass minus mean rate times cycle length, over fresh cycles."""
     z, mass = rg.cycle_sample(model, rng, size)
     return mass - model.mean_rate * z
-
-
-# -- busy periods ---------------------------------------------------------------------
-
-
-def test_busy_period_requires_subcritical_service():
-    with pytest.raises(ValueError):
-        rg.sample_busy_period(ht.ExponentialDist(1.0), rng_for("rg/busy-bad"), 1)
-    with pytest.raises(ValueError):
-        rg.BusyPeriodLaw(ht.RegVaryingDist(1.5, 0.5))
-
-
-def test_busy_period_deterministic_service_mean():
-    # service 1/2 at unit arrival rate: mean period 0.5 / (1 - 0.5) = 1
-    b = rg.sample_busy_period(ht.DegenerateDist(0.5), rng_for("rg/busy-det"), size=20000)
-    sem = b.std(ddof=1) / math.sqrt(b.size)
-    assert b.mean() == pytest.approx(1.0, abs=4 * sem)
-    assert b.min() >= 0.5
-
-
-def test_busy_period_law_descriptors():
-    law = rg.BusyPeriodLaw(ht.RegVaryingDist(1.5, 1.0 / 6.0))
-    assert law.alpha == 1.5
-    assert law.mean() == pytest.approx(1.0)
-    assert law.tail_constant() == pytest.approx(0.3849001794597505)
-
-
-def test_busy_period_tail_index():
-    law = rg.BusyPeriodLaw(ht.RegVaryingDist(1.5, 1.0 / 6.0))
-    s = law.sample(rng_for("rg/busy-hill", 1), size=400000)
-    assert hill_estimate(s, 600) == pytest.approx(1.5, abs=0.15)
-
-
-def test_busy_period_cap_guard():
-    service = ht.RegVaryingDist(1.5, 1.0 / 6.0)
-    with pytest.raises(RuntimeError):
-        rg.sample_busy_period(service, rng_for("rg/busy-cap"), size=1000, cap=10)
 
 
 # -- model wrapper --------------------------------------------------------------------
@@ -103,14 +76,6 @@ def test_model_requires_finite_cycle_mean():
         rg.RegenModel(pulses.OnOff(ht.RegVaryingDist(0.9, 1.0), ht.ExponentialDist(1.0)))
 
 
-def test_model_refuses_busy_period_legs():
-    law = rg.BusyPeriodLaw(ht.RegVaryingDist(1.5, 1.0 / 6.0))
-    with pytest.raises(ValueError, match="busy-period"):
-        rg.RegenModel(pulses.OnOff(ht.RegVaryingDist(1.5, 1.0), law))
-    with pytest.raises(ValueError, match="busy-period"):
-        rg.RegenModel(pulses.RenewalReward(law, uniform_reward()))
-
-
 def test_workload_needs_square_integrable_busy_leg():
     with pytest.raises(ValueError):
         rg.RegenModel(pulses.Workload(ht.RegVaryingDist(1.5, 1.0), ht.ExponentialDist(1.0)))
@@ -118,7 +83,7 @@ def test_workload_needs_square_integrable_busy_leg():
 
 def test_mean_rate_closed_forms():
     assert onoff_model().mean_rate == pytest.approx(0.75)
-    wl = rg.RegenModel(pulses.Workload(ht.RegVaryingDist(6.0, 1.0), ht.ExponentialDist(1.0)))
+    wl = workload_model()
     assert wl.mu == pytest.approx(2.2)
     assert wl.mean_rate == pytest.approx(0.75 / 2.2)
     rr = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(2.5, 1.0), uniform_reward()))
@@ -141,10 +106,7 @@ def test_cycle_sample_shapes():
 
 
 def test_coupled_reward_mass_mean_matches_mc():
-    reward = pulses.RewardLaw(
-        "coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z), limit_dist=None
-    )
-    model = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), reward))
+    model = coupled_reward_model()
     _, mass = rg.cycle_sample(model, rng_for("rg/mass-coupled"), size=120000)
     sem = mass.std(ddof=1) / math.sqrt(mass.size)
     assert mass.mean() == pytest.approx(pulses.mean_mass(model.pulse), abs=4 * sem)
@@ -201,57 +163,87 @@ def test_integrated_sample_validation_and_flags():
     assert one.shape == (1, 1) and 0.0 <= one[0, 0] <= 2.0
 
 
-def test_state_sample_validation():
-    model = onoff_model()
-    rng = rng_for("rg/state-bad")
-    for times in ([], [[0.0, 1.0]], [-1.0, 0.0], [2.0, 1.0], [0.0, np.inf], [np.nan]):
-        with pytest.raises(ValueError):
-            rg.state_sample(model, times, rng, 1)
-    for n_rep in (0, -3):
-        with pytest.raises(ValueError, match="n_rep"):
-            rg.state_sample(model, [0.0, 1.0], rng, n_rep)
+THIN = 1e-3
+
+
+def thin_windows(times):
+    """Cuts that open a window of width THIN at each time, and those windows' columns.
+
+    Times increase at least THIN apart; a time of 0 opens the first window.
+    A thin window divided by its width reads the state near its time.
+    """
+    cuts, cols = [], []
+    for t in times:
+        if t > 0.0:
+            cuts.append(t)
+        cuts.append(t + THIN)
+        cols.append(len(cuts) - 1)
+    return cuts, cols
+
+
+def _assert_windows_follow_the_grid(model, cuts, pairs, dec, tag, n=120_000):
+    """Window means, and the covariance of each window pair, against the grid.
+
+    The covariance of two windows is the double integral of the covariance
+    grid over them; the bands are 4 standard errors.
+    """
+    vals = rg.integrated_path(model, cuts, rng_for(tag), n)
+    assert cuts[-1] <= dec.t[-1]
+    edges = np.concatenate(([0.0], cuts))
+
+    def window_cov(i, j):
+        ss = np.linspace(edges[i], edges[i + 1], 201)
+        ts = np.linspace(edges[j], edges[j + 1], 201)
+        rows = [np.trapezoid(np.interp(np.abs(t - ss), dec.t, dec.cov), ss) for t in ts]
+        return float(np.trapezoid(rows, ts))
+
+    for i, j in pairs:
+        want = window_cov(i, j)
+        got = np.cov(vals[:, i], vals[:, j])[0, 1]
+        prod = (vals[:, i] - vals[:, i].mean()) * (vals[:, j] - vals[:, j].mean())
+        se = prod.std() / math.sqrt(n)
+        assert got == pytest.approx(want, abs=4 * se), (i, j)
+    for j, w in enumerate(np.diff(edges)):
+        se = vals[:, j].std() / math.sqrt(n)
+        assert vals[:, j].mean() == pytest.approx(model.mean_rate * w, abs=4 * se), j
+
+
+def _state_cov_check(model, lags, dec, tag):
+    # the thin window at 0 against itself and against the one at each lag
+    cuts, cols = thin_windows([0.0] + lags)
+    _assert_windows_follow_the_grid(model, cuts, [(cols[0], c) for c in cols], dec, tag)
 
 
 def test_state_sample_stationary_mean_flat():
+    # thin windows read the on-off state, busy with probability 3/4 at every time
     model = onoff_model()
-    vals = rg.state_sample(model, [0.0, 1.0, 3.0, 7.0], rng_for("rg/state-flat"), n_rep=120000)
+    cuts, cols = thin_windows([0.0, 1.0, 3.0, 7.0])
+    vals = rg.integrated_path(model, cuts, rng_for("rg/state-flat"), 120000)[:, cols] / THIN
     assert vals.shape == (120000, 4)
-    assert set(np.unique(vals)) <= {0.0, 1.0}
+    # states lie in [0, 1], up to the rounding of a thin window read at a
+    # large age inside a long length-biased cycle
+    assert np.all(np.abs(vals - np.clip(vals, 0.0, 1.0)) < 1e-2)
     band = 4 * math.sqrt(0.1875 / 120000)
     for col in range(4):
         assert vals[:, col].mean() == pytest.approx(0.75, abs=band)
 
 
-def _lagged_cov_check(model, lags, dec, tag, n_rep):
-    vals = rg.state_sample(model, [0.0] + lags, rng_for(tag), n_rep=n_rep)
-    for j, lag in enumerate(lags, start=1):
-        prod = vals[:, 0] * vals[:, j]
-        est = prod.mean() - vals[:, 0].mean() * vals[:, j].mean()
-        se = prod.std(ddof=1) / math.sqrt(n_rep)
-        grid = dec.cov[int(round(lag / dec.dt))]
-        assert est == pytest.approx(grid, abs=4 * se), f"lag {lag}"
-    v0 = vals[:, 0]
-    m4 = np.mean((v0 - v0.mean()) ** 4)
-    se0 = math.sqrt(max(m4 - v0.var(ddof=1) ** 2, 0.0) / n_rep)
-    assert v0.var(ddof=1) == pytest.approx(dec.cov[0], abs=5 * se0)
-
-
 def test_state_cov_matches_grid_on_off():
     model = onoff_model()
     dec = rg.cov_decomposition(model, 4.0, 0.02)
-    _lagged_cov_check(model, [0.5, 2.0], dec, "rg/state-onoff", 150000)
+    _state_cov_check(model, [0.5, 2.0], dec, "rg/state-onoff")
 
 
 def test_state_cov_matches_grid_exp_damped():
     model = exp_damped_model()
     dec = rg.cov_decomposition(model, 2.0, 0.02)
-    _lagged_cov_check(model, [1.0], dec, "rg/state-expdamp", 120000)
+    _state_cov_check(model, [1.0], dec, "rg/state-expdamp")
 
 
 def test_state_cov_matches_grid_workload():
-    model = rg.RegenModel(pulses.Workload(ht.RegVaryingDist(6.0, 1.0), ht.ExponentialDist(1.0)))
+    model = workload_model()
     dec = rg.cov_decomposition(model, 2.0, 0.02)
-    _lagged_cov_check(model, [0.7], dec, "rg/state-workload", 120000)
+    _state_cov_check(model, [0.7], dec, "rg/state-workload")
 
 
 # -- renewal function -----------------------------------------------------------------
@@ -338,14 +330,14 @@ def test_coupled_reward_decomposition():
     # reward (2u - 1)**2 / (1 + z) on Pareto(3/2, 1) cycles has a nonzero
     # mean: R(0) mu = E[W**2 Z], the recurrence part starts at -(E X)**2, and
     # the lagged state covariance follows the grid
-    reward = pulses.RewardLaw("coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z))
-    model = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), reward))
+    model = coupled_reward_model()
+    reward = model.pulse.reward
     dec = rg.cov_decomposition(model, 1.0, 0.05)
     brute, err = integrate.dblquad(lambda u, z: reward.g(z, u) ** 2 * z * 1.5 * z**-2.5, 1.0, np.inf, 0.0, 1.0)
     assert dec.R[0] * dec.mu == pytest.approx(brute, abs=err)
     assert dec.mean_rate > 0.05
     assert dec.cov[0] == dec.R[0] - dec.mean_rate**2
-    _lagged_cov_check(model, [0.5], dec, "rg/state-coupled", 120000)
+    _state_cov_check(model, [0.5], dec, "rg/state-coupled")
 
 
 def test_decomposition_grid_bookkeeping():
@@ -369,7 +361,7 @@ def test_light_cycle_has_no_power_asymptote():
 
 
 def test_workload_decomposition_caveat():
-    model = rg.RegenModel(pulses.Workload(ht.RegVaryingDist(6.0, 1.0), ht.ExponentialDist(1.0)))
+    model = workload_model()
     dec = rg.cov_decomposition(model, 5.0, 0.02)
     # Cov(0) = E X^2 - (E X)^2 with E X^2 = E Z_on^3 / (3 mu)
     var = 2.0 / 6.6 - (0.75 / 2.2) ** 2
@@ -451,10 +443,7 @@ def test_renewal_reward_regimes():
     assert spec.constants["prefactor"] == pytest.approx(0.0, abs=1e-12)
     assert spec.logchf(3.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
-    uncentered = pulses.RewardLaw(
-        "coupled", g=lambda z, u: (2.0 * u - 1.0) ** 2 / (1.0 + z), limit_dist=None
-    )
-    model = rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(1.5, 1.0), uncentered))
+    model = coupled_reward_model()  # uncentered
     spec2 = rg.regime_of(model, 0.5)
     assert spec2.constants["prefactor"] == pytest.approx(-pulses.mean_mass(model.pulse) / model.mu)
 
@@ -512,11 +501,12 @@ def test_critical_exponent_survives_float_rounding():
 
 def test_regime_validation():
     model = onoff_model()
-    with pytest.raises(ValueError):
-        rg.regime_of(model, 0.0)
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rg.regime_of(model, gamma)
     with pytest.raises(ValueError, match="workload|bound"):
         rg.regime_of(
-            rg.RegenModel(pulses.Workload(ht.RegVaryingDist(6.0, 1.0), ht.ExponentialDist(1.0))),
+            workload_model(),
             1.0,
         )
     with pytest.raises(ValueError, match="regularly varying"):
@@ -569,7 +559,7 @@ def _wave_path(model, cuts, rng, n_lanes):
 
 PATH_MODELS = {
     "on-off": onoff_model,
-    "workload": lambda: rg.RegenModel(pulses.Workload(ht.RegVaryingDist(6.0, 1.0), ht.ExponentialDist(1.0))),
+    "workload": workload_model,
     "renewal-reward": lambda: rg.RegenModel(pulses.RenewalReward(ht.RegVaryingDist(2.5, 1.0), uniform_reward())),
     "exp-damped": exp_damped_model,
 }
@@ -626,50 +616,27 @@ def test_path_forced_multi_pass_matches_wave_sampler_in_law(family, stationary, 
     _assert_block_matches_waves(family, stationary, f"path-passes/{family}/{stationary}", 1, 6000, monkeypatch)
 
 
-def _wave_states(model, times, rng, n_rep):
-    """Reference sampler: the per-cycle wave loop that the block walk replaced.
-
-    Time by time, every lane whose covering cycle ended at or before the
-    time draws its next cycle per pass.
-    """
-    kern = pulses.KERNELS[model.kind]
-    age, z, aux = kern.aged(model.pulse, rng, n_rep)
-    start = -age  # global time at which the covering cycle began
-    end = z - age
-    vals = np.zeros((n_rep, len(times)))
-    for k, t in enumerate(times):
-        lag = np.flatnonzero(end <= t)
-        while lag.size:
-            z_new, aux_new = kern.fresh(model.pulse, rng, lag.size)
-            start[lag] = end[lag]
-            end[lag] = end[lag] + z_new
-            aux[lag] = aux_new
-            lag = lag[end[lag] <= t]
-        vals[:, k] = kern.value(aux, t - start)
-    return vals
-
-
-# repeated times and times at 0; the last time spans several mean cycles
-STATE_TIMES = [0.0, 0.0, 0.3, 2.5, 2.5, 6.0, 15.0]
+# thin windows at 0, inside the first cycles and after several mean cycles
+STATE_TIMES = [0.0, 0.3, 2.5, 6.0, 15.0]
 
 
 @pytest.mark.parametrize("budget", [None, 3], ids=["default-budget", "budget-3"])
 @pytest.mark.parametrize("family", sorted(PATH_MODELS))
 def test_state_block_walk_matches_wave_loop_in_law(family, budget, monkeypatch):
-    # the default budget with 1000 lanes per call gives blocks of many cycles;
-    # a budget of 3 cells leaves one cycle per lane and pass
+    # the states near each time, read off thin windows whose cuts lie THIN
+    # apart; the default budget with 1000 lanes per call gives blocks of many
+    # cycles, a budget of 3 cells one cycle per lane and pass
     calls, lanes = (12, 1000) if budget is None else (1, 6000)
     if budget is not None:
         monkeypatch.setattr(rg, "BLOCK_CELL_BUDGET", budget)
     model = PATH_MODELS[family]()
+    cuts, cols = thin_windows(STATE_TIMES)
     tag = f"state-law/{family}/{budget}"
-    walk = np.concatenate([rg.state_sample(model, STATE_TIMES, rng_for(tag, c), lanes) for c in range(calls)])
-    wave = _wave_states(model, STATE_TIMES, rng_for(tag + "/wave"), calls * lanes)
+    walk = np.concatenate([rg.integrated_path(model, cuts, rng_for(tag, c), lanes)[:, cols] for c in range(calls)])
+    wave = _wave_path(model, cuts, rng_for(tag + "/wave"), calls * lanes)[:, cols]
     assert walk.shape == wave.shape
-    # a repeated time reads the same cycle at the same local time
-    assert np.array_equal(walk[:, 0], walk[:, 1]) and np.array_equal(walk[:, 3], walk[:, 4])
-    pairs = [(walk[:, j], wave[:, j]) for j in (0, 2, 3, 5, 6)]
-    # the row sum tests the joint law of one lane's path
+    pairs = [(walk[:, j], wave[:, j]) for j in range(len(cols))]
+    # the row sum tests the joint law of one lane's states
     pairs.append((walk.sum(axis=1), wave.sum(axis=1)))
     for a, b in pairs:
         res = sp_stats.ks_2samp(np.round(a, 9), np.round(b, 9))
@@ -751,30 +718,12 @@ def test_path_refined_cuts_keep_the_coarse_law_with_summed_idle_legs(stationary,
 
 
 def test_path_windows_tile_the_covariance():
-    # empirical covariance of two separated windows against the quadrature grid
+    # each window's variance, and the covariance of a separated and of an
+    # adjacent pair of windows
     model = onoff_model()
-    n = 120_000
-    vals = rg.integrated_path(model, [1.0, 3.0, 4.0], rng_for("path-cov"), n)
     dec = rg.cov_decomposition(model, 20.0, 0.02)
-
-    def window_cov(lo1, hi1, lo2, hi2):
-        ss = np.linspace(lo1, hi1, 201)
-        ts = np.linspace(lo2, hi2, 201)
-        rows = [np.trapezoid(np.interp(np.abs(t - ss), dec.t, dec.cov), ss) for t in ts]
-        return float(np.trapezoid(rows, ts))
-
-    for (i, lo1, hi1), (j, lo2, hi2) in [
-        ((0, 0.0, 1.0), (2, 3.0, 4.0)),
-        ((1, 1.0, 3.0), (2, 3.0, 4.0)),
-    ]:
-        want = window_cov(lo1, hi1, lo2, hi2)
-        got = np.cov(vals[:, i], vals[:, j])[0, 1]
-        prod = (vals[:, i] - vals[:, i].mean()) * (vals[:, j] - vals[:, j].mean())
-        se = prod.std() / math.sqrt(n)
-        assert got == pytest.approx(want, abs=4 * se)
-    for j, w in enumerate((1.0, 2.0, 1.0)):
-        se = vals[:, j].std() / math.sqrt(n)
-        assert vals[:, j].mean() == pytest.approx(model.mean_rate * w, abs=4 * se)
+    pairs = [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)]
+    _assert_windows_follow_the_grid(model, [1.0, 3.0, 4.0], pairs, dec, "path-cov")
 
 
 def test_path_row_sums_match_integrated_law():
@@ -831,11 +780,11 @@ def test_walk_draws_busy_legs_per_active_lane_and_sums_idle_legs(monkeypatch):
 def test_mg10_busy_fraction_is_erlang_loss():
     # M/G/1/0 at unit arrival rate: Pareto(1.5) service, arrivals during
     # service are lost, Exp(1) waits for the next one; the long-run busy
-    # fraction is E S / (1 + E S) = 3 / 4.  Times over [0, 200] with 4000
-    # lanes read multi-row blocks with summed idle legs
+    # fraction is E S / (1 + E S) = 3 / 4.  The busy time A(200) over one cut
+    # with 4000 lanes reads multi-row blocks with summed idle legs
     model = rg.RegenModel(pulses.OnOff(ht.RegVaryingDist(1.5, 1.0), ht.ExponentialDist(1.0)))
     n = 4000
-    busy = rg.state_sample(model, np.linspace(0.0, 200.0, 81), rng_for("mg10"), n).mean(axis=1)
+    busy = rg.integrated_path(model, [200.0], rng_for("mg10"), n)[:, 0] / 200.0
     assert abs(busy.mean() - 0.75) <= 5 * busy.std() / math.sqrt(n)
 
 

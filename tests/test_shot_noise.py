@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from heavyagg import heavy_tail as ht
+from heavyagg import limit_fields as lf
 from heavyagg import numerics as nm
 from heavyagg import pulses as pl
 from heavyagg import shot_noise as sn
@@ -55,6 +56,36 @@ def test_square_integrability_windows_enforced():
         sn.ShotNoiseSource(pl.BrownianPulse(R=ht.RegVaryingDist(1.8, 1.0)))
     with pytest.raises(ValueError, match="rate"):
         sn.ShotNoiseSource(rect_unit_source().pulse, rate=0.0)
+
+
+NON_FINITE_PARAMETERS = {
+    # NaN fails every comparison, so a check written as "reject if bad" lets
+    # it through; a mixture with a NaN weight would sample only the others
+    "mixture-nan-weight": lambda: pl.MixturePulse((rect_unit_source().pulse,) * 2, (0.5, math.nan)),
+    "mixture-nan-only": lambda: pl.MixturePulse((rect_unit_source().pulse,), (math.nan,)),
+    "mixture-inf-weights": lambda: pl.MixturePulse((rect_unit_source().pulse,) * 2, (math.inf, -math.inf)),
+    "source-rate": lambda: sn.ShotNoiseSource(rect_unit_source().pulse, rate=math.inf),
+    "telecom-c": lambda: lf.TelecomSpec(1.5, c=math.inf),
+    "telecom-eps": lambda: lf.TelecomSpec(1.5, eps=math.inf),
+    "fbs-c_w": lambda: lf.FbsSpec(0.75, math.inf),
+    "pareto-x_min": lambda: ht.RegVaryingDist(1.5, math.inf),
+    "pareto-alpha": lambda: ht.RegVaryingDist(math.inf, 1.0),
+    "pareto-nan": lambda: ht.RegVaryingDist(math.nan, 1.0),
+    "exponential": lambda: ht.ExponentialDist(math.inf),
+    "degenerate": lambda: ht.DegenerateDist(math.inf),
+    "degenerate-nan": lambda: ht.DegenerateDist(math.nan),
+    "uniform-hi": lambda: ht.UniformDist(0.0, math.inf),
+    "uniform-lo": lambda: ht.UniformDist(-math.inf, 0.0),
+    "low-tail-kappa": lambda: ht.LowTailPowerDist(math.inf),
+    "low-tail-c": lambda: ht.LowTailPowerDist(0.5, math.inf),
+    "stable-sigma": lambda: ht.StableParams(1.5, math.inf, 0.0),
+}
+
+
+@pytest.mark.parametrize("build", list(NON_FINITE_PARAMETERS.values()), ids=list(NON_FINITE_PARAMETERS))
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_null_pulse_integrates_to_zero():
@@ -297,8 +328,10 @@ def test_regime_window_rejections():
         sn.regime_of(exp_damped_source(1.8, 0.5), gamma=1.0)
     with pytest.raises(ValueError, match="\\(2,3\\)"):
         sn.regime_of(sn.ShotNoiseSource(pl.BrownianPulse(R=ht.RegVaryingDist(3.5, 1.0))), gamma=1.0)
-    with pytest.raises(ValueError, match="gamma"):
-        sn.regime_of(rect_unit_source(), gamma=0.0)
+    # a NaN compares false both ways, so it must not fall through to the critical entry
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            sn.regime_of(rect_unit_source(), gamma=gamma)
 
 
 # -- stationarity and superposition ---------------------------------------------------
