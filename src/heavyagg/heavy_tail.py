@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import numerics as nm
 
@@ -171,7 +170,18 @@ class ExponentialDist:
         return self.mean_value
 
     def moment(self, q: float) -> float:
-        return self.mean_value**q * float(special.gamma(q + 1.0))
+        """E[X**q] = mean**q * Gamma(q + 1) for q > -1; inf past the float range."""
+        if not q > -1.0:
+            raise ValueError(f"moment of order {q} is infinite for the exponential law")
+        try:
+            return self.mean_value**q * math.gamma(q + 1.0)
+        except OverflowError:
+            pass
+        # a factor left the float range, but a small mean may bring the product back
+        try:
+            return math.exp(q * math.log(self.mean_value) + math.lgamma(q + 1.0))
+        except OverflowError:
+            return math.inf
 
     def integrated_survival(self, t):
         t = np.asarray(t, dtype=float)
@@ -261,7 +271,11 @@ class UniformDist:
             return self.mean()
         if self.lo < 0 and q != int(q):
             raise ValueError("non-integer moment of a law with negative support")
+        if q <= -1.0 and self.lo <= 0.0 <= self.hi:
+            raise ValueError(f"moment of order {q} is infinite for a law whose support holds 0")
         span = self.hi - self.lo
+        if q == -1.0:
+            return math.log(self.hi / self.lo) / span
         return (self.hi ** (q + 1.0) - self.lo ** (q + 1.0)) / ((q + 1.0) * span)
 
     def expect(self, func) -> float:
@@ -309,8 +323,10 @@ class LowTailPowerDist:
         """E[exp(-s X)], exact via the lower incomplete gamma function."""
         s = np.asarray(s, dtype=float)
         safe = np.maximum(s, 1e-300)
-        val = self.kappa * self.c * special.gamma(self.kappa) * safe ** (-self.kappa) \
-            * special.gammainc(self.kappa, safe * self.upper)
+        from scipy.special import gammainc
+
+        val = self.kappa * self.c * math.gamma(self.kappa) * safe ** (-self.kappa) \
+            * gammainc(self.kappa, safe * self.upper)
         return np.where(s < 1e-12, 1.0 - s * self.mean(), val)
 
     def sample(self, rng: np.random.Generator, size):
@@ -363,7 +379,7 @@ def stable_params_from_tails(alpha: float, c_plus: float, c_minus: float) -> Sta
     total = c_plus + c_minus
     if total == 0:
         return StableParams(alpha, 0.0, 0.0)
-    sigma_alpha = special.gamma(2.0 - alpha) / (1.0 - alpha) * math.cos(math.pi * alpha / 2.0) * total
+    sigma_alpha = math.gamma(2.0 - alpha) / (1.0 - alpha) * math.cos(math.pi * alpha / 2.0) * total
     beta = (c_plus - c_minus) / total
     return StableParams(alpha, sigma_alpha ** (1.0 / alpha), beta)
 

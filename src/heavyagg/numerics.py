@@ -7,6 +7,10 @@ where naive forms like ``cos(z) - 1`` round to zero.  ``gauss_legendre_panels``
 (nodes cached per order), ``tanh_sinh_unit`` and ``levy_duration_rule`` are
 the fixed rules; ``checked_quad`` is an adaptive ``quad`` that keeps its error
 estimate; ``strict_grid`` is the one validator of time and coordinate grids.
+
+Importing the package loads numpy alone: scipy is imported inside the few
+functions that need it (``checked_quad`` here), so it costs import time and
+memory only in a process that calls one of them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "psi_array",
@@ -60,12 +63,12 @@ def tanh_sinh_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     Mori, 1974) with step TANH_SINH_T_MAX / n; it keeps its rate of
     convergence for integrands with algebraic endpoint singularities.  The
     nodes come from the logistic function, so those near 0 keep their full
-    relative precision.
+    relative precision; |pi sinh t| <= 384 keeps exp within range.
     """
     t = np.linspace(-TANH_SINH_T_MAX, TANH_SINH_T_MAX, 2 * n + 1)
     e = np.pi * np.sinh(t)
-    s = special.expit(e)
-    w = (t[1] - t[0]) * np.pi * np.cosh(t) * s * special.expit(-e)
+    s = 1.0 / (1.0 + np.exp(-e))
+    w = (t[1] - t[0]) * np.pi * np.cosh(t) * s * (1.0 / (1.0 + np.exp(e)))
     return s, w
 
 
@@ -90,6 +93,8 @@ def checked_quad(f, lo: float, hi: float, what: str) -> float:
     quad is asked for the same absolute bound: with its default of 1.49e-8
     it would stop on values below 1.5e-2 whose error lies between the two.
     """
+    from scipy import integrate
+
     val, err = integrate.quad(f, lo, hi, limit=400, epsabs=1e-8)
     if err > max(1e-8, 1e-6 * abs(val)):
         raise RuntimeError(f"{what} quadrature did not converge (error bound {err:.2e} for {val:.6e})")

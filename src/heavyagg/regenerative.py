@@ -205,9 +205,10 @@ def _walk_cycles(model: RegenModel, cuts: np.ndarray, rng: np.random.Generator, 
         k = max(1, min(math.ceil(BLOCK_MARGIN * need), BLOCK_CELL_BUDGET // active.size))
         # row i holds the i-th new cycle of every active lane
         if summed:
-            # the mark is the busy leg, and a cycle's mass ends with it
+            # the mark is the busy leg, and a cycle's mass ends with it; an
+            # on-off cycle's mass is the busy leg itself
             aux = model.pulse.Zon.sample(rng, k * active.size).reshape(k, active.size)
-            m = kern.mass(aux, 0.0, aux)
+            m = aux if model.kind == "on-off" else kern.mass(aux, 0.0, aux)
             idle_sums = idle.sum_sample(rng, k, active.size)
             last = _row_total(end[active], aux)
             last += idle_sums

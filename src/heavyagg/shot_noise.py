@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import numerics as nm
 from . import pulses as pl
@@ -391,11 +390,13 @@ def regime_of(src: ShotNoiseSource, gamma: float) -> RegimeSpec:
         c_rho = model.R.tail_constant()
         gamma0 = rho + kappa - 1.0
         h1 = (3.0 - rho - kappa) / 2.0
+        from scipy.special import hyp2f1
+
         c_x = (
-            special.gamma(kappa + 1.0)
+            math.gamma(kappa + 1.0)
             * c_kappa
             * c_rho
-            * special.hyp2f1(kappa, 1.0, kappa + rho, -1.0)
+            * hyp2f1(kappa, 1.0, kappa + rho, -1.0)
             / (kappa + rho - 1.0)
         )
         alpha = rho + kappa
@@ -419,7 +420,7 @@ def regime_of(src: ShotNoiseSource, gamma: float) -> RegimeSpec:
         h1 = 2.0 - rho / 2.0
         c_x = c_rho / ((rho - 1.0) * (rho - 2.0))
         alpha = 2.0 * rho / 3.0
-        abs_moment = 2.0 ** (alpha / 2.0) * special.gamma((alpha + 1.0) / 2.0) / math.sqrt(math.pi)
+        abs_moment = 2.0 ** (alpha / 2.0) * math.gamma((alpha + 1.0) / 2.0) / math.sqrt(math.pi)
         c_plus = c_minus = 0.5 * c_rho * abs_moment * 3.0 ** (-rho / 3.0)
     else:
         raise ValueError(f"no scaling table for pulse family {kind!r}")

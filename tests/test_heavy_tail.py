@@ -167,6 +167,32 @@ def test_every_law_draws_float64():
             assert x.dtype == np.float64 and x.shape == (5,), law
 
 
+def test_exponential_moments_diverge_at_order_minus_one():
+    d = ht.ExponentialDist(1.7)
+    for q in (-0.5, 0.5, 2.0, 3.3):
+        assert d.moment(q) == pytest.approx(1.7**q * special.gamma(q + 1.0), rel=1e-13)
+    assert d.moment(200.0) == math.inf
+    # Gamma(201) overflows, but 0.01**200 brings the product back into range
+    assert ht.ExponentialDist(0.01).moment(200.0) == pytest.approx(
+        math.exp(200.0 * math.log(0.01) + math.lgamma(201.0)), rel=1e-12)
+    for q in (-1.0, -1.5, -2.0, math.nan):
+        with pytest.raises(ValueError, match=f"order {q}"):
+            d.moment(q)
+
+
+def test_uniform_negative_moments():
+    # E X**q for q <= -1 diverges when the support holds 0
+    for law, q in ((ht.UniformDist(0.0, 1.0), -1.5), (ht.UniformDist(0.0, 2.0), -1.0),
+                   (ht.UniformDist(-1.0, 1.0), -2.0), (ht.UniformDist(-1.0, 0.0), -1.0)):
+        with pytest.raises(ValueError, match=f"order {q}"):
+            law.moment(q)
+    assert ht.UniformDist(0.0, 1.0).moment(-0.5) == pytest.approx(2.0, rel=1e-15)
+    for lo, hi, orders in ((0.5, 2.0, (-0.5, -1.0, -2.0, 2.5)), (-3.0, -1.0, (-1.0, -2.0, 3.0))):
+        for q in orders:
+            oracle, _ = integrate.quad(lambda x: x**q, lo, hi)
+            assert ht.UniformDist(lo, hi).moment(q) == pytest.approx(oracle / (hi - lo), rel=1e-12), (lo, q)
+
+
 def test_low_tail_power_law():
     d = ht.LowTailPowerDist(0.3)
     assert d.upper == pytest.approx(1.0)

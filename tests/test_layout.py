@@ -5,7 +5,11 @@ name from a sibling (``from .x import _name``) or reading one through a
 sibling module (``x._name``) fails the test.  Dunder names are public.  No
 module reads the process environment, and only ``numerics`` calls scipy's
 adaptive ``quad`` (inside ``checked_quad``, which keeps its error bound).
-The package imports only ``special`` and ``integrate`` from scipy.
+The package imports only ``special`` and ``integrate`` from scipy, and only
+inside function bodies: in a fresh interpreter, importing every module and
+making the benchmark workloads' calls loads no scipy module, and the three
+routines that need scipy (``checked_quad``, ``LowTailPowerDist.laplace`` and
+the exp-damped ``regime_of``) load it when called.
 Only ``streams`` builds a random source, in the package and in these tests.
 No module imports ``warnings`` or calls a ``.warn`` method.
 No function gives a draw count (``size`` or ``n_rep``) a None default.
@@ -23,6 +27,10 @@ import ast
 import copy
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +175,99 @@ def test_package_imports_only_special_and_integrate_from_scipy(tmp_path):
                                     "mod.py:3 imports scipy.signal"]
     found = [use for path in sorted(PACKAGE.glob("*.py")) for use in scipy_imports(path)]
     assert not found, found
+
+
+def _imports_scipy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "scipy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy"
+
+
+def module_level_scipy_imports(path: Path) -> list[str]:
+    """Lines of ``path`` that import scipy outside a function body (at import time)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    in_function = {id(inner) for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for stmt in node.body for inner in ast.walk(stmt)}
+    return [f"{path.name}:{node.lineno} imports scipy at import time" for node in ast.walk(tree)
+            if _imports_scipy(node) and id(node) not in in_function]
+
+
+def test_package_imports_scipy_only_inside_functions(tmp_path):
+    # scipy.special and scipy.integrate take most of a cold start, and the
+    # benchmark's workloads run on numpy alone: a process pays for scipy
+    # only when it calls a routine that needs it
+    probe = tmp_path / "mod.py"
+    probe.write_text("import scipy\nfrom scipy import special\nclass C:\n    import scipy.stats\n"
+                     "def f():\n    from scipy import integrate\n    import scipy.special as sp\n"
+                     "    def g():\n        from scipy.special import gammainc\n")
+    assert module_level_scipy_imports(probe) == ["mod.py:1 imports scipy at import time",
+                                                 "mod.py:2 imports scipy at import time",
+                                                 "mod.py:4 imports scipy at import time"]
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in module_level_scipy_imports(path)]
+    assert not found, found
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports the package from ``src``; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                                                   os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return done.stdout
+
+
+WORKLOAD_CALLS = """
+import importlib, json, pkgutil, sys
+import heavyagg
+for info in pkgutil.iter_modules(heavyagg.__path__):
+    importlib.import_module(f"heavyagg.{info.name}")
+import heavyagg.cli
+from heavyagg import aggregation, heavy_tail as ht, limit_fields as lf, pulses as pl
+from heavyagg import regenerative, shot_noise, streams
+
+rng = streams.stream(26, "layout/no-scipy", 0)
+src = shot_noise.ShotNoiseSource(pl.RectIndep(ht.DegenerateDist(1.0), ht.RegVaryingDist(1.5, 1.0)))
+model = regenerative.RegenModel(pl.OnOff(ht.RegVaryingDist(1.4, 1.0), ht.ExponentialDist(1.0)))
+shot = shot_noise.regime_of(src, 0.5)
+regen = regenerative.regime_of(model, 0.1)
+aggregation.aggregate(src, 20.0, shot.gamma, shot.H, (0.5, 1.0), (1.0,), 4, rng)
+aggregation.aggregate(model, 100.0, regen.gamma, regen.H, (0.5, 1.0), (1.0,), 4, rng)
+spec = lf.TelecomSpec(1.5, c=1.0, eps=0.05)
+lf.sample_telecom(spec, [1.0], 1.0, rng, n_rep=10)
+shot.logchf(0.5, 1.0, 1.0)
+regen.logchf(0.5, 1.0, 1.0)
+lf.telecom_field_logchf(spec, 0.5, 1.0, 1.0)
+lf.intermediate_kappa_field_chf([1.0], [(1.0, 1.0)], 1.6, 1.3, 1.0)
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
+
+def test_workload_calls_load_no_scipy():
+    # every module, the command line and the calls the benchmark's workloads
+    # make (set-up and job, at small sizes) run on numpy alone
+    assert json.loads(_fresh_interpreter(WORKLOAD_CALLS).splitlines()[-1]) == []
+
+
+# the three routines that need scipy, called in the names SCIPY_NAMES binds
+SCIPY_NAMES = "from heavyagg import heavy_tail as ht, numerics as nm, pulses as pl, shot_noise\n"
+SCIPY_CALLS = {
+    "checked_quad": "nm.checked_quad(lambda x: x * x, 0.0, 1.0, 'probe')",
+    "laplace": "float(ht.LowTailPowerDist(0.3).laplace(2.5))",
+    "exp-damped regime": "shot_noise.regime_of(shot_noise.ShotNoiseSource(pl.ExpDamped("
+                         "ht.LowTailPowerDist(0.5), ht.RegVaryingDist(1.2, 1.0))), 0.5).constants",
+}
+
+
+@pytest.mark.parametrize("name", list(SCIPY_CALLS))
+def test_scipy_loads_on_first_call(name):
+    # each routine imports scipy when called, and gives the value it gives
+    # in this process, which loaded scipy up front
+    expr = SCIPY_CALLS[name]
+    code = ("import sys\n" + SCIPY_NAMES + "before = any(m.startswith('scipy') for m in sys.modules)\n"
+            f"value = {expr}\nprint(before, 'scipy.special' in sys.modules, repr(value))\n")
+    here = {}
+    exec(SCIPY_NAMES, here)
+    assert _fresh_interpreter(code).split(" ", 2) == ["False", "True", f"{eval(expr, here)!r}\n"]
 
 
 RANDOM_SOURCES = ("default_rng", "SeedSequence", "RandomState", "BitGenerator",

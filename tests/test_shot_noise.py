@@ -402,6 +402,28 @@ def test_gauss_legendre_nodes_are_cached_read_only():
     assert np.sum(weights * nodes**2) == pytest.approx(9.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [sn.CHF_NODES[2], 2 * sn.CHF_NODES[2]])
+def test_tanh_sinh_rule_on_the_unit_interval(n):
+    # the chf rule's duration tail runs at its order and at twice it
+    s, w = nm.tanh_sinh_unit(n)
+    assert s.shape == w.shape == (2 * n + 1,)
+    # the nodes rise inside (0, 1) but past t ~ 2.5 round to 1, which only
+    # weight below 1e-15 sits on
+    assert 0.0 < s[0] and np.all(np.diff(s[s < 1.0]) > 0) and np.all(np.diff(s) >= 0)
+    assert s[-1] == 1.0 and w[s == 1.0].sum() <= 1e-15
+    # s(-t) = 1 - s(t); linspace leaves t and -t up to 9e-16 apart, which
+    # moves a node by up to ds/dt = w / h times that
+    t = np.linspace(-nm.TANH_SINH_T_MAX, nm.TANH_SINH_T_MAX, 2 * n + 1)
+    asym = w / (t[1] - t[0]) * np.abs(t + t[::-1])
+    assert np.all(np.abs(s[::-1] - (1.0 - s)) <= 2.0 * np.spacing(np.maximum(s, s[::-1])) + asym)
+    assert np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-14
+    assert abs(w @ s**-0.5 - 2.0) <= 1e-12 and abs(w @ -np.log(s) - 1.0) <= 1e-12
+    # the numpy logistic agrees with scipy's expit form of the same rule
+    e = np.pi * np.sinh(t)
+    np.testing.assert_array_max_ulp(s, special.expit(e), 4)
+    np.testing.assert_array_max_ulp(w, (t[1] - t[0]) * np.pi * np.cosh(t) * special.expit(e) * special.expit(-e), 4)
+
+
 def cos_minus_one(z: float) -> float:
     """cos(z) - 1 without cancellation, via -2 sin^2(z/2)."""
     s = math.sin(0.5 * z)
@@ -911,6 +933,28 @@ def test_path_window_means_and_light_tail_variance():
         assert vals[:, j].mean() == pytest.approx(level * w, abs=4 * se)
     tot = vals.sum(axis=1)
     assert tot.var() == pytest.approx(sn.integral_variance(src, 4.0), rel=0.03)
+
+
+def test_mg_infinity_occupancy_is_poisson():
+    # M/G/inf: customers arrive at rate 2 and each holds one server for a
+    # Pareto(1.5) service time, so the busy servers are unit rectangles; the
+    # stationary occupancy N is Poisson(rate * E S) = Poisson(6)
+    src = sn.ShotNoiseSource(pl.RectIndep(A=ht.DegenerateDist(1.0), R=ht.RegVaryingDist(1.5, 1.0)), rate=2.0)
+    lam = src.rate * src.mean_duration
+    assert lam == pytest.approx(6.0)
+    thin, n = 1e-3, 100_000
+    window = sn.integrated_path_batch(src, [thin, 1.0], rng_for("mg-inf"), n)[:, 0]
+    # a row whose window sees an arrival or a departure (rate 2 + 6 / E S,
+    # so ~0.4 % of rows) holds a fraction of a customer; rounding reads the
+    # occupancy at 0 off every other row
+    occupancy = np.rint(window / thin)
+    assert np.mean(np.abs(window / thin - occupancy) > 1e-6) < 1e-2
+    mean = occupancy.mean()
+    assert abs(mean - lam) <= 5.0 * occupancy.std() / math.sqrt(n)
+    dev2 = (occupancy - mean) ** 2
+    assert abs(dev2.sum() / (n - 1) - lam) <= 5.0 * dev2.std() / math.sqrt(n)
+    p0 = math.exp(-lam)
+    assert abs(np.mean(occupancy == 0) - p0) <= 5.0 * math.sqrt(p0 * (1.0 - p0) / n)
 
 
 def test_path_cross_window_covariance_matches_variance_identity():
