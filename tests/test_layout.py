@@ -18,9 +18,10 @@ Every ``__all__`` entry must exist.  Every module but ``__init__`` declares
 every listed name is read somewhere in the package or the benchmark, is
 the target of a script that ``pyproject.toml`` declares, or sits on
 ``TEST_ONLY_NAMES`` with its reason.  The benchmark's span tracer must still
-find every entry point it wraps and see every duration draw, every declared
-script must resolve, and the benchmark's Telecom point count must match the
-sampler.
+find every entry point it wraps and see every duration draw, and under it
+``sample_telecom`` must draw at most 1/25 of the pulses of the eps-cut source;
+every declared script must resolve, and the benchmark's Telecom point count
+must stay that source's expected pulses.
 """
 
 import ast
@@ -507,11 +508,13 @@ def test_benchmark_tracer_sees_every_duration_draw():
     # heavy_tail.draws counts the n of RegVaryingDist.sample calls, so it is a
     # pulse count only while every fresh and aged duration is drawn there:
     # the pulses a call walks are its first two draws (the Poisson counts),
-    # replayed on a copy of its generator
+    # replayed on a copy of its generator.  sample_telecom draws exactly only
+    # the sessions longer than b = BAND_FACTOR * eps, so its source is b-cut
     layers = _bench_module("layers")
     spec = limit_fields.TelecomSpec(1.5, eps=0.05)
-    tele = shot_noise.ShotNoiseSource(RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, spec.eps)),
-                                      rate=spec.c * spec.eps**-spec.alpha)
+    b = limit_fields.BAND_FACTOR * spec.eps
+    tele = shot_noise.ShotNoiseSource(RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, b)),
+                                      rate=spec.c * b**-spec.alpha)
     rect = shot_noise.ShotNoiseSource(RectIndep(DegenerateDist(1.0), RegVaryingDist(1.5, 1.0)), rate=3.0)
     cuts = np.array([0.5, 1.0, 2.5, 4.0])
     calls = [
@@ -529,10 +532,27 @@ def test_benchmark_tracer_sees_every_duration_draw():
         assert sum(sizes) == fresh + aged and aged > 0, (i, sizes, fresh, aged)
 
 
+def test_sample_telecom_draws_few_pulses():
+    # at the benchmark's spec the exact part of sample_telecom is the b-cut
+    # source, about 30 times fewer pulses than the eps-cut one; a sampler
+    # that walks the eps-cut source again fails this without timing anything
+    layers = _bench_module("layers")
+    spec = limit_fields.TelecomSpec(1.5, eps=1e-3)
+    eps_cut = shot_noise.ShotNoiseSource(RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, spec.eps)),
+                                         rate=spec.c * spec.eps**-spec.alpha)
+    n_rep = 40
+    with layers.Tracer() as tracer:
+        limit_fields.sample_telecom(spec, [1.0], 1.0, streams.stream(24, "layout/tracer-guard", 0), n_rep)
+    drawn = sum(span[4][1] for span in tracer.spans if span[0] == "heavy_tail.sample")
+    assert 0 < drawn <= n_rep * eps_cut.rate * (1.0 + eps_cut.mean_duration) / 25.0
+
+
 def test_benchmark_telecom_contract():
     # bench/workloads.py reads TelecomSpec.u_pad and left_pad_variance; its
-    # point count must stay the expected pulses of the eps-cut shot-noise
-    # source that sample_telecom runs on one unit window
+    # point count is still the expected pulses of the eps-cut shot-noise
+    # source on one unit window, about 30 times what sample_telecom now draws
+    # exactly (it draws the sessions longer than BAND_FACTOR * eps), so this
+    # pins the benchmark's formula until the benchmark counts the b-cut source
     check = _bench_module("workloads").TelecomCheck()
     check.setup()
     a, c, eps = check.spec.alpha, check.spec.c, check.spec.eps

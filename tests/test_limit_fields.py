@@ -1,6 +1,7 @@
 """Tests for the limit-field laws: the Telecom sampler and the covariance and chf oracles."""
 
 import cmath
+import copy
 import math
 import warnings
 
@@ -213,9 +214,10 @@ def test_telecom_sampler_cross_x_covariance(monkeypatch, small_blocks):
     n = 10_000
     split_cells = []
     if small_blocks:
-        # an odd block of 257 pulses ends inside cells of one replicate, so
+        # an odd block of 31 pulses ends inside cells of one replicate, so
         # the pulses of one (replicate, window) cell fall into two blocks
-        monkeypatch.setattr(shot_noise, "PULSE_BLOCK", 257)
+        # (the b-cut source draws few enough pulses that blocks must be small)
+        monkeypatch.setattr(shot_noise, "PULSE_BLOCK", 31)
         walk = shot_noise._pulse_blocks
 
         def spy(counts):
@@ -235,6 +237,59 @@ def test_telecom_sampler_cross_x_covariance(monkeypatch, small_blocks):
 
     centred = draws - draws.mean(axis=0)
     for i, j in [(0, 1), (1, 2), (0, 2)]:
+        x1, x2 = xs[i], xs[j]
+        want = 0.5 * (var(x1) + var(x2) - var(x2 - x1))
+        prod = centred[:, i] * centred[:, j]
+        assert abs(prod.mean() - want) < 4.0 * prod.std() / math.sqrt(n)
+
+
+def test_telecom_sampler_without_band_is_the_eps_cut_source(monkeypatch):
+    # at BAND_FACTOR = 1 the sampler is the eps-cut shot noise bit for bit and
+    # leaves the generator where that construction does: it draws no normal
+    monkeypatch.setattr(lf, "BAND_FACTOR", 1.0)
+    spec = lf.TelecomSpec(alpha=1.5, c=2.0, eps=0.05)
+    xs, y, n = np.array([0.5, 1.0, 2.5]), 1.5, 200
+    rng = rng_for("tele-no-band")
+    replay = copy.deepcopy(rng)
+    got = lf.sample_telecom(spec, xs, y, rng, n_rep=n)
+    src = shot_noise.ShotNoiseSource(RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, spec.eps)),
+                                     rate=y * spec.c * spec.eps**-spec.alpha)
+    want = np.cumsum(shot_noise.integrated_path_batch(src, xs, replay, n), axis=1)
+    want -= xs * src.mean_level()
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("x", [0.005, 0.5, 1.0, 3.0])
+def test_telecom_sampler_parts_add_up_to_the_eps_cut_variance(x):
+    # the exact part (durations above b) and the Gaussian band (eps, b] are
+    # independent, so their variances add to the eps-cut field's; x = 0.005
+    # lies below eps and x = 3 above b, covering both overlap branches
+    spec = lf.TelecomSpec(alpha=1.5, c=2.0, eps=0.05)
+    y = 0.8
+    b = lf.BAND_FACTOR * spec.eps
+    exact = shot_noise.ShotNoiseSource(RectIndep(DegenerateDist(1.0), RegVaryingDist(spec.alpha, b)),
+                                       rate=y * spec.c * b**-spec.alpha)
+    band = y * float(lf._overlap_energy(spec.alpha, spec.c, spec.eps, b, x))
+    want = lf.telecom_variance(spec.alpha, spec.c, x, y) - lf.small_jump_variance(spec, x, y)
+    assert shot_noise.integral_variance(exact, x) + band == pytest.approx(want, rel=1e-8)
+
+
+def test_telecom_sampler_on_a_grid_finer_than_the_band():
+    # 200 points eps apart, far finer than b = BAND_FACTOR * eps: the band's
+    # covariance matrix is close to singular, and its factor must still give
+    # the eps-cut field's covariance
+    spec = lf.TelecomSpec(alpha=1.5, c=1.0, eps=0.01)
+    xs = spec.eps * np.arange(1, 201)
+    n = 10_000
+    draws = lf.sample_telecom(spec, xs, 1.0, rng_for("tele-fine"), n_rep=n)
+    assert draws.shape == (n, xs.size) and np.all(np.isfinite(draws))
+
+    def var(x):
+        return lf.telecom_variance(spec.alpha, spec.c, x) - lf.small_jump_variance(spec, x)
+
+    centred = draws - draws.mean(axis=0)
+    for i, j in [(0, 1), (9, 10), (49, 199)]:
         x1, x2 = xs[i], xs[j]
         want = 0.5 * (var(x1) + var(x2) - var(x2 - x1))
         prod = centred[:, i] * centred[:, j]
